@@ -106,9 +106,11 @@ def _cmd_chain_evolve(args) -> None:
         ]
         _emit_json(args, payload)
     else:
+        path = coords(densities)
+        del densities  # the CSV rows need only the coordinates
         rows = []
-        for t, d in enumerate(densities):
-            for k, value in enumerate(coords(d)):
+        for t, c in enumerate(path):
+            for k, value in enumerate(c):
                 rows.append((str(t), str(k), _fmt(value)))
         _emit_csv(args, "t,coordinate_index,value", rows)
 

@@ -240,7 +240,10 @@ def from_coords(c: np.ndarray) -> np.ndarray:
     idx = np.arange(n)
     q[..., idx, idx] = c[..., :n]
     iu, ju = np.triu_indices(n, k=1)
-    off = (c[..., n::2] + 1j * c[..., n + 1 :: 2]) / _SQRT2
+    # in-place steps keep a batch to one complex temporary
+    off = 1j * c[..., n + 1 :: 2]
+    off += c[..., n::2]
+    off /= _SQRT2
     q[..., iu, ju] = off
-    q[..., ju, iu] = off.conj()
+    q[..., ju, iu] = np.conjugate(off, out=off)
     return q

@@ -123,7 +123,7 @@ def walk(
         )
     densities = evolve(MarkovChain(operator=operator, start=start), steps)
     ind = _source_indicators(graph)
-    diags = np.array([np.diagonal(d).real for d in densities])
+    diags = np.ascontiguousarray(np.diagonal(densities, axis1=1, axis2=2).real)
     probabilities = diags @ ind.T
     return WalkTrace(graph=graph, densities=tuple(densities), node_probabilities=probabilities)
 

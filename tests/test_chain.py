@@ -11,6 +11,7 @@ from qmarkov import (
     cesaro_average,
     coords,
     evolve,
+    from_coords,
     from_kraus,
     from_stochastic,
     from_unitary,
@@ -56,6 +57,18 @@ class TestEvolve:
             assert min_eigenvalue(d) >= -1e-9
             assert np.trace(d).real == pytest.approx(1.0, abs=1e-10)
 
+
+    def test_matches_stepwise_reference(self):
+        rng = np.random.default_rng(74)
+        op = from_kraus(random_kraus_family(rng, 3, 2))
+        q = random_quantum_density(3, rng)
+        densities = evolve(MarkovChain(operator=op, start=q), 20)
+        assert densities.shape == (21, 3, 3)
+        np.testing.assert_array_equal(densities[0], q)
+        c = coords(q)
+        for d in densities[1:]:
+            c = op.matrix @ c
+            np.testing.assert_array_equal(d, from_coords(c))
 
 class TestBoundednessProbe:
     def test_unitary_constant_purity(self):
@@ -141,6 +154,55 @@ class TestCesaroAverage:
         )
         with pytest.raises(ConvergenceError):
             cesaro_average(chain, tol=1e-8, max_doublings=40)
+
+    def test_jordan_block_with_mixing_rest_errors(self):
+        # at horizons near 2^27 rounding can cancel the residual of the tail
+        # average (steps t+1..2t) of this drifting chain; the tail must also
+        # have stopped moving before it is accepted
+        n = 8
+        accepted = []
+        for seed in range(120):
+            rng = np.random.default_rng(seed)
+            m = np.zeros((n, n))
+            m[:2, :2] = [[2.0, 1.0], [-1.0, 0.0]]
+            rest = rng.random((n - 2, n - 2)) + 0.05
+            m[2:, 2:] = rest / rest.sum(axis=0)
+            start = np.diag(rng.dirichlet(np.ones(n))).astype(complex)
+            try:
+                cesaro_average(MarkovChain(operator=from_stochastic(m), start=start))
+            except ConvergenceError:
+                continue
+            accepted.append(seed)
+        assert accepted == []
+
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_primitive_channel_exits_early(self, n, seed):
+        rng = np.random.default_rng(1000 * n + seed)
+        op = from_kraus(random_kraus_family(rng, n, 2))
+        q = random_quantum_density(n, rng)
+        result = cesaro_average(MarkovChain(operator=op, start=q), tol=1e-8)
+        assert result.residual <= 1e-8
+        assert result.iterations <= 2**10
+        # independent oracle: burn in, then average a long stretch of steps
+        k = op.matrix
+        c = coords(q)
+        for _ in range(2000):
+            c = k @ c
+        total = np.zeros_like(c)
+        for _ in range(1000):
+            c = k @ c
+            total += c
+        assert np.abs(coords(result.average) - total / 1000).max() <= 1e-7
+
+    def test_period_two_permutation_keeps_plain_average(self):
+        rng = np.random.default_rng(71)
+        perm = np.eye(4)[[1, 0, 3, 2]]
+        op = from_unitary(perm)
+        q = random_quantum_density(4, rng)
+        result = cesaro_average(MarkovChain(operator=op, start=q))
+        assert result.iterations == 2
+        np.testing.assert_allclose(result.average, (q + perm @ q @ perm.T) / 2, atol=1e-14)
 
     def test_residual_drops_below_target(self):
         # doubling residuals computed by an independent partial-sum loop

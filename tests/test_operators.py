@@ -6,6 +6,7 @@ from qmarkov import (
     MarkovOperator,
     apply,
     compose,
+    coords,
     from_kraus,
     from_stochastic,
     from_unitary,
@@ -17,6 +18,7 @@ from qmarkov import (
     random_quantum_density,
     sampled_nonnegativity,
 )
+from qmarkov.operators import kraus_superop
 
 PROJ = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
 
@@ -48,6 +50,25 @@ class TestFromKraus:
         m1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]])
         op = from_kraus([m0, m1])
         assert is_trace_preserving(op)
+
+
+class TestKrausSuperop:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    def test_matches_basis_images(self, n, a):
+        # column k is the coordinate vector of sum_a M_a B_k M_a*, applied
+        # to each canonical basis element directly
+        rng = np.random.default_rng(100 * n + a)
+        family = random_kraus_family(rng, n, a)
+        reference = np.array(
+            [coords(sum(m @ b @ m.conj().T for m in family)) for b in hermitian_basis(n)]
+        ).T
+        assert np.abs(kraus_superop(family) - reference).max() <= 1e-14
+
+    def test_permutation_unitary_is_orthogonal(self):
+        perm = np.eye(6)[[3, 0, 5, 1, 4, 2]]
+        k = from_unitary(perm).matrix
+        assert np.abs(k @ k.T - np.eye(36)).max() <= 1e-14
 
 
 class TestFromUnitary:
