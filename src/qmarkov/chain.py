@@ -82,6 +82,13 @@ def evolve(chain: MarkovChain, steps: int) -> np.ndarray:
     The chain is iterated in coordinates; all densities but the start are
     then built by one batched :func:`from_coords` call.
     """
+    densities = from_coords(_coordinate_path(chain, steps))
+    densities[0] = chain.start
+    return densities
+
+
+def _coordinate_path(chain: MarkovChain, steps: int) -> np.ndarray:
+    """Coordinates of mu^t(P) for t = 0..steps, one row per step."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     k = chain.operator.matrix
@@ -91,9 +98,7 @@ def evolve(chain: MarkovChain, steps: int) -> np.ndarray:
     for t in range(1, steps + 1):
         c = k @ c
         path[t] = c
-    densities = from_coords(path)
-    densities[0] = chain.start
-    return densities
+    return path
 
 
 def boundedness_probe(chain: MarkovChain, horizon: int, bound: float) -> BoundednessReport:

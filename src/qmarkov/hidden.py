@@ -16,7 +16,7 @@ from typing import Hashable, NamedTuple, Sequence
 
 import numpy as np
 
-from .measurement import KrausMeasurement, OutcomeDistribution, Scale
+from .measurement import OBSERVABILITY_TOL, KrausMeasurement, OutcomeDistribution, Scale
 
 __all__ = [
     "HiddenStateSpace",
@@ -37,7 +37,6 @@ __all__ = [
     "diagonal_povm",
 ]
 
-OBSERVABILITY_TOL = 1e-10
 BELL_TOL = 1e-12
 
 

@@ -155,28 +155,29 @@ def load_operator(path) -> MarkovOperator:
     return operator_from_dict(_read_json(path), where=str(path))
 
 
-def load_kraus_family(path) -> list[np.ndarray]:
-    d = _read_json(path)
-    where = str(path)
-    _expect(isinstance(d, Mapping) and "kraus" in d, f"{where}: missing field 'kraus'")
+def _kraus_list(d: Mapping, where: str) -> list[np.ndarray]:
+    """The matrices of a Kraus file's non-empty 'kraus' list, checked against 'n' if given."""
     mats = d["kraus"]
     _expect(isinstance(mats, list) and mats, f"{where}: 'kraus' must be a non-empty list")
     out = [matrix_from_dict(m, where=f"{where}: kraus[{i}]") for i, m in enumerate(mats)]
     if "n" in d:
-        n = int(d["n"])
+        n = d["n"]
         for i, m in enumerate(out):
             _expect(m.shape == (n, n), f"{where}: kraus[{i}] has shape {m.shape}, expected ({n}, {n})")
     return out
+
+
+def load_kraus_family(path) -> list[np.ndarray]:
+    d = _read_json(path)
+    _expect(isinstance(d, Mapping) and "kraus" in d, f"{path}: missing field 'kraus'")
+    return _kraus_list(d, str(path))
 
 
 def load_channel(path) -> MarkovOperator:
     """Load a Markov operator from either an operator file or a Kraus file."""
     d = _read_json(path)
     if isinstance(d, Mapping) and "kraus" in d:
-        mats = [
-            matrix_from_dict(m, where=f"{path}: kraus[{i}]") for i, m in enumerate(d["kraus"])
-        ]
-        return from_kraus(mats)
+        return from_kraus(_kraus_list(d, str(path)))
     return operator_from_dict(d, where=str(path))
 
 

@@ -20,6 +20,7 @@ from .hermitian import coords, require_hermitian, require_markov_density
 from .operators import (
     MarkovOperator,
     TRACE_PRESERVING_TOL,
+    _check_completeness,
     kraus_superop,
     trace_preservation_deviation,
 )
@@ -89,15 +90,29 @@ def iter_words(scale: Scale, length: int) -> Iterator[tuple]:
     return itertools.product(scale.symbols, repeat=length)
 
 
-def _check_word_count(scale: Scale, length: int, cap: int | None) -> int:
-    count = len(scale) ** length
+def _check_word_count(count: int, cap: int | None) -> None:
+    """Raise when an enumeration of ``count`` words would exceed the cap."""
     limit = enumeration_cap(cap)
     if count > limit:
         raise ValueError(
-            f"word enumeration cap exceeded: |scale|^{length} = {count} > {limit} "
+            f"word enumeration cap exceeded: {count} words > {limit} "
             f"(raise QMARKOV_ENUM_CAP to override)"
         )
-    return count
+
+
+def _word_levels(start: np.ndarray, step: np.ndarray, depth: int) -> Iterator[np.ndarray]:
+    """Word states for lengths 1..depth, one matrix product per level.
+
+    ``start`` holds one row of size m.  With ``step = np.hstack([M.T for M in
+    ops])`` each level appends a symbol (rows M_w x); with ``step =
+    np.stack(ops)`` it prepends one (rows x M_w, for covectors x).  Either
+    way the rows of a level are in product order of the words.
+    """
+    states = start
+    m = start.shape[-1]
+    for _ in range(depth):
+        states = (states @ step).reshape(-1, m)
+        yield states
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,13 +133,7 @@ class KrausMeasurement:
         for sym, m in zip(self.scale, mats):
             if m.ndim != 2 or m.shape != (n, n):
                 raise ValueError(f"Kraus matrix for {sym!r} has shape {m.shape}, expected ({n}, {n})")
-        gram = sum(m.conj().T @ m for m in mats)
-        dev = float(np.linalg.norm(gram - np.eye(n)))
-        if dev > TRACE_PRESERVING_TOL:
-            raise ValueError(
-                f"Kraus matrices do not sum up to the identity (POVM completeness violated): "
-                f"||sum M_a* M_a - I|| = {dev:.3e}"
-            )
+        _check_completeness(np.array(mats))
         for m in mats:
             m.setflags(write=False)
         object.__setattr__(self, "kraus", mats)
@@ -314,13 +323,11 @@ def _word_values(meas: MarkovMeasurement, density: np.ndarray, t: int, cap: int 
     density = require_markov_density(density)
     if density.shape[0] != meas.n:
         raise ValueError(f"dimension mismatch: measurement on H_{meas.n}, density {density.shape}")
-    _check_word_count(meas.scale, t, cap)
-    n = meas.n
+    _check_word_count(len(meas.scale) ** t, cap)
     states = coords(density)[None, :]
-    for _ in range(t):
-        states = np.stack([states @ op.T for op in meas.operators], axis=1)
-        states = states.reshape(-1, n * n)
-    return states[:, :n].sum(axis=1)
+    for states in _word_levels(states, np.hstack([op.T for op in meas.operators]), t):
+        pass
+    return states[:, : meas.n].sum(axis=1)
 
 
 def word_distribution(meas, density: np.ndarray, t: int, cap: int | None = None) -> dict[tuple, float]:

@@ -11,7 +11,7 @@ probability through an information function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterator, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -20,7 +20,8 @@ from .measurement import (
     MarkovMeasurement,
     OutcomeDistribution,
     Scale,
-    enumeration_cap,
+    _check_word_count,
+    _word_levels,
     iter_words,
 )
 from .operators import diagonal_superop
@@ -159,22 +160,9 @@ def word_probability(model: ObservableOperatorModel, word: Sequence) -> float:
     return float(x.sum())
 
 
-def _check_total(count: int, cap: int | None) -> None:
-    limit = enumeration_cap(cap)
-    if count > limit:
-        raise ValueError(
-            f"word enumeration cap exceeded: {count} words > {limit} "
-            f"(raise QMARKOV_ENUM_CAP to override)"
-        )
-
-
-def _prefix_levels(model: ObservableOperatorModel, depth: int) -> Iterator[np.ndarray]:
+def _prefix_levels(model: ObservableOperatorModel, depth: int):
     """States M_w pi for all words of length 1..depth, level by level, product order."""
-    states = model.pi[None, :]
-    for _ in range(depth):
-        states = np.stack([states @ op.T for op in model.operators], axis=1)
-        states = states.reshape(-1, model.dim)
-        yield states
+    return _word_levels(model.pi[None, :], np.hstack([op.T for op in model.operators]), depth)
 
 
 def _decode_word(model: ObservableOperatorModel, index: int, length: int) -> tuple:
@@ -200,7 +188,7 @@ def validate(
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    _check_total(horizon * len(model.scale) ** horizon, cap)
+    _check_word_count(horizon * len(model.scale) ** horizon, cap)
     col_err = float(np.max(np.abs(model.transition_sum.sum(axis=0) - 1.0)))
     pi_err = abs(float(model.pi.sum()) - 1.0)
     min_p = 1.0
@@ -248,33 +236,17 @@ def prediction_matrix(
         raise ValueError("max_length must be nonnegative")
     base = len(model.scale)
     total = (base ** (max_length + 1) - 1) // (base - 1) if base > 1 else max_length + 1
-    _check_total(total, cap)
+    _check_word_count(total, cap)
 
     words: list[tuple] = [()]
     for length in range(1, max_length + 1):
         words.extend(iter_words(model.scale, length))
 
-    m = model.dim
-    # x_w = M_w pi (append symbols), y_v = M_w^T-chain applied to the ones
-    # vector (prepend symbols); then p(wv) = y_v . x_w.
-    xs = np.empty((total, m))
-    ys = np.empty((total, m))
-    xs[0] = model.pi
-    ys[0] = np.ones(m)
-    level_start = 0
-    level_count = 1
-    offset = 1
-    for _ in range(max_length):
-        x_level = xs[level_start : level_start + level_count]
-        y_level = ys[level_start : level_start + level_count]
-        new_count = level_count * base
-        x_children = np.stack([x_level @ op.T for op in model.operators], axis=1)
-        xs[offset : offset + new_count] = x_children.reshape(new_count, m)
-        y_children = np.stack([y_level @ op for op in model.operators], axis=0)
-        ys[offset : offset + new_count] = y_children.reshape(new_count, m)
-        level_start = offset
-        level_count = new_count
-        offset += new_count
+    # x_w = M_w pi (append symbols) and y_v = 1^T M_v (prepend symbols), so
+    # that p(wv) = y_v . x_w.
+    xs = np.concatenate([model.pi[None, :], *_prefix_levels(model, max_length)])
+    ones = np.ones((1, model.dim))
+    ys = np.concatenate([ones, *_word_levels(ones, np.stack(model.operators), max_length)])
 
     joint = ys @ xs.T
     p_w = xs.sum(axis=1)
@@ -396,7 +368,7 @@ def entropy_rate(
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
-    _check_total(len(model.scale) ** t_max, cap)
+    _check_word_count(len(model.scale) ** t_max, cap)
     rows: list[tuple[int, float, float]] = []
     h_prev = 0.0
     for t, states in enumerate(_prefix_levels(model, t_max), start=1):

@@ -103,6 +103,17 @@ def _kraus_stack(family) -> np.ndarray:
     return mats
 
 
+def _check_completeness(mats: np.ndarray) -> None:
+    """Raise unless the stacked Kraus matrices satisfy sum_a M_a* M_a = I."""
+    gram = np.einsum("aji,ajk->ik", mats.conj(), mats)
+    dev = float(np.linalg.norm(gram - np.eye(mats.shape[-1])))
+    if dev > TRACE_PRESERVING_TOL:
+        raise ValueError(
+            f"Kraus matrices do not sum up to the identity (POVM completeness violated): "
+            f"||sum M_a* M_a - I|| = {dev:.3e}"
+        )
+
+
 def kraus_superop(family) -> np.ndarray:
     """Superoperator matrix of Q -> sum_a M_a Q M_a* (no completeness check).
 
@@ -145,15 +156,8 @@ def from_kraus(family) -> MarkovOperator:
     quantum densities.
     """
     mats = _kraus_stack(family)
-    n = mats.shape[-1]
-    gram = np.einsum("aji,ajk->ik", mats.conj(), mats)
-    dev = float(np.linalg.norm(gram - np.eye(n)))
-    if dev > TRACE_PRESERVING_TOL:
-        raise ValueError(
-            f"Kraus matrices do not sum up to the identity (POVM completeness violated): "
-            f"||sum M_a* M_a - I|| = {dev:.3e}"
-        )
-    return MarkovOperator(n=n, matrix=kraus_superop(mats))
+    _check_completeness(mats)
+    return MarkovOperator(n=mats.shape[-1], matrix=kraus_superop(mats))
 
 
 def from_unitary(u: np.ndarray) -> MarkovOperator:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import MarkovChain, cesaro_average, evolve
+from .chain import MarkovChain, _coordinate_path, cesaro_average
 from .operators import MarkovOperator
 
 __all__ = [
@@ -65,15 +65,10 @@ class NodePOVM:
 
 @dataclass(frozen=True, eq=False)
 class WalkTrace:
-    """Chain of walk densities with the per-node outcome values at each step."""
+    """Per-node outcome values of a walk, one row per step t = 0, 1, ..."""
 
     graph: DirectedGraph
-    densities: tuple[np.ndarray, ...]
     node_probabilities: np.ndarray
-
-    def steps(self):
-        """Iterate (density, node value vector) pairs for t = 0, 1, ..."""
-        return zip(self.densities, self.node_probabilities)
 
 
 def _source_indicators(graph: DirectedGraph) -> np.ndarray:
@@ -121,11 +116,11 @@ def walk(
         raise ValueError(
             f"dimension mismatch: graph has {graph.edge_count} edges, operator acts on H_{operator.n}"
         )
-    densities = evolve(MarkovChain(operator=operator, start=start), steps)
-    ind = _source_indicators(graph)
-    diags = np.ascontiguousarray(np.diagonal(densities, axis1=1, axis2=2).real)
-    probabilities = diags @ ind.T
-    return WalkTrace(graph=graph, densities=tuple(densities), node_probabilities=probabilities)
+    path = _coordinate_path(MarkovChain(operator=operator, start=start), steps)
+    # the first n coordinates of a Hermitian matrix are its diagonal entries
+    diags = np.ascontiguousarray(path[:, : graph.edge_count])
+    probabilities = diags @ _source_indicators(graph).T
+    return WalkTrace(graph=graph, node_probabilities=probabilities)
 
 
 def limiting_node_distribution(

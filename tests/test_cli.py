@@ -344,6 +344,21 @@ class TestCliContract:
         assert code == 2
         assert "sum up to the identity" in capsys.readouterr().err
 
+    def test_malformed_kraus_file_exit_two(self, files, capsys):
+        swap = qio.matrix_to_dict(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+        cases = (
+            ({"kraus": 5}, "'kraus' must be a non-empty list"),
+            ({"n": None, "kraus": [swap]}, "kraus[0] has shape (2, 2), expected (None, None)"),
+        )
+        bad = files["tmp"] / "bad_kraus_list.json"
+        for payload, message in cases:
+            bad.write_text(json.dumps(payload))
+            code = main(
+                ["chain-cesaro", "--operator", str(bad), "--density", str(files["density"])]
+            )
+            assert code == 2
+            assert message in capsys.readouterr().err
+
     def test_dimension_mismatch_exit_two(self, files, capsys):
         code = main(
             [

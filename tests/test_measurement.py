@@ -258,6 +258,11 @@ class TestTObservability:
         with pytest.raises(ValueError, match="cap exceeded"):
             is_t_observable(Z_PAIR, np.diag([0.5, 0.5]), 30, cap=1000)
 
+    def test_cap_counts_words_of_the_last_level(self):
+        word_distribution(Z_PAIR, np.diag([0.5, 0.5]), 3, cap=8)
+        with pytest.raises(ValueError, match="cap exceeded: 8 words > 7"):
+            word_distribution(Z_PAIR, np.diag([0.5, 0.5]), 3, cap=7)
+
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("QMARKOV_ENUM_CAP", "4")
         assert enumeration_cap() == 4

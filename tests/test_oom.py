@@ -151,15 +151,18 @@ class TestPredictionMatrix:
             assert rank <= m
 
     def test_hankel_consistency(self):
-        # p(v|w) p(w) recovers the joint word probability
+        # p(v|w) p(w) recovers the joint word probability; the 3-symbol model
+        # pins the product order of appended and prepended symbols
         rng = np.random.default_rng(94)
-        model = random_oom(rng, 2, ("a", "b"))
-        matrix, _ = prediction_matrix(model, 2)
-        for i, v in enumerate(matrix.row_words):
-            for j, w in enumerate(matrix.col_words):
-                joint = word_probability(model, tuple(w) + tuple(v))
-                p_w = word_probability(model, w)
-                assert matrix.values[i, j] * p_w == pytest.approx(joint, abs=1e-10)
+        for m, symbols, max_length in ((2, ("a", "b"), 2), (3, ("a", "b", "c"), 3)):
+            model = random_oom(rng, m, symbols)
+            matrix, _ = prediction_matrix(model, max_length)
+            assert len(matrix.row_words) == sum(len(symbols) ** t for t in range(max_length + 1))
+            for i, v in enumerate(matrix.row_words):
+                for j, w in enumerate(matrix.col_words):
+                    joint = word_probability(model, tuple(w) + tuple(v))
+                    p_w = word_probability(model, w)
+                    assert matrix.values[i, j] * p_w == pytest.approx(joint, abs=1e-10)
 
     def test_defined_columns_only(self):
         matrix, _ = prediction_matrix(alternating(), 2)
@@ -302,6 +305,30 @@ class TestEntropyRate:
     def test_negative_probabilities_rejected(self):
         with pytest.raises(ValueError, match="entropy undefined"):
             entropy_rate(probability_clock(0.4), 5)
+
+
+class TestEnumerationCap:
+    # word counts at depth 4 over two symbols: validate scans 4 * 2^4 words,
+    # the prediction matrix has 1 + 2 + 4 + 8 + 16 rows, entropy_rate 2^4 words
+    CALLS = (
+        pytest.param(lambda cap: validate(iid_uniform(), 4, cap=cap), 64, id="validate"),
+        pytest.param(lambda cap: prediction_matrix(iid_uniform(), 4, cap=cap), 31, id="prediction"),
+        pytest.param(lambda cap: entropy_rate(iid_uniform(), 4, cap=cap), 16, id="entropy"),
+    )
+
+    @pytest.mark.parametrize("call, count", CALLS)
+    def test_cap_argument(self, call, count):
+        call(count)
+        with pytest.raises(ValueError, match="cap exceeded"):
+            call(count - 1)
+
+    @pytest.mark.parametrize("call, count", CALLS)
+    def test_cap_environment(self, call, count, monkeypatch):
+        monkeypatch.setenv("QMARKOV_ENUM_CAP", str(count))
+        call(None)
+        monkeypatch.setenv("QMARKOV_ENUM_CAP", str(count - 1))
+        with pytest.raises(ValueError, match="cap exceeded.*QMARKOV_ENUM_CAP"):
+            call(None)
 
 
 class TestMeasurementBridge:

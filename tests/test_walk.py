@@ -4,6 +4,8 @@ import pytest
 from conftest import random_unitary
 from qmarkov import (
     DirectedGraph,
+    MarkovChain,
+    evolve,
     from_unitary,
     identity_operator,
     limiting_node_distribution,
@@ -66,6 +68,16 @@ class TestNodePOVM:
 
 
 class TestWalk:
+    def test_node_values_match_evolved_diagonals(self):
+        rng = np.random.default_rng(71)
+        graph = DirectedGraph(node_count=3, edges=((0, 1), (1, 2), (2, 0), (0, 2)))
+        op = from_unitary(random_unitary(rng, 4))
+        start = pure_state(np.array([1.0, 1.0j, 0.0, -1.0]) / np.sqrt(3))
+        trace = walk(graph, op, start, 12)
+        diags = np.diagonal(evolve(MarkovChain(operator=op, start=start), 12), axis1=1, axis2=2).real
+        ind = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+        np.testing.assert_array_equal(trace.node_probabilities, np.ascontiguousarray(diags) @ ind.T)
+
     def test_rotating_point_mass(self):
         op = from_unitary(shift_unitary(THREE_CYCLE))
         trace = walk(THREE_CYCLE, op, pure_state(np.eye(3)[0]), 9)
