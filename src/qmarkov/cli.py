@@ -108,10 +108,11 @@ def _cmd_chain_evolve(args) -> None:
     else:
         path = coords(densities)
         del densities  # the CSV rows need only the coordinates
-        rows = []
-        for t, c in enumerate(path):
-            for k, value in enumerate(c):
-                rows.append((str(t), str(k), _fmt(value)))
+        rows = (
+            (str(t), str(k), _fmt(value))
+            for t, c in enumerate(path.tolist())
+            for k, value in enumerate(c)
+        )
         _emit_csv(args, "t,coordinate_index,value", rows)
 
 
@@ -150,10 +151,11 @@ def _cmd_walk(args) -> None:
         ]
         _emit_json(args, payload)
     else:
-        rows = []
-        for t, probs in enumerate(trace.node_probabilities):
-            for v, p in enumerate(probs):
-                rows.append((str(t), str(v), _fmt(p)))
+        rows = (
+            (str(t), str(v), _fmt(p))
+            for t, probs in enumerate(trace.node_probabilities.tolist())
+            for v, p in enumerate(probs)
+        )
         _emit_csv(args, "t,node,probability", rows)
 
 

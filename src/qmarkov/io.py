@@ -65,6 +65,24 @@ def _expect(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _positive_int(d: Mapping, key: str, where: str) -> int:
+    """A field that must be a JSON integer >= 1 (booleans and floats rejected)."""
+    value = d[key]
+    _expect(
+        isinstance(value, int) and not isinstance(value, bool) and value >= 1,
+        f"{where}: {key!r} must be a positive integer, got {value!r}",
+    )
+    return value
+
+
+def _float_array(value, where: str) -> np.ndarray:
+    """A nested JSON list of numbers as a float array; any other value is a ValueError."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{where}: expected numbers, got {value!r}") from None
+
+
 def matrix_to_dict(m: np.ndarray, kind: str | None = None) -> dict:
     """Matrix as {"rows", "cols", "entries": [[re, im], ...]} row-major."""
     m = np.asarray(m, dtype=complex)
@@ -138,8 +156,8 @@ def operator_from_dict(d: Mapping, where: str = "operator") -> MarkovOperator:
         d["basis"] == BASIS_TAG,
         f"{where}: unsupported basis {d['basis']!r} (expected {BASIS_TAG!r})",
     )
-    n = int(d["n"])
-    matrix = np.asarray(d["matrix"], dtype=float)
+    n = _positive_int(d, "n", where)
+    matrix = _float_array(d["matrix"], f"{where}: 'matrix'")
     _expect(
         matrix.shape == (n * n, n * n),
         f"{where}: matrix must be {n * n}x{n * n}, got {matrix.shape}",
@@ -257,9 +275,14 @@ def oom_from_dict(d: Mapping, where: str = "oom") -> ObservableOperatorModel:
     _expect(isinstance(d, Mapping), f"{where}: expected an object")
     for key in ("dim", "scale", "operators", "pi"):
         _expect(key in d, f"{where}: missing field {key!r}")
-    m = int(d["dim"])
+    m = _positive_int(d, "dim", where)
     symbols = d["scale"]
     _expect(isinstance(symbols, list) and symbols, f"{where}: 'scale' must be a non-empty list")
+    for s in symbols:
+        _expect(
+            isinstance(s, (str, int)) and not isinstance(s, bool),
+            f"{where}: scale symbols must be strings or integers, got {s!r}",
+        )
     scale = Scale(tuple(symbols))
     ops_field = d["operators"]
     _expect(isinstance(ops_field, Mapping), f"{where}: 'operators' must map symbols to matrices")
@@ -267,10 +290,10 @@ def oom_from_dict(d: Mapping, where: str = "oom") -> ObservableOperatorModel:
     for s in scale:
         key = s if s in ops_field else str(s)
         _expect(key in ops_field, f"{where}: no operator for symbol {s!r}")
-        op = np.asarray(ops_field[key], dtype=float)
+        op = _float_array(ops_field[key], f"{where}: operator for {s!r}")
         _expect(op.shape == (m, m), f"{where}: operator for {s!r} has shape {op.shape}, expected ({m}, {m})")
         ops.append(op)
-    pi = np.asarray(d["pi"], dtype=float)
+    pi = _float_array(d["pi"], f"{where}: 'pi'")
     _expect(pi.shape == (m,), f"{where}: 'pi' must have length {m}")
     return ObservableOperatorModel(scale=scale, operators=tuple(ops), pi=pi)
 

@@ -11,6 +11,7 @@ probability through an information function.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
@@ -76,6 +77,8 @@ class ObservableOperatorModel:
         pi = np.array(self.pi, dtype=float)
         if pi.shape != (m,):
             raise ValueError(f"pi must have shape ({m},), got {pi.shape}")
+        if not np.all(np.isfinite(pi)):
+            raise ValueError("pi contains non-finite entries")
         pi_dev = abs(float(pi.sum()) - 1.0)
         if pi_dev > SUM_TOL:
             raise ValueError(f"pi must sum to 1, got sum deviation {pi_dev:.3e}")
@@ -105,11 +108,25 @@ class ObservableOperatorModel:
 
 @dataclass(frozen=True, eq=False)
 class PredictionMatrix:
-    """Truncated matrix of conditionals p(v|w); columns exist only where p(w) > threshold."""
+    """Truncated matrix of conditionals p(v|w); columns exist only where p(w) > threshold.
+
+    The matrix is held as two m-column factors: ``row_factor`` holds the
+    covector y_v = 1^T M_v of each row word v, ``col_factor`` the normalised
+    state M_w pi / p(w) of each column word w, so that p(v|w) is the dot
+    product of the two rows.  ``values`` forms the words x words product on
+    first access and caches it read-only.
+    """
 
     row_words: tuple[tuple, ...]
     col_words: tuple[tuple, ...]
-    values: np.ndarray
+    row_factor: np.ndarray
+    col_factor: np.ndarray
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        values = self.row_factor @ self.col_factor.T
+        values.setflags(write=False)
+        return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,7 +247,11 @@ def prediction_matrix(
     """Truncated prediction matrix over words of length <= max_length, with its rank.
 
     The numerical rank counts singular values above rank_tol times the
-    largest one; for an m-dimensional model it never exceeds m.
+    largest one.  They are taken from the m x m core R_y R_c^T of the QR
+    factors of the two m-column factors, never from the words x words
+    matrix, so the rank never exceeds m and the cost is O(words * m^2) time
+    and O(words * m) memory.  The returned matrix forms ``values`` only when
+    it is read.
     """
     if max_length < 0:
         raise ValueError("max_length must be nonnegative")
@@ -248,22 +269,24 @@ def prediction_matrix(
     ones = np.ones((1, model.dim))
     ys = np.concatenate([ones, *_word_levels(ones, np.stack(model.operators), max_length)])
 
-    joint = ys @ xs.T
     p_w = xs.sum(axis=1)
     defined = p_w > CONDITIONING_THRESHOLD
-    values = joint[:, defined] / p_w[defined]
-    if values.size == 0:
-        rank = 0
-    else:
-        singular = np.linalg.svd(values, compute_uv=False)
-        top = float(singular[0]) if singular.size else 0.0
+    cols = xs[defined] / p_w[defined][:, None]
+    rank = 0
+    if cols.size:
+        # ys = Q_y R_y and cols = Q_c R_c with orthonormal Q's, so ys @ cols.T
+        # has the singular values of R_y @ R_c.T
+        core = np.linalg.qr(ys, mode="r") @ np.linalg.qr(cols, mode="r").T
+        singular = np.linalg.svd(core, compute_uv=False)
+        top = float(singular[0])
         rank = int(np.count_nonzero(singular > rank_tol * top)) if top > 0 else 0
-    values = np.array(values)
-    values.setflags(write=False)
+    for factor in (ys, cols):
+        factor.setflags(write=False)
     matrix = PredictionMatrix(
         row_words=tuple(words),
         col_words=tuple(w for w, ok in zip(words, defined) if ok),
-        values=values,
+        row_factor=ys,
+        col_factor=cols,
     )
     return matrix, rank
 

@@ -359,6 +359,22 @@ class TestCliContract:
             assert code == 2
             assert message in capsys.readouterr().err
 
+    def test_malformed_oom_and_operator_fields_exit_two(self, files, capsys):
+        oom = {"dim": 1, "scale": ["a"], "operators": {"a": [[1.0]]}, "pi": [1.0]}
+        rank = ["oom-rank", "--max-length", "1", "--oom"]
+        cesaro = ["chain-cesaro", "--density", str(files["density"]), "--operator"]
+        cases = (
+            ({**oom, "dim": None}, rank, "'dim' must be a positive integer"),
+            ({**oom, "dim": 1.5}, rank, "'dim' must be a positive integer"),
+            ({**oom, "scale": [{}]}, rank, "strings or integers"),
+            ({"n": None, "basis": qio.BASIS_TAG, "matrix": [[1.0]]}, cesaro, "'n' must be a positive integer"),
+        )
+        bad = files["tmp"] / "bad_model.json"
+        for payload, argv, message in cases:
+            bad.write_text(json.dumps(payload))
+            assert main([*argv, str(bad)]) == 2
+            assert message in capsys.readouterr().err
+
     def test_dimension_mismatch_exit_two(self, files, capsys):
         code = main(
             [

@@ -184,6 +184,32 @@ class TestOomRoundTrip:
         with pytest.raises(ValueError, match="shape"):
             qio.load_oom(path)
 
+    VALID = {"dim": 1, "scale": ["a"], "operators": {"a": [[1.0]]}, "pi": [1.0]}
+
+    @pytest.mark.parametrize("dim", [None, 1.5, True, 0, -1, "1", 1.0])
+    def test_dim_must_be_positive_integer(self, dim):
+        with pytest.raises(ValueError, match="'dim' must be a positive integer"):
+            qio.oom_from_dict({**self.VALID, "dim": dim})
+
+    @pytest.mark.parametrize("symbol", [{"x": 1}, ["a"], None, 1.5, True])
+    def test_symbols_must_be_strings_or_integers(self, symbol):
+        with pytest.raises(ValueError, match="scale symbols must be strings or integers"):
+            qio.oom_from_dict({**self.VALID, "scale": [symbol]})
+
+    def test_integer_symbols_accepted(self):
+        model = qio.oom_from_dict({**self.VALID, "scale": [7], "operators": {"7": [[1.0]]}})
+        assert model.scale.symbols == (7,)
+
+    @pytest.mark.parametrize("field, value", [("operators", {"a": [[{}]]}), ("pi", [10**400]), ("pi", "x")])
+    def test_non_numeric_entries_rejected(self, field, value):
+        with pytest.raises(ValueError, match="expected numbers"):
+            qio.oom_from_dict({**self.VALID, field: value})
+
+    def test_non_finite_pi_rejected(self):
+        payload = {"dim": 2, "scale": ["a"], "operators": {"a": np.eye(2).tolist()}, "pi": [np.inf, -np.inf]}
+        with pytest.raises(ValueError, match="non-finite"):
+            qio.oom_from_dict(payload)
+
 
 class TestStateTable:
     def test_load(self, tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,6 +169,65 @@ class TestPredictionMatrix:
         matrix, _ = prediction_matrix(alternating(), 2)
         assert ("b",) not in matrix.col_words
         assert ("a",) in matrix.col_words
+
+    @staticmethod
+    def dense_rank(values: np.ndarray, rank_tol: float = 1e-8) -> int:
+        singular = np.linalg.svd(values, compute_uv=False)
+        return int(np.count_nonzero(singular > rank_tol * singular[0])) if singular[0] > 0 else 0
+
+    def test_factored_rank_matches_dense_svd(self):
+        # iid in three hidden states has rank 1 < m; alternating() has
+        # undefined columns; the rest are seeded generic models
+        iid_in_three = hmm_to_oom(
+            np.full((3, 3), 1.0 / 3.0),
+            {"a": np.full(3, 0.3), "b": np.full(3, 0.7)},
+            np.array([0.2, 0.3, 0.5]),
+        )
+        models = [(iid_in_three, 5), (alternating(), 5), (iid_uniform(), 4)]
+        rng = np.random.default_rng(95)
+        for m in range(1, 7):
+            for symbols in (("a", "b"), ("a", "b", "c")):
+                models.append((random_oom(rng, m, symbols), 4))
+                t, emissions, pi = random_hmm(rng, m, symbols)
+                models.append((hmm_to_oom(t, emissions, pi), 4))
+        ranks = []
+        for model, max_length in models:
+            matrix, rank = prediction_matrix(model, max_length)
+            assert rank == self.dense_rank(matrix.values)
+            ranks.append(rank)
+        assert ranks[:3] == [1, 2, 1]
+
+    def test_values_match_dense_conditionals(self):
+        # the old dense build: joint[v, w] = p(wv), columns kept where p(w) is defined
+        rng = np.random.default_rng(96)
+        for model in (alternating(), random_oom(rng, 3, ("a", "b", "c"))):
+            matrix, _ = prediction_matrix(model, 3)
+            words = matrix.row_words
+            joint = np.array([[word_probability(model, w + v) for w in words] for v in words])
+            p_w = np.array([word_probability(model, w) for w in words])
+            defined = p_w > 1e-12
+            dense = joint[:, defined] / p_w[defined]
+            assert matrix.values.shape == (len(matrix.row_words), len(matrix.col_words))
+            np.testing.assert_allclose(matrix.values, dense, rtol=0, atol=1e-14)
+            assert matrix.values is matrix.values
+            with pytest.raises(ValueError, match="read-only"):
+                matrix.values[0, 0] = 0.0
+
+    def test_rank_memory_linear_in_words(self):
+        # 2047 words: the words x words matrix alone would take 33 MB
+        model = hmm_to_oom(
+            np.array([[0.8, 0.3], [0.2, 0.7]]),
+            {"a": np.array([0.9, 0.2]), "b": np.array([0.1, 0.8])},
+            np.array([0.5, 0.5]),
+        )
+        tracemalloc.start()
+        try:
+            matrix, rank = prediction_matrix(model, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (rank, len(matrix.row_words)) == (2, 2047)
+        assert peak < 4 * 2**20
 
 
 class TestHmmToOom:
