@@ -136,15 +136,17 @@ def cesaro_average(
 ) -> CesaroResult:
     """Limit of averages (1/t) sum_{k=1..t} mu^k(P) via superoperator doubling.
 
-    Maintains T_t = mu^t and S_t = sum_{k=1..t} mu^k with S_2t = S_t + T_t S_t
-    and T_2t = T_t^2, checking the stationarity residual ||mu(avg) - avg|| at
-    t = 1, 2, 4, ..., 2^max_doublings.  When the plain average misses tol,
-    the tail average T_t S_t P / t over steps t+1..2t (one more mat-vec) is
-    tested: it is returned when its residual is within tol and it moved by
-    at most tol since the previous doubling's tail.  That second condition
-    keeps drifting chains out: for a defective eigenvalue-1 block the tail
-    grows like t, and at large t rounding can cancel its residual.  Averages
-    are renormalized to unit trace to absorb accumulated rounding.
+    Maintains T_t = mu^t and the coordinates of S_t P = sum_{k=1..t} mu^k(P)
+    with S_2t P = S_t P + T_t S_t P and T_2t = T_t^2, so each doubling costs
+    one n^2 x n^2 product (the rest are mat-vecs), and checks the stationarity
+    residual ||mu(avg) - avg|| at t = 1, 2, 4, ..., 2^max_doublings.  When
+    the plain average misses tol, the tail average T_t S_t P / t over steps
+    t+1..2t (the mat-vec the update needs anyway) is tested: it is returned
+    when its residual is within tol and it moved by at most tol since the
+    previous doubling's tail.  That second condition keeps drifting chains
+    out: for a defective eigenvalue-1 block the tail grows like t, and at
+    large t rounding can cancel its residual.  Averages are renormalized to
+    unit trace to absorb accumulated rounding.
     ``iterations`` is the step count the returned average spans: t for the
     plain average, 2t for the tail.  Raises ConvergenceError when neither
     average gets within tol, which signals an unbounded chain or extremely
@@ -156,11 +158,11 @@ def cesaro_average(
     n = chain.operator.n
     c0 = coords(chain.start)
 
-    residual = float(np.linalg.norm(k @ c0 - c0))
+    partial = k @ c0
+    residual = float(np.linalg.norm(partial - c0))
     if residual <= tol:
         return CesaroResult(average=np.array(chain.start), iterations=0, residual=residual)
 
-    s = k.copy()
     t_mat = k.copy()
     t = 1
     previous_tail = None
@@ -168,7 +170,6 @@ def cesaro_average(
     # not a numerical accident worth warning about
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_doublings + 1):
-            partial = s @ c0
             avg = _unit_trace(partial / t, n)
             residual = float(np.linalg.norm(k @ avg - avg))
             if not np.isfinite(residual):
@@ -177,7 +178,8 @@ def cesaro_average(
                 )
             if residual <= tol:
                 return CesaroResult(average=from_coords(avg), iterations=t, residual=residual)
-            tail = _unit_trace(t_mat @ partial / t, n)
+            shifted = t_mat @ partial
+            tail = _unit_trace(shifted / t, n)
             tail_residual = float(np.linalg.norm(k @ tail - tail))
             if (
                 tail_residual <= tol
@@ -186,7 +188,7 @@ def cesaro_average(
             ):
                 return CesaroResult(average=from_coords(tail), iterations=2 * t, residual=tail_residual)
             previous_tail = tail
-            s = s + t_mat @ s
+            partial += shifted
             t_mat = t_mat @ t_mat
             t *= 2
     raise ConvergenceError(

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -33,10 +33,6 @@ from .walk import limiting_node_distribution, walk
 __all__ = ["main", "run"]
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def _emit(args, text: str) -> None:
     if getattr(args, "output", None):
         Path(args.output).write_text(text)
@@ -45,17 +41,19 @@ def _emit(args, text: str) -> None:
 
 
 def _emit_json(args, payload) -> None:
-    _emit(args, json.dumps(payload, indent=2) + "\n")
+    _emit(args, qio._json_text(payload) + "\n")
 
 
-def _emit_csv(args, header: str, rows) -> None:
-    lines = [header]
-    lines.extend(",".join(cells) for cells in rows)
-    _emit(args, "\n".join(lines) + "\n")
+def _emit_csv(args, header: str, lines) -> None:
+    """Write a header and the row lines; floats in rows are ``%.17g`` text."""
+    _emit(args, "\n".join(chain((header,), lines)) + "\n")
 
 
-def _word_text(word) -> str:
-    return "".join(str(s) for s in word)
+def _step_lines(values: np.ndarray):
+    """Lines "t,k,value" of a (steps+1, m) array, one row template per step."""
+    return chain.from_iterable(
+        map(f"{t},%d,%.17g".__mod__, enumerate(row)) for t, row in enumerate(values.tolist())
+    )
 
 
 def _parse_word(scale, text: str) -> tuple:
@@ -91,8 +89,11 @@ def _cmd_measure(args) -> None:
         }
         _emit_json(args, payload)
     else:
-        rows = [(_word_text(w), _fmt(p)) for w, p in dist.items()]
-        _emit_csv(args, "word,probability", rows)
+        texts = [""]
+        symbols = [str(s) for s in meas.scale]
+        for _ in range(args.steps):
+            texts = [w + s for w in texts for s in symbols]
+        _emit_csv(args, "word,probability", map("%s,%.17g".__mod__, zip(texts, dist.values())))
 
 
 def _cmd_chain_evolve(args) -> None:
@@ -108,12 +109,7 @@ def _cmd_chain_evolve(args) -> None:
     else:
         path = coords(densities)
         del densities  # the CSV rows need only the coordinates
-        rows = (
-            (str(t), str(k), _fmt(value))
-            for t, c in enumerate(path.tolist())
-            for k, value in enumerate(c)
-        )
-        _emit_csv(args, "t,coordinate_index,value", rows)
+        _emit_csv(args, "t,coordinate_index,value", _step_lines(path))
 
 
 def _cmd_chain_cesaro(args) -> None:
@@ -139,24 +135,19 @@ def _cmd_walk(args) -> None:
     if args.limiting:
         dist = limiting_node_distribution(graph, operator, density, tol=args.tol)
         if args.format == "json":
-            _emit_json(args, {"nodes": graph.node_count, "distribution": [float(p) for p in dist]})
+            _emit_json(args, {"nodes": graph.node_count, "distribution": dist.tolist()})
         else:
-            _emit_csv(args, "node,probability", [(str(v), _fmt(p)) for v, p in enumerate(dist)])
+            _emit_csv(args, "node,probability", map("%d,%.17g".__mod__, enumerate(dist.tolist())))
         return
     trace = walk(graph, operator, density, args.steps)
     if args.format == "json":
         payload = [
-            {"t": t, "probabilities": [float(p) for p in probs]}
-            for t, probs in enumerate(trace.node_probabilities)
+            {"t": t, "probabilities": probs}
+            for t, probs in enumerate(trace.node_probabilities.tolist())
         ]
         _emit_json(args, payload)
     else:
-        rows = (
-            (str(t), str(v), _fmt(p))
-            for t, probs in enumerate(trace.node_probabilities.tolist())
-            for v, p in enumerate(probs)
-        )
-        _emit_csv(args, "t,node,probability", rows)
+        _emit_csv(args, "t,node,probability", _step_lines(trace.node_probabilities))
 
 
 def _cmd_bell(args) -> None:
@@ -191,8 +182,8 @@ def _cmd_oom_prob(args) -> None:
         ]
         _emit_json(args, payload)
     else:
-        rows = [(_word_text(w), _fmt(word_probability(model, w))) for w in words]
-        _emit_csv(args, "word,probability", rows)
+        lines = ["%s,%.17g" % ("".join(w), word_probability(model, w)) for w in words]
+        _emit_csv(args, "word,probability", lines)
 
 
 def _cmd_oom_rank(args) -> None:
@@ -223,11 +214,7 @@ def _cmd_oom_entropy(args) -> None:
         ]
         _emit_json(args, payload)
     else:
-        _emit_csv(
-            args,
-            "t,entropy_per_symbol,entropy_increment",
-            [(str(t), _fmt(a), _fmt(d)) for t, a, d in rows],
-        )
+        _emit_csv(args, "t,entropy_per_symbol,entropy_increment", map("%d,%.17g,%.17g".__mod__, rows))
 
 
 def _add_output_options(p, formats=("csv", "json"), default="csv") -> None:

@@ -3,12 +3,15 @@
 Complex entries are stored as [re, im] pairs, row-major, so every file round
 trips bit-exactly through Python floats.  Superoperator matrices are tagged
 with the basis identifier "canonical-hermitian-v1" (see
-:func:`qmarkov.hermitian.hermitian_basis`).
+:func:`qmarkov.hermitian.hermitian_basis`).  Files and CLI output are
+written as the text of ``json.dumps(payload, indent=2)``.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -57,7 +60,76 @@ def _read_json(path) -> Any:
 
 
 def _write_json(path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(_json_text(payload) + "\n")
+
+
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(obj, nl: str = "\n") -> str:
+    """The text of ``json.dumps(obj, indent=2)``, with float lists formatted in bulk.
+
+    ``nl`` is a newline plus the indentation of the level ``obj`` sits at.
+    A list of floats, or of equal-length float lists, is formatted by one
+    ``map(float.__repr__)`` over its flat values and one template, and a
+    list of strings by one join; every other value recurses.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        return "[" + inner + _json_items(obj, inner) + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        items = [
+            encode_basestring_ascii(k if isinstance(k, str) else _json_scalar(k)) + ": " + _json_text(v, inner)
+            for k, v in obj.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    return _json_scalar(obj)
+
+
+def _json_items(seq, inner: str) -> str:
+    """The items of a non-empty list, one per line at indentation ``inner``."""
+    sep = "," + inner
+    types = set(map(type, seq))
+    if types == {str}:
+        return sep.join(map(encode_basestring_ascii, seq))
+    if types == {float}:
+        text = sep.join(map(float.__repr__, seq))
+    elif (
+        types == {list}
+        and len(set(map(len, seq))) == 1
+        and len(seq[0]) > 0
+        and set(map(type, flat := list(chain.from_iterable(seq)))) == {float}
+    ):
+        inner2 = inner + "  "
+        row = "[" + inner2 + ("," + inner2).join(["%s"] * len(seq[0])) + inner + "]"
+        text = sep.join([row] * len(seq)) % tuple(map(float.__repr__, flat))
+    else:
+        return sep.join([_json_text(x, inner) for x in seq])
+    if "n" in text:  # only nan and inf reprs hold an "n"
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
+
+
+def _json_scalar(obj) -> str:
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _FLOAT_WORDS.get(text, text)
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
 def _expect(condition: bool, message: str) -> None:
@@ -65,22 +137,31 @@ def _expect(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _is_int(value) -> bool:
+    """True for a JSON integer (booleans are not integers here)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _positive_int(d: Mapping, key: str, where: str) -> int:
     """A field that must be a JSON integer >= 1 (booleans and floats rejected)."""
     value = d[key]
-    _expect(
-        isinstance(value, int) and not isinstance(value, bool) and value >= 1,
-        f"{where}: {key!r} must be a positive integer, got {value!r}",
-    )
+    _expect(_is_int(value) and value >= 1, f"{where}: {key!r} must be a positive integer, got {value!r}")
     return value
 
 
 def _float_array(value, where: str) -> np.ndarray:
-    """A nested JSON list of numbers as a float array; any other value is a ValueError."""
+    """A nested JSON list of numbers as a float array; any other value is a ValueError.
+
+    The inferred dtype must be numeric, so null, strings and integers beyond
+    64 bits are rejected; a float conversion would turn null into NaN.
+    """
     try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{where}: expected numbers, got {value!r}") from None
+        array = np.asarray(value)
+    except ValueError:  # ragged nesting
+        array = None
+    if array is None or array.dtype.kind not in "iuf":
+        raise ValueError(f"{where}: expected numbers, got {value!r}")
+    return array.astype(float)
 
 
 def matrix_to_dict(m: np.ndarray, kind: str | None = None) -> dict:
@@ -90,7 +171,7 @@ def matrix_to_dict(m: np.ndarray, kind: str | None = None) -> dict:
     payload: dict = {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "entries": [[float(z.real), float(z.imag)] for z in m.reshape(-1)],
+        "entries": np.stack((m.real, m.imag), -1).reshape(-1, 2).tolist(),
     }
     if kind is not None:
         payload["kind"] = kind
@@ -102,21 +183,14 @@ def matrix_from_dict(d: Mapping, where: str = "matrix") -> np.ndarray:
     _expect(isinstance(d, Mapping), f"{where}: expected an object with rows/cols/entries")
     for key in ("rows", "cols", "entries"):
         _expect(key in d, f"{where}: missing field {key!r}")
-    rows, cols = int(d["rows"]), int(d["cols"])
-    entries = d["entries"]
-    _expect(rows >= 1 and cols >= 1, f"{where}: rows/cols must be positive")
+    rows, cols = _positive_int(d, "rows", where), _positive_int(d, "cols", where)
+    entries = _float_array(d["entries"], f"{where}: 'entries'")
     _expect(
-        isinstance(entries, list) and len(entries) == rows * cols,
-        f"{where}: entries must hold rows*cols = {rows * cols} pairs, got {len(entries)}",
+        entries.shape == (rows * cols, 2),
+        f"{where}: entries must hold rows*cols = {rows * cols} [re, im] pairs, got shape {entries.shape}",
     )
-    flat = np.empty(rows * cols, dtype=complex)
-    for i, pair in enumerate(entries):
-        _expect(
-            isinstance(pair, list) and len(pair) == 2,
-            f"{where}: entries[{i}] must be a [re, im] pair",
-        )
-        flat[i] = complex(float(pair[0]), float(pair[1]))
-    m = flat.reshape(rows, cols)
+    # a view keeps the sign of -0.0 real parts, which re + 1j * im would not
+    m = entries.view(complex).reshape(rows, cols)
     kind = d.get("kind")
     if kind == "hermitian":
         require_hermitian(m, name=where)
@@ -144,7 +218,7 @@ def operator_to_dict(op: MarkovOperator) -> dict:
     return {
         "n": op.n,
         "basis": BASIS_TAG,
-        "matrix": [[float(x) for x in row] for row in op.matrix],
+        "matrix": op.matrix.tolist(),
     }
 
 
@@ -240,8 +314,14 @@ def load_graph(path) -> DirectedGraph:
     if stripped.startswith("{"):
         d = json.loads(stripped)
         _expect("nodes" in d and "edges" in d, f"{path}: graph JSON needs 'nodes' and 'edges'")
-        edges = tuple((int(u), int(v)) for u, v in d["edges"])
-        return DirectedGraph(node_count=int(d["nodes"]), edges=edges)
+        node_count = _positive_int(d, "nodes", str(path))
+        edges = d["edges"]
+        _expect(
+            isinstance(edges, list)
+            and all(isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges),
+            f"{path}: 'edges' must be a list of [u, v] integer pairs",
+        )
+        return DirectedGraph(node_count=node_count, edges=tuple(map(tuple, edges)))
     edges = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -263,11 +343,8 @@ def oom_to_dict(model: ObservableOperatorModel) -> dict:
     return {
         "dim": model.dim,
         "scale": list(model.scale.symbols),
-        "operators": {
-            str(s): [[float(x) for x in row] for row in op]
-            for s, op in zip(model.scale, model.operators)
-        },
-        "pi": [float(x) for x in model.pi],
+        "operators": {str(s): op.tolist() for s, op in zip(model.scale, model.operators)},
+        "pi": model.pi.tolist(),
     }
 
 
@@ -280,7 +357,7 @@ def oom_from_dict(d: Mapping, where: str = "oom") -> ObservableOperatorModel:
     _expect(isinstance(symbols, list) and symbols, f"{where}: 'scale' must be a non-empty list")
     for s in symbols:
         _expect(
-            isinstance(s, (str, int)) and not isinstance(s, bool),
+            isinstance(s, str) or _is_int(s),
             f"{where}: scale symbols must be strings or integers, got {s!r}",
         )
     scale = Scale(tuple(symbols))
@@ -310,11 +387,8 @@ def lift_to_dict(lift: HiddenStateLift) -> dict:
     return {
         "states": [[str(sym), int(j)] for sym, j in lift.space.states],
         "scale": [str(s) for s in lift.scale],
-        "operators": {
-            str(s): [[float(x) for x in row] for row in op]
-            for s, op in zip(lift.scale, lift.operators)
-        },
-        "pi": [float(x) for x in lift.pi],
+        "operators": {str(s): np.asarray(op, dtype=float).tolist() for s, op in zip(lift.scale, lift.operators)},
+        "pi": np.asarray(lift.pi, dtype=float).tolist(),
     }
 
 

@@ -4,8 +4,21 @@ import numpy as np
 import pytest
 
 from conftest import random_kraus_family
-from qmarkov import DirectedGraph, from_kraus, identity_operator, pure_state, shift_unitary
+from qmarkov import (
+    DirectedGraph,
+    KrausMeasurement,
+    MarkovChain,
+    Scale,
+    evolve,
+    from_kraus,
+    identity_operator,
+    pure_state,
+    shift_unitary,
+    walk,
+    word_distribution,
+)
 from qmarkov import io as qio
+from qmarkov.hermitian import coords
 from qmarkov.cli import main
 
 
@@ -445,3 +458,93 @@ class TestCliContract:
         lines = capsys.readouterr().out.strip().splitlines()
         total = sum(float(l.split(",")[1]) for l in lines[1:])
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def _old_csv(header, rows):
+    """CSV text as the CLI formatted it before row templates: f"{x:.17g}" cells joined per row."""
+    return "\n".join([header] + [",".join(cells) for cells in rows]) + "\n"
+
+
+def _g17(x):
+    return f"{float(x):.17g}"
+
+
+class TestOutputBytes:
+    """CSV and JSON bytes of the table commands equal the per-value formatting they replaced."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        rng = np.random.default_rng(114)
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        rho[0, 1] = rho[1, 0] = 0.0  # exact zeros, so signed zeros reach the output
+        paths = {"op": tmp_path / "op.json", "rho": tmp_path / "rho.json", "meas": tmp_path / "meas.json"}
+        op = from_kraus(random_kraus_family(rng, 3, 2))
+        qio.save_operator(paths["op"], op)
+        qio.save_matrix(paths["rho"], rho, kind="density")
+        rho = qio.load_density(paths["rho"])
+        kraus = random_kraus_family(rng, 3, 3)
+        symbols = ["x", "yy", 7]
+        paths["meas"].write_text(
+            json.dumps(
+                {"n": 3, "scale": symbols, "kraus": {str(s): qio.matrix_to_dict(k) for s, k in zip(symbols, kraus)}}
+            )
+        )
+        paths["graph"] = tmp_path / "g.txt"
+        paths["graph"].write_text("0 1\n1 2\n2 0\n")
+        graph = qio.load_graph(paths["graph"])
+        densities = evolve(MarkovChain(operator=op, start=rho), 5)
+        probabilities = walk(graph, op, rho, 5).node_probabilities
+        dist = word_distribution(KrausMeasurement(scale=Scale(tuple(symbols)), kraus=tuple(kraus)), rho, 3)
+        expected = {
+            "chain-evolve-csv": _old_csv(
+                "t,coordinate_index,value",
+                [(str(t), str(k), _g17(v)) for t, c in enumerate(coords(densities)) for k, v in enumerate(c)],
+            ),
+            "chain-evolve-json": [
+                {
+                    "t": t,
+                    "matrix": {
+                        "rows": 3,
+                        "cols": 3,
+                        "entries": [[float(z.real), float(z.imag)] for z in d.reshape(-1)],
+                        "kind": "hermitian",
+                    },
+                }
+                for t, d in enumerate(densities)
+            ],
+            "walk-csv": _old_csv(
+                "t,node,probability",
+                [(str(t), str(v), _g17(p)) for t, probs in enumerate(probabilities) for v, p in enumerate(probs)],
+            ),
+            "walk-json": [
+                {"t": t, "probabilities": [float(p) for p in probs]} for t, probs in enumerate(probabilities)
+            ],
+            "measure-csv": _old_csv(
+                "word,probability", [("".join(str(s) for s in w), _g17(p)) for w, p in dist.items()]
+            ),
+            "measure-json": {
+                "steps": 3,
+                "scale": [str(s) for s in symbols],
+                "observable": True,
+                "distribution": [{"word": [str(s) for s in w], "probability": p} for w, p in dist.items()],
+            },
+        }
+        return paths, expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["chain-evolve", "walk", "measure"])
+    def test_bytes_match_per_value_formatting(self, inputs, capsys, command, fmt):
+        paths, expected = inputs
+        chain_args = ["--operator", str(paths["op"]), "--density", str(paths["rho"]), "--steps", "5"]
+        args = {
+            "chain-evolve": chain_args,
+            "walk": ["--graph", str(paths["graph"]), *chain_args],
+            "measure": ["--measurement", str(paths["meas"]), "--density", str(paths["rho"]), "--steps", "3"],
+        }[command]
+        assert main([command, *args, "--format", fmt]) == 0
+        want = expected[f"{command}-{fmt}"]
+        if fmt == "json":
+            want = json.dumps(want, indent=2) + "\n"
+        assert capsys.readouterr().out == want

@@ -1,9 +1,16 @@
-"""Property-based fuzzing of the OOM file loader through `oom-rank`: every input ends in exit 0, 2 or 3."""
+"""Property-based fuzzing of the file loaders through the CLI: every input ends in exit 0, 2 or 3.
+
+Each loader gets files whose fields are dropped, keep a valid value or take a
+drawn JSON value; the top level may also be an array or a scalar.
+"""
 
 import json
 
+import numpy as np
 import pytest
 
+from qmarkov import from_kraus
+from qmarkov import io as qio
 from qmarkov.cli import run
 
 pytest.importorskip("hypothesis")
@@ -16,31 +23,46 @@ JSON_VALUES = st.recursive(
     lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=3), children, max_size=4),
     max_leaves=12,
 )
+DROP = object()
+TOPS = st.sampled_from(["object", "array", "scalar"])
+FUZZ = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _fields(valid: dict, **extra):
+    """Per field: dropped, the valid value or a drawn JSON value (or ``extra[field]``)."""
+    return st.fixed_dictionaries(
+        {
+            key: st.just(DROP) | st.just(value) | JSON_VALUES | extra.get(key, st.nothing())
+            for key, value in valid.items()
+        }
+    )
+
+
+def _write(path, fields: dict, top: str, scalar_key: str):
+    payload = {key: value for key, value in fields.items() if value is not DROP}
+    if top == "array":
+        payload = [payload]
+    elif top == "scalar":
+        payload = payload.get(scalar_key)
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
 VALID_OOM = {
     "dim": 2,
     "scale": ["a", "b"],
     "operators": {"a": [[0.5, 0.5], [0.0, 0.0]], "b": [[0.0, 0.0], [0.5, 0.5]]},
     "pi": [0.5, 0.5],
 }
-FIELDS = ("dim", "scale", "operators", "pi")
-DROP = object()
-# each field is dropped, keeps its valid value or takes a drawn JSON value;
 # the operators object may also keep its keys and take drawn matrices
-FIELD_VALUES = {key: st.just(DROP) | st.just(VALID_OOM[key]) | JSON_VALUES for key in FIELDS}
-FIELD_VALUES["operators"] |= st.fixed_dictionaries({"a": JSON_VALUES, "b": JSON_VALUES})
+OOM_FIELDS = _fields(VALID_OOM, operators=st.fixed_dictionaries({"a": JSON_VALUES, "b": JSON_VALUES}))
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(fields=st.fixed_dictionaries(FIELD_VALUES), top=st.sampled_from(["object", "array", "scalar"]))
+@FUZZ
+@given(fields=OOM_FIELDS, top=TOPS)
 def test_oom_rank_loader_exit_codes(tmp_path, fields, top):
-    payload = {key: value for key, value in fields.items() if value is not DROP}
-    if top == "array":
-        payload = [payload]
-    elif top == "scalar":
-        payload = payload.get("dim")
-    path = tmp_path / "oom.json"
-    path.write_text(json.dumps(payload))
-    code = run(["oom-rank", "--oom", str(path), "--max-length", "2", "--output", str(tmp_path / "out.json")])
+    path = _write(tmp_path / "oom.json", fields, top, "dim")
+    code = run(["oom-rank", "--oom", path, "--max-length", "2", "--output", str(tmp_path / "out.json")])
     assert code in (0, 2, 3)
 
 
@@ -49,3 +71,78 @@ def test_valid_oom_exits_zero(tmp_path):
     path.write_text(json.dumps(VALID_OOM))
     assert run(["oom-rank", "--oom", str(path), "--max-length", "2", "--output", str(tmp_path / "out.json")]) == 0
     assert json.loads((tmp_path / "out.json").read_text())["rank"] == 1
+
+
+VALID_DENSITY = {"rows": 2, "cols": 2, "entries": [[0.25, 0.0], [0.0, 0.0], [0.0, 0.0], [0.75, 0.0]], "kind": "density"}
+# entries may also be a list of drawn pairs
+DENSITY_FIELDS = _fields(VALID_DENSITY, entries=st.lists(st.lists(JSON_SCALARS, min_size=2, max_size=2), max_size=5))
+
+
+@pytest.fixture
+def channel(tmp_path):
+    """A 2-Kraus amplitude-damping channel on H_2."""
+    path = tmp_path / "channel.json"
+    kraus = [np.array([[1.0, 0.0], [0.0, 0.6]]), np.array([[0.0, 0.8], [0.0, 0.0]])]
+    path.write_text(json.dumps({"n": 2, "kraus": [qio.matrix_to_dict(k) for k in kraus]}))
+    return str(path)
+
+
+@FUZZ
+@given(fields=DENSITY_FIELDS, top=TOPS)
+def test_cesaro_density_loader_exit_codes(tmp_path, channel, fields, top):
+    path = _write(tmp_path / "rho.json", fields, top, "rows")
+    code = run(["chain-cesaro", "--operator", channel, "--density", path, "--output", str(tmp_path / "out.json")])
+    assert code in (0, 2, 3)
+
+
+def test_valid_density_exits_zero(tmp_path, channel):
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps(VALID_DENSITY))
+    argv = ["chain-cesaro", "--operator", channel, "--density", str(path)]
+    assert run([*argv, "--output", str(tmp_path / "out.json")]) == 0
+    entries = json.loads((tmp_path / "out.json").read_text())["average"]["entries"]
+    assert entries[0] == pytest.approx([1.0, 0.0])
+
+
+VALID_GRAPH = {"nodes": 3, "edges": [[0, 1], [1, 2], [2, 0]]}
+# node ids that may pass validation stay small: a valid graph with N nodes
+# makes `walk` allocate an N x |E| array, so a drawn N near 10**9 would
+# exhaust memory rather than probe the loader
+NODE_IDS = st.integers(min_value=-2, max_value=1000)
+GRAPH_FIELDS = st.fixed_dictionaries(
+    {
+        "nodes": st.just(DROP)
+        | st.just(3)
+        | NODE_IDS
+        | JSON_VALUES.filter(lambda v: isinstance(v, bool) or not isinstance(v, int) or abs(v) > 10**30),
+        "edges": st.just(DROP)
+        | st.just(VALID_GRAPH["edges"])
+        | st.lists(st.lists(NODE_IDS | JSON_SCALARS.filter(lambda v: not isinstance(v, int)), max_size=3), max_size=4)
+        | JSON_VALUES.filter(lambda v: not isinstance(v, list)),
+    }
+)
+
+
+@pytest.fixture
+def walk_files(tmp_path):
+    """A channel on the three edges of a cycle and a start density on them."""
+    paths = {"op": tmp_path / "op.json", "rho": tmp_path / "rho.json"}
+    qio.save_operator(paths["op"], from_kraus([np.roll(np.eye(3), 1, axis=0)]))
+    qio.save_matrix(paths["rho"], np.diag([1.0, 0.0, 0.0]).astype(complex), kind="density")
+    return {key: str(p) for key, p in paths.items()}
+
+
+@FUZZ
+@given(fields=GRAPH_FIELDS, top=TOPS, mode=st.sampled_from([["--steps", "2"], ["--limiting"]]))
+def test_walk_graph_loader_exit_codes(tmp_path, walk_files, fields, top, mode):
+    graph = _write(tmp_path / "g.json", fields, top, "nodes")
+    argv = ["walk", "--graph", graph, "--operator", walk_files["op"], "--density", walk_files["rho"], *mode]
+    assert run([*argv, "--output", str(tmp_path / "out.txt")]) in (0, 2, 3)
+
+
+def test_valid_graph_exits_zero(tmp_path, walk_files):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(VALID_GRAPH))
+    argv = ["walk", "--graph", str(graph), "--operator", walk_files["op"], "--density", walk_files["rho"]]
+    assert run([*argv, "--steps", "3", "--output", str(tmp_path / "out.txt")]) == 0
+    assert (tmp_path / "out.txt").read_text().splitlines()[-3:] == ["3,0,1", "3,1,0", "3,2,0"]

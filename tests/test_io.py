@@ -54,6 +54,26 @@ class TestMatrixRoundTrip:
         with pytest.raises(ValueError, match="malformed JSON"):
             qio.load_matrix(path)
 
+    VALID = {"rows": 1, "cols": 2, "entries": [[1.0, 0.0], [0.0, 0.0]]}
+
+    @pytest.mark.parametrize("field", ["rows", "cols"])
+    @pytest.mark.parametrize("value", [None, "1", 1.5, True, 0])
+    def test_shape_must_be_positive_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"'{field}' must be a positive integer"):
+            qio.matrix_from_dict({**self.VALID, field: value})
+
+    @pytest.mark.parametrize("entries", [[[1.0, None], [0.0, 0.0]], [[1.0, "0"], [0.0, 0.0]], [[1.0], [0.0]], None, {}])
+    def test_entries_must_be_number_pairs(self, entries):
+        with pytest.raises(ValueError, match="entries"):
+            qio.matrix_from_dict({**self.VALID, "entries": entries})
+
+    def test_signed_zeros_and_subnormals_kept(self):
+        m = qio.matrix_from_dict({"rows": 1, "cols": 2, "entries": [[-0.0, -0.0], [5e-324, -1.0]]})
+        assert np.signbit(m.real).tolist() == [[True, False]]
+        assert np.signbit(m.imag).tolist() == [[True, True]]
+        assert m[0, 1] == complex(5e-324, -1.0)
+        assert qio.matrix_to_dict(m)["entries"] == [[-0.0, -0.0], [5e-324, -1.0]]
+
 
 class TestOperatorRoundTrip:
     def test_round_trip(self, tmp_path):
@@ -152,6 +172,24 @@ class TestGraphLoading:
         with pytest.raises(ValueError, match=":2:"):
             qio.load_graph(path)
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"nodes": None, "edges": [[0, 1]]}, "'nodes' must be a positive integer"),
+            ({"nodes": "3", "edges": [[0, 1]]}, "'nodes' must be a positive integer"),
+            ({"nodes": 3, "edges": None}, "'edges' must be a list"),
+            ({"nodes": 3, "edges": [[0, 1.0]]}, "'edges' must be a list"),
+            ({"nodes": 3, "edges": [[0, 1, 2]]}, "'edges' must be a list"),
+            ({"nodes": 3, "edges": [[True, 0]]}, "'edges' must be a list"),
+            ({"nodes": 3}, "needs 'nodes' and 'edges'"),
+        ],
+    )
+    def test_json_fields_checked(self, tmp_path, payload, message):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message):
+            qio.load_graph(path)
+
     def test_round_trip(self, tmp_path):
         from qmarkov import DirectedGraph
 
@@ -200,7 +238,9 @@ class TestOomRoundTrip:
         model = qio.oom_from_dict({**self.VALID, "scale": [7], "operators": {"7": [[1.0]]}})
         assert model.scale.symbols == (7,)
 
-    @pytest.mark.parametrize("field, value", [("operators", {"a": [[{}]]}), ("pi", [10**400]), ("pi", "x")])
+    @pytest.mark.parametrize(
+        "field, value", [("operators", {"a": [[{}]]}), ("pi", [10**400]), ("pi", "x"), ("pi", [None, 1.0])]
+    )
     def test_non_numeric_entries_rejected(self, field, value):
         with pytest.raises(ValueError, match="expected numbers"):
             qio.oom_from_dict({**self.VALID, field: value})

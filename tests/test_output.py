@@ -1,0 +1,57 @@
+"""The JSON writer behind every JSON file and JSON CLI output equals ``json.dumps(x, indent=2)``."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from qmarkov import io as qio
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+SPECIAL_FLOATS = st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 1e16]
+)
+FLOATS = st.floats() | SPECIAL_FLOATS
+INTEGERS = st.integers() | st.integers(min_value=2**64, max_value=10**300) | st.integers(max_value=-(2**64))
+# surrogates and control characters included: encode_basestring_ascii escapes both
+TEXT = st.text(st.characters(exclude_categories=()), max_size=6)
+SCALARS = st.none() | st.booleans() | INTEGERS | FLOATS | FLOATS.map(np.float64) | TEXT
+# the bulk paths (float lists, equal-length float list rows, string lists) and their near misses
+ROWS = st.integers(min_value=1, max_value=4).flatmap(
+    lambda k: st.lists(st.lists(FLOATS, min_size=k, max_size=k) | st.tuples(*[FLOATS] * k), max_size=5)
+)
+UNEQUAL_ROWS = st.lists(st.lists(FLOATS, max_size=3), max_size=4)
+LEAVES = SCALARS | st.lists(FLOATS, max_size=6) | ROWS | UNEQUAL_ROWS | st.lists(TEXT, max_size=4)
+KEYS = TEXT | st.none() | st.booleans() | INTEGERS | FLOATS
+PAYLOADS = st.recursive(
+    LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(KEYS, children, max_size=4),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(PAYLOADS)
+def test_json_text_equals_json_dumps(payload):
+    assert qio._json_text(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize("value", [np.int64(1), {1, 2}, object()])
+def test_json_text_rejects_what_json_rejects(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError):
+        qio._json_text({"a": [value]})
+
+
+def test_matrix_entries_keep_signed_zeros_and_specials():
+    m = np.array([[-0.0 + 0.0j, complex(math.inf, -0.0)], [complex(math.nan, 5e-324), 1e-05 - 1e16j]])
+    entries = qio.matrix_to_dict(m)["entries"]
+    assert json.dumps(entries) == json.dumps([[float(z.real), float(z.imag)] for z in m.reshape(-1)])
+    assert qio._json_text(entries) == json.dumps(entries, indent=2)
