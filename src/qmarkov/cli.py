@@ -74,25 +74,32 @@ def _parse_word(scale, text: str) -> tuple:
     return tuple(word)
 
 
+def _words(symbols, steps: int, empty):
+    """The words of length ``steps`` in product order, one symbol appended per level."""
+    words = [empty]
+    for _ in range(steps):
+        words = [w + s for w in words for s in symbols]
+    return words
+
+
 def _cmd_measure(args) -> None:
     meas = qio.load_measurement(args.measurement)
     density = qio.load_density(args.density)
     dist = word_distribution(meas, density, args.steps)
+    symbols = [str(s) for s in meas.scale]
     if args.format == "json":
+        words = _words([[s] for s in symbols], args.steps, [])
         payload = {
             "steps": args.steps,
-            "scale": [str(s) for s in meas.scale],
+            "scale": symbols,
             "observable": bool(min(dist.values()) >= -args.tol),
             "distribution": [
-                {"word": [str(s) for s in w], "probability": p} for w, p in dist.items()
+                {"word": w, "probability": p} for w, p in zip(words, dist.values())
             ],
         }
         _emit_json(args, payload)
     else:
-        texts = [""]
-        symbols = [str(s) for s in meas.scale]
-        for _ in range(args.steps):
-            texts = [w + s for w in texts for s in symbols]
+        texts = _words(symbols, args.steps, "")
         _emit_csv(args, "word,probability", map("%s,%.17g".__mod__, zip(texts, dist.values())))
 
 

@@ -149,6 +149,14 @@ def _positive_int(d: Mapping, key: str, where: str) -> int:
     return value
 
 
+def _symbols(value, where: str, field: str, items: str) -> tuple:
+    """A non-empty JSON list of strings or integers (booleans rejected), as a tuple."""
+    _expect(isinstance(value, list) and value, f"{where}: {field} must be a non-empty list")
+    for s in value:
+        _expect(isinstance(s, str) or _is_int(s), f"{where}: {items} must be strings or integers, got {s!r}")
+    return tuple(value)
+
+
 def _float_array(value, where: str) -> np.ndarray:
     """A nested JSON list of numbers as a float array; any other value is a ValueError.
 
@@ -279,9 +287,7 @@ def load_measurement(path):
     where = str(path)
     _expect(isinstance(d, Mapping), f"{where}: expected an object")
     _expect("scale" in d, f"{where}: missing field 'scale'")
-    symbols = d["scale"]
-    _expect(isinstance(symbols, list) and symbols, f"{where}: 'scale' must be a non-empty list")
-    scale = Scale(tuple(symbols))
+    scale = Scale(_symbols(d["scale"], where, "'scale'", "scale symbols"))
     if "kraus" in d:
         kraus = d["kraus"]
         _expect(isinstance(kraus, Mapping), f"{where}: 'kraus' must map symbols to matrices")
@@ -298,7 +304,12 @@ def load_measurement(path):
         for s in scale:
             _expect(str(s) in ops or s in ops, f"{where}: no operator for symbol {s!r}")
             entry = ops[s] if s in ops else ops[str(s)]
-            out.append(np.asarray(entry, dtype=float))
+            op = _float_array(entry, f"{where}: operator for {s!r}")
+            _expect(
+                op.ndim == 2 and op.shape[0] == op.shape[1],
+                f"{where}: operator for {s!r} must be a square matrix, got shape {op.shape}",
+            )
+            out.append(op)
         return MarkovMeasurement(scale=scale, operators=tuple(out))
     raise ValueError(f"{where}: measurement needs either 'kraus' or 'operators'")
 
@@ -353,14 +364,7 @@ def oom_from_dict(d: Mapping, where: str = "oom") -> ObservableOperatorModel:
     for key in ("dim", "scale", "operators", "pi"):
         _expect(key in d, f"{where}: missing field {key!r}")
     m = _positive_int(d, "dim", where)
-    symbols = d["scale"]
-    _expect(isinstance(symbols, list) and symbols, f"{where}: 'scale' must be a non-empty list")
-    for s in symbols:
-        _expect(
-            isinstance(s, str) or _is_int(s),
-            f"{where}: scale symbols must be strings or integers, got {s!r}",
-        )
-    scale = Scale(tuple(symbols))
+    scale = Scale(_symbols(d["scale"], where, "'scale'", "scale symbols"))
     ops_field = d["operators"]
     _expect(isinstance(ops_field, Mapping), f"{where}: 'operators' must map symbols to matrices")
     ops = []
@@ -393,26 +397,25 @@ def lift_to_dict(lift: HiddenStateLift) -> dict:
 
 
 def load_state_table(path) -> tuple[HiddenStateSpace, dict[str, InformationFunction], MarkovState]:
-    """Load {"states", "functions", "q"}: a hidden-state table with a Markov state."""
+    """Load {"states", "functions", "q"}: a hidden-state table with a Markov state.
+
+    States and function values are strings or integers; a function's scale
+    is its distinct values in order of first appearance.
+    """
     d = _read_json(path)
     where = str(path)
     for key in ("states", "functions", "q"):
         _expect(isinstance(d, Mapping) and key in d, f"{where}: missing field {key!r}")
-    space = HiddenStateSpace(states=tuple(d["states"]))
+    space = HiddenStateSpace(states=_symbols(d["states"], where, "'states'", "states"))
     functions: dict[str, InformationFunction] = {}
     _expect(isinstance(d["functions"], Mapping), f"{where}: 'functions' must map names to value lists")
     for name, values in d["functions"].items():
-        _expect(
-            isinstance(values, list) and len(values) == len(space),
-            f"{where}: function {name!r} needs one value per state",
-        )
-        seen: list = []
-        for v in values:
-            if v not in seen:
-                seen.append(v)
+        values = _symbols(values, where, f"function {name!r}", f"values of function {name!r}")
+        _expect(len(values) == len(space), f"{where}: function {name!r} needs one value per state")
         functions[name] = InformationFunction(
-            space=space, scale=Scale(tuple(seen)), values=tuple(values)
+            space=space, scale=Scale(tuple(dict.fromkeys(values))), values=values
         )
-    q = np.asarray(d["q"], dtype=float)
+    q = _float_array(d["q"], f"{where}: 'q'")
+    _expect(q.shape == (len(space),), f"{where}: 'q' must have length {len(space)}")
     state = MarkovState(space=space, values=q)
     return space, functions, state

@@ -45,6 +45,7 @@ __all__ = [
 DEFAULT_ENUMERATION_CAP = 10**6
 POSTERIOR_THRESHOLD = 1e-12
 OBSERVABILITY_TOL = 1e-10
+WORD_BLOCK = 2**15  # word values per block of _word_blocks
 
 
 def enumeration_cap(override: int | None = None) -> int:
@@ -113,6 +114,38 @@ def _word_levels(start: np.ndarray, step: np.ndarray, depth: int) -> Iterator[np
     for _ in range(depth):
         states = (states @ step).reshape(-1, m)
         yield states
+
+
+def _split_levels(
+    ops: Sequence[np.ndarray], start: np.ndarray, end: np.ndarray, depth: int
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Prefix and suffix levels that together cover every word of length <= depth.
+
+    ``xs[k]`` holds the prefix states M_u start of the words u of length k,
+    for k up to ceil(depth/2); ``ys[k]`` holds the suffix covectors
+    end^T M_v of the words v of length k, for k up to floor(depth/2).  Both
+    are in product order, and ``xs[0]``, ``ys[0]`` are ``start`` and ``end``.
+    """
+    first, last = start[None, :], end[None, :]
+    xs = [first, *_word_levels(first, np.hstack([op.T for op in ops]), (depth + 1) // 2)]
+    ys = [last, *_word_levels(last, np.stack(ops), depth // 2)]
+    return xs, ys
+
+
+def _word_blocks(xs: list[np.ndarray], ys: list[np.ndarray], t: int) -> Iterator[np.ndarray]:
+    """Values end^T M_w start of all words w of length t, in product order, in blocks.
+
+    The word w = uv splits into a prefix u of length ceil(t/2) and a suffix
+    v of length floor(t/2), so its value is the dot product of the prefix
+    state of u and the suffix covector of v (levels from
+    :func:`_split_levels`).  Each block is ``X[rows] @ Y.T`` flattened, with
+    as many prefix rows as fit in about WORD_BLOCK values, so memory beyond
+    the two levels stays O(WORD_BLOCK).
+    """
+    x, y = xs[(t + 1) // 2], ys[t // 2]
+    rows = max(1, WORD_BLOCK // len(y))
+    for i in range(0, len(x), rows):
+        yield (x[i : i + rows] @ y.T).ravel()
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,25 +349,32 @@ def word_operator(meas, word: Sequence) -> np.ndarray:
     return out
 
 
-def _word_values(meas: MarkovMeasurement, density: np.ndarray, t: int, cap: int | None) -> np.ndarray:
-    """Values tr(mu_w(Q)) for all words of length t, in product order."""
+def _word_values(meas: MarkovMeasurement, density: np.ndarray, t: int, cap: int | None) -> Iterator[np.ndarray]:
+    """Values tr(mu_w(Q)) for all words of length t, in product order, in blocks.
+
+    Checks the arguments and the word cap before it returns.  Prefix states
+    start at the coordinates of the density and suffix covectors at the
+    trace functional (the sum of the first n coordinates); the blocks come
+    from :func:`_word_blocks`, so the levels built hold O(|scale|^ceil(t/2))
+    rows rather than |scale|^t.
+    """
     if t < 0:
         raise ValueError("word length must be nonnegative")
     density = require_markov_density(density)
     if density.shape[0] != meas.n:
         raise ValueError(f"dimension mismatch: measurement on H_{meas.n}, density {density.shape}")
     _check_word_count(len(meas.scale) ** t, cap)
-    states = coords(density)[None, :]
-    for states in _word_levels(states, np.hstack([op.T for op in meas.operators]), t):
-        pass
-    return states[:, : meas.n].sum(axis=1)
+    trace = np.zeros(meas.operators[0].shape[0])
+    trace[: meas.n] = 1.0
+    xs, ys = _split_levels(meas.operators, coords(density), trace, t)
+    return _word_blocks(xs, ys, t)
 
 
 def word_distribution(meas, density: np.ndarray, t: int, cap: int | None = None) -> dict[tuple, float]:
     """Map from each word of length t to tr(mu_w(Q)); values sum to 1."""
     meas = _as_markov(meas)
-    values = _word_values(meas, density, t, cap)
-    return {word: float(v) for word, v in zip(iter_words(meas.scale, t), values)}
+    values = np.concatenate(list(_word_values(meas, density, t, cap)))
+    return dict(zip(iter_words(meas.scale, t), values.tolist()))
 
 
 def is_t_observable(
@@ -344,7 +384,9 @@ def is_t_observable(
     tol: float = OBSERVABILITY_TOL,
     cap: int | None = None,
 ) -> bool:
-    """True when every length-t word value is >= -tol (always true at t = 0)."""
+    """True when every length-t word value is >= -tol (always true at t = 0).
+
+    Stops at the first block of word values that holds one below -tol.
+    """
     meas = _as_markov(meas)
-    values = _word_values(meas, density, t, cap)
-    return bool(values.min() >= -tol)
+    return all(block.min() >= -tol for block in _word_values(meas, density, t, cap))

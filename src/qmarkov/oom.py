@@ -22,7 +22,8 @@ from .measurement import (
     OutcomeDistribution,
     Scale,
     _check_word_count,
-    _word_levels,
+    _split_levels,
+    _word_blocks,
     iter_words,
 )
 from .operators import diagonal_superop
@@ -177,9 +178,9 @@ def word_probability(model: ObservableOperatorModel, word: Sequence) -> float:
     return float(x.sum())
 
 
-def _prefix_levels(model: ObservableOperatorModel, depth: int):
-    """States M_w pi for all words of length 1..depth, level by level, product order."""
-    return _word_levels(model.pi[None, :], np.hstack([op.T for op in model.operators]), depth)
+def _levels(model: ObservableOperatorModel, depth: int):
+    """Prefix states M_u pi and suffix covectors 1^T M_v for words up to length depth."""
+    return _split_levels(model.operators, model.pi, np.ones(model.dim), depth)
 
 
 def _decode_word(model: ObservableOperatorModel, index: int, length: int) -> tuple:
@@ -201,7 +202,10 @@ def validate(
     """Scan structural sums and all word probabilities up to the horizon.
 
     Negative word probabilities (below -tol) mean the model is not
-    observable at that depth; the report flags them without raising.
+    observable at that depth; the report flags them without raising.  The
+    minimum is the first word, by length and then product order, that
+    attains it.  Word probabilities come in blocks from prefix states times
+    suffix covectors, so memory is O(|scale|^ceil(horizon/2) * m + block).
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
@@ -211,13 +215,16 @@ def validate(
     min_p = 1.0
     min_word: tuple = ()
     negatives = 0
-    for length, states in enumerate(_prefix_levels(model, horizon), start=1):
-        values = states.sum(axis=1)
-        negatives += int(np.count_nonzero(values < -tol))
-        idx = int(np.argmin(values))
-        if values[idx] < min_p:
-            min_p = float(values[idx])
-            min_word = _decode_word(model, idx, length)
+    xs, ys = _levels(model, horizon)
+    for length in range(1, horizon + 1):
+        offset = 0
+        for block in _word_blocks(xs, ys, length):
+            negatives += int(np.count_nonzero(block < -tol))
+            idx = int(np.argmin(block))
+            if block[idx] < min_p:
+                min_p = float(block[idx])
+                min_word = _decode_word(model, offset + idx, length)
+            offset += len(block)
     return OomValidationReport(
         horizon=horizon,
         transition_column_error=col_err,
@@ -264,10 +271,9 @@ def prediction_matrix(
         words.extend(iter_words(model.scale, length))
 
     # x_w = M_w pi (append symbols) and y_v = 1^T M_v (prepend symbols), so
-    # that p(wv) = y_v . x_w.
-    xs = np.concatenate([model.pi[None, :], *_prefix_levels(model, max_length)])
-    ones = np.ones((1, model.dim))
-    ys = np.concatenate([ones, *_word_levels(ones, np.stack(model.operators), max_length)])
+    # that p(wv) = y_v . x_w; split levels for length 2 * max_length hold
+    # both sides up to max_length.
+    xs, ys = map(np.concatenate, _levels(model, 2 * max_length))
 
     p_w = xs.sum(axis=1)
     defined = p_w > CONDITIONING_THRESHOLD
@@ -387,23 +393,30 @@ def entropy_rate(
     """Block entropies in bits: rows (t, H(t)/t, H(t) - H(t-1)) for t = 1..t_max.
 
     Requires all word probabilities down to -tol (an observable process);
-    values in [-tol, 0] are clipped to 0 and 0 log 0 counts as 0.
+    values in [-tol, 0] are clipped to 0 and 0 log 0 counts as 0.  A level
+    with a value below -tol raises once the whole level is scanned.  The
+    prefix and suffix levels are built once for all t, and each length's
+    probabilities come in blocks of prefix states times suffix covectors, so
+    memory is O(|scale|^ceil(t_max/2) * m + block).
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
     _check_word_count(len(model.scale) ** t_max, cap)
     rows: list[tuple[int, float, float]] = []
     h_prev = 0.0
-    for t, states in enumerate(_prefix_levels(model, t_max), start=1):
-        values = states.sum(axis=1)
-        low = float(values.min())
+    xs, ys = _levels(model, t_max)
+    for t in range(1, t_max + 1):
+        # -0.0 + x == x for every x, so a one-block level keeps the sign of a zero sum
+        low, total = np.inf, -0.0
+        for block in _word_blocks(xs, ys, t):
+            low = min(low, float(block.min()))
+            p = block[block > 0.0]
+            total += float((p * np.log2(p)).sum())
         if low < -tol:
             raise ValueError(
                 f"negative word probability {low!r} at length {t}; entropy undefined"
             )
-        p = np.clip(values, 0.0, None)
-        p = p[p > 0.0]
-        h = float(-(p * np.log2(p)).sum())
+        h = -total
         rows.append((t, h / t, h - h_prev))
         h_prev = h
     return rows

@@ -38,8 +38,12 @@ def _fields(valid: dict, **extra):
     )
 
 
+def _kept(fields: dict) -> dict:
+    return {key: value for key, value in fields.items() if value is not DROP}
+
+
 def _write(path, fields: dict, top: str, scalar_key: str):
-    payload = {key: value for key, value in fields.items() if value is not DROP}
+    payload = _kept(fields)
     if top == "array":
         payload = [payload]
     elif top == "scalar":
@@ -146,3 +150,69 @@ def test_valid_graph_exits_zero(tmp_path, walk_files):
     argv = ["walk", "--graph", str(graph), "--operator", walk_files["op"], "--density", walk_files["rho"]]
     assert run([*argv, "--steps", "3", "--output", str(tmp_path / "out.txt")]) == 0
     assert (tmp_path / "out.txt").read_text().splitlines()[-3:] == ["3,0,1", "3,1,0", "3,2,0"]
+
+
+@pytest.fixture
+def density(tmp_path):
+    """A diagonal density on H_2."""
+    path = tmp_path / "rho.json"
+    qio.save_matrix(path, np.diag([0.25, 0.75]).astype(complex), kind="density")
+    return str(path)
+
+
+KRAUS_ENTRIES = {"a": qio.matrix_to_dict(np.diag([1.0, 0.0])), "b": qio.matrix_to_dict(np.diag([0.0, 1.0]))}
+VALID_MEASUREMENTS = {
+    "kraus": {"n": 2, "scale": ["a", "b"], "kraus": KRAUS_ENTRIES},
+    "operators": {"scale": ["a", "b"], "operators": {"a": (0.5 * np.eye(4)).tolist(), "b": (0.5 * np.eye(4)).tolist()}},
+}
+# the symbol maps may also keep their keys and take drawn values: matrix
+# objects with drawn fields for Kraus entries, drawn matrices for operators
+MEASUREMENT_FIELDS = _fields(
+    VALID_MEASUREMENTS["kraus"],
+    kraus=st.fixed_dictionaries({s: JSON_VALUES | _fields(m).map(_kept) for s, m in KRAUS_ENTRIES.items()}),
+) | _fields(VALID_MEASUREMENTS["operators"], operators=st.fixed_dictionaries({"a": JSON_VALUES, "b": JSON_VALUES}))
+
+
+@FUZZ
+@given(fields=MEASUREMENT_FIELDS, top=TOPS, fmt=st.sampled_from(["csv", "json"]))
+def test_measure_loader_exit_codes(tmp_path, density, fields, top, fmt):
+    path = _write(tmp_path / "meas.json", fields, top, "scale")
+    argv = ["measure", "--measurement", path, "--density", density, "--steps", "2", "--format", fmt]
+    assert run([*argv, "--output", str(tmp_path / "out.txt")]) in (0, 2, 3)
+
+
+@pytest.mark.parametrize("form", sorted(VALID_MEASUREMENTS))
+def test_valid_measurement_exits_zero(tmp_path, density, form):
+    path = tmp_path / "meas.json"
+    path.write_text(json.dumps(VALID_MEASUREMENTS[form]))
+    argv = ["measure", "--measurement", str(path), "--density", density, "--steps", "2"]
+    assert run([*argv, "--output", str(tmp_path / "out.txt")]) == 0
+    lines = (tmp_path / "out.txt").read_text().splitlines()
+    assert (lines[:2], len(lines)) == (["word,probability", "aa,0.25"], 5)
+
+
+VALID_TABLE = {
+    "states": ["u", "v"],
+    "functions": {"X": [1, -1], "Y": [1, 1], "Z": [-1, 1]},
+    "q": [0.5, 0.5],
+}
+# the functions object may also keep the names X, Y, Z with drawn value lists
+TABLE_FIELDS = _fields(
+    VALID_TABLE,
+    functions=st.fixed_dictionaries({name: JSON_VALUES | st.lists(JSON_VALUES, max_size=3) for name in "XYZ"}),
+    q=st.lists(JSON_SCALARS, max_size=3),
+)
+
+
+@FUZZ
+@given(fields=TABLE_FIELDS, top=TOPS)
+def test_bell_table_loader_exit_codes(tmp_path, fields, top):
+    path = _write(tmp_path / "table.json", fields, top, "states")
+    assert run(["bell", "--table", path, "--output", str(tmp_path / "out.json")]) in (0, 2, 3)
+
+
+def test_valid_table_exits_zero(tmp_path):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(VALID_TABLE))
+    assert run(["bell", "--table", str(path), "--output", str(tmp_path / "out.json")]) == 0
+    assert json.loads((tmp_path / "out.json").read_text())["satisfied"] is True

@@ -22,6 +22,8 @@ from qmarkov import (
     word_distribution,
     word_operator,
 )
+from qmarkov import coords
+from qmarkov import measurement as qmeasurement
 from qmarkov.measurement import enumeration_cap
 
 Z_PAIR = KrausMeasurement(
@@ -215,6 +217,31 @@ class TestWordDistribution:
         total = sum(word_operator(meas, w) for w in itertools.product(meas.scale.symbols, repeat=t))
         expected = power(meas.sum_operator, t).matrix
         assert np.abs(total - expected).max() <= 1e-10
+
+
+class TestWordBlocks:
+    # a block of 7 values splits some levels into uneven row blocks: 3 + 1
+    # prefix rows at t = 3 on two symbols, 2 + 1 at t = 2 on three
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_product_order_matches_word_operators(self, monkeypatch, block, k):
+        monkeypatch.setattr(qmeasurement, "WORD_BLOCK", block)
+        rng = np.random.default_rng(170 + k)
+        # a Markov measurement that is not Kraus (for k > 1), read at a
+        # density with a negative eigenvalue
+        ops = list(as_markov_measurement(random_kraus_measurement(rng, 2, k)).operators)
+        shift = rng.standard_normal((4, 4)) * 0.3 if k > 1 else 0.0
+        ops[0] = ops[0] + shift
+        ops[-1] = ops[-1] - shift
+        meas = MarkovMeasurement(scale=Scale(tuple("abc"[:k])), operators=tuple(ops))
+        q = np.array([[1.2, 0.1 + 0.2j], [0.1 - 0.2j, -0.2]])
+        c = coords(q)
+        for t in range(8):
+            dist = word_distribution(meas, q, t)
+            words = list(itertools.product(meas.scale.symbols, repeat=t))
+            assert list(dist) == words
+            expected = [float((word_operator(meas, w) @ c)[:2].sum()) for w in words]
+            np.testing.assert_allclose(list(dist.values()), expected, rtol=0, atol=1e-12)
 
 
 class TestTObservability:

@@ -19,7 +19,9 @@ from qmarkov import (
     word_distribution,
     word_probability,
 )
-from qmarkov.oom import validate
+from qmarkov import measurement as qmeasurement
+from qmarkov.measurement import _word_blocks, iter_words
+from qmarkov.oom import _levels, validate
 
 
 def iid_uniform() -> ObservableOperatorModel:
@@ -106,6 +108,34 @@ class TestValidate:
         report = validate(hmm_to_oom(t, emissions, pi), 6)
         assert report.observable
         assert report.min_probability >= 0
+
+
+class TestWordBlocks:
+    # a block of 7 values splits some levels into uneven row blocks
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("symbols", [("a",), ("a", "b"), ("a", "b", "c")])
+    def test_product_order_matches_word_probability(self, monkeypatch, block, symbols):
+        monkeypatch.setattr(qmeasurement, "WORD_BLOCK", block)
+        model = random_oom(np.random.default_rng(180 + len(symbols)), 3, symbols)
+        xs, ys = _levels(model, 7)
+        for t in range(8):
+            values = np.concatenate(list(_word_blocks(xs, ys, t)))
+            expected = [word_probability(model, w) for w in iter_words(model.scale, t)]
+            np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("block", [1, 4])
+    def test_only_negative_word_in_last_block(self, monkeypatch, block):
+        # p(w) = 0.5^t (1 + shear (n_a - n_b)): at shear 2/9 and t = 5 only
+        # b^5, the last word and the last prefix row, is negative
+        monkeypatch.setattr(qmeasurement, "WORD_BLOCK", block)
+        model = probability_clock(2.0 / 9.0)
+        report = validate(model, 5)
+        assert (report.negative_words, report.min_word) == (1, ("b",) * 5)
+        assert report.min_probability == pytest.approx(0.5**5 * (1 - 10 / 9), abs=1e-15)
+        meas = to_markov_measurement(model)
+        density = np.diag(model.pi).astype(complex)
+        assert is_t_observable(meas, density, 4)
+        assert not is_t_observable(meas, density, 5)
 
 
 class TestConditional:
@@ -365,6 +395,19 @@ class TestEntropyRate:
     def test_negative_probabilities_rejected(self):
         with pytest.raises(ValueError, match="entropy undefined"):
             entropy_rate(probability_clock(0.4), 5)
+
+    def test_memory_below_full_level(self):
+        # a full level of 3^12 words times 8 states alone takes 34 MB
+        rng = np.random.default_rng(101)
+        model = hmm_to_oom(*random_hmm(rng, 8, ("a", "b", "c")))
+        tracemalloc.start()
+        try:
+            rows = entropy_rate(model, 12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 12
+        assert peak < 8 * 2**20
 
 
 class TestEnumerationCap:
