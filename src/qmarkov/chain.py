@@ -15,7 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import coords, from_coords, hs_inner, is_unitary, require_hermitian, require_markov_density
+from .hermitian import (
+    CESARO_MAX_DOUBLINGS,
+    CESARO_TOL,
+    UNIT_TRACE_FLOOR,
+    _require_same_dim,
+    _require_unitary,
+    coords,
+    from_coords,
+    hs_inner,
+    require_hermitian,
+    require_markov_density,
+)
 from .operators import MarkovOperator
 
 __all__ = [
@@ -31,10 +42,6 @@ __all__ = [
     "unitary_vector_average",
 ]
 
-DEFAULT_RESIDUAL_TOL = 1e-8
-DEFAULT_MAX_DOUBLINGS = 40
-
-
 class ConvergenceError(RuntimeError):
     """Raised when the Cesaro residual cannot be pushed below tolerance."""
 
@@ -48,10 +55,7 @@ class MarkovChain:
 
     def __post_init__(self) -> None:
         start = np.array(require_markov_density(self.start, name="start density"))
-        if start.shape != (self.operator.n, self.operator.n):
-            raise ValueError(
-                f"dimension mismatch: operator on H_{self.operator.n}, start {start.shape}"
-            )
+        _require_same_dim(self.operator.n, start.shape[0], "operator", "start density")
         start.setflags(write=False)
         object.__setattr__(self, "start", start)
 
@@ -131,8 +135,8 @@ def boundedness_probe(chain: MarkovChain, horizon: int, bound: float) -> Bounded
 
 def cesaro_average(
     chain: MarkovChain,
-    tol: float = DEFAULT_RESIDUAL_TOL,
-    max_doublings: int = DEFAULT_MAX_DOUBLINGS,
+    tol: float = CESARO_TOL,
+    max_doublings: int = CESARO_MAX_DOUBLINGS,
 ) -> CesaroResult:
     """Limit of averages (1/t) sum_{k=1..t} mu^k(P) via superoperator doubling.
 
@@ -200,12 +204,12 @@ def cesaro_average(
 def _unit_trace(c: np.ndarray, n: int) -> np.ndarray:
     """Rescale coordinates to unit trace, absorbing accumulated rounding."""
     trace = float(c[:n].sum())
-    if np.isfinite(trace) and abs(trace) > 1e-6:
+    if np.isfinite(trace) and abs(trace) > UNIT_TRACE_FLOOR:
         return c / trace
     return c
 
 
-def is_stationary(chain: MarkovChain, tol: float = DEFAULT_RESIDUAL_TOL) -> bool:
+def is_stationary(chain: MarkovChain, tol: float = CESARO_TOL) -> bool:
     """True when ||mu(P) - P|| <= tol."""
     k = chain.operator.matrix
     c = coords(chain.start)
@@ -215,8 +219,8 @@ def is_stationary(chain: MarkovChain, tol: float = DEFAULT_RESIDUAL_TOL) -> bool
 def functional_average(
     chain: MarkovChain,
     functional: np.ndarray,
-    tol: float = DEFAULT_RESIDUAL_TOL,
-    max_doublings: int = DEFAULT_MAX_DOUBLINGS,
+    tol: float = CESARO_TOL,
+    max_doublings: int = CESARO_MAX_DOUBLINGS,
 ) -> float:
     """Long-run average of t -> <X|mu^t(P)> for a Hermitian functional X.
 
@@ -224,10 +228,7 @@ def functional_average(
     from :func:`cesaro_average` propagate.
     """
     functional = require_hermitian(functional, name="functional")
-    if functional.shape != (chain.operator.n, chain.operator.n):
-        raise ValueError(
-            f"dimension mismatch: operator on H_{chain.operator.n}, functional {functional.shape}"
-        )
+    _require_same_dim(chain.operator.n, functional.shape[0], "operator", "functional")
     result = cesaro_average(chain, tol=tol, max_doublings=max_doublings)
     return float(hs_inner(functional, result.average).real)
 
@@ -238,12 +239,9 @@ def unitary_vector_average(u: np.ndarray, v: np.ndarray, steps: int) -> np.ndarr
     For unitaries without eigenvalue 1 the norm decays like O(1/T); this is
     the contrast to density averages, which converge to a Markov density.
     """
-    u = np.asarray(u, dtype=complex)
-    if not is_unitary(u, tol=1e-10):
-        raise ValueError("matrix is not unitary within 1e-10 (UU* must equal I)")
+    u = _require_unitary(u)
     v = np.asarray(v, dtype=complex).reshape(-1)
-    if v.shape[0] != u.shape[0]:
-        raise ValueError(f"dimension mismatch: unitary {u.shape}, vector {v.shape}")
+    _require_same_dim(u.shape[0], v.shape[0], "unitary", "vector")
     if steps < 1:
         raise ValueError("steps must be at least 1")
     acc = np.zeros_like(v)

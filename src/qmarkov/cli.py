@@ -19,7 +19,7 @@ import numpy as np
 
 from . import io as qio
 from .chain import ConvergenceError, MarkovChain, cesaro_average, evolve
-from .hermitian import coords
+from .hermitian import BELL_TOL, CESARO_MAX_DOUBLINGS, CESARO_TOL, RANK_TOL, SIGN_TOL, coords
 from .hidden import bell_check, feynman_state, five_state_example
 from .measurement import word_distribution
 from .oom import (
@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measurement", required=True, help="measurement JSON file")
     p.add_argument("--density", required=True, help="density JSON file")
     p.add_argument("--steps", type=int, default=1, help="word length (default 1)")
-    p.add_argument("--tol", type=float, default=1e-10, help="observability tolerance")
+    p.add_argument("--tol", type=float, default=SIGN_TOL, help="observability tolerance")
     _add_output_options(p)
     p.set_defaults(func=_cmd_measure)
 
@@ -255,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chain-cesaro", help="Cesaro average of a Markov chain")
     p.add_argument("--operator", required=True, help="operator or Kraus JSON file")
     p.add_argument("--density", required=True, help="start density JSON file")
-    p.add_argument("--tol", type=float, default=1e-8, help="stationarity residual target")
-    p.add_argument("--max-doublings", type=int, default=40, help="horizon doublings to try")
+    p.add_argument("--tol", type=float, default=CESARO_TOL, help="stationarity residual target")
+    p.add_argument("--max-doublings", type=int, default=CESARO_MAX_DOUBLINGS, help="horizon doublings to try")
     _add_output_options(p, formats=())
     p.set_defaults(func=_cmd_chain_cesaro)
 
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", required=True, help="start density JSON file")
     p.add_argument("--steps", type=int, default=0, help="number of steps")
     p.add_argument("--limiting", action="store_true", help="emit the limiting node distribution")
-    p.add_argument("--tol", type=float, default=1e-8, help="Cesaro residual target (with --limiting)")
+    p.add_argument("--tol", type=float, default=CESARO_TOL, help="Cesaro residual target (with --limiting)")
     _add_output_options(p)
     p.set_defaults(func=_cmd_walk)
 
@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--builtin", choices=["five-state"], help="named built-in instance")
     group.add_argument("--table", help="table JSON file with functions X, Y, Z")
-    p.add_argument("--tol", type=float, default=1e-12, help="inequality slack")
+    p.add_argument("--tol", type=float, default=BELL_TOL, help="inequality slack")
     _add_output_options(p, formats=())
     p.set_defaults(func=_cmd_bell)
 
@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oom-rank", help="numerical rank of the truncated prediction matrix")
     p.add_argument("--oom", required=True, help="OOM JSON file")
     p.add_argument("--max-length", type=int, required=True, help="word length bound")
-    p.add_argument("--tol", type=float, default=1e-8, help="relative singular value cutoff")
+    p.add_argument("--tol", type=float, default=RANK_TOL, help="relative singular value cutoff")
     _add_output_options(p, formats=())
     p.set_defaults(func=_cmd_oom_rank)
 

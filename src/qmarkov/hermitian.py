@@ -6,6 +6,10 @@ The canonical orthonormal basis of the real Hilbert space of Hermitian
 n x n matrices fixes the n^2-dimensional real coordinate system in which
 superoperators are represented (see :func:`hermitian_basis`,
 :func:`coords` and :func:`from_coords`).
+
+This module is the root of the import graph, so it also holds the
+package's tolerance table and the one check of each shared invariant
+(unit sums, unit column sums, unitarity, matching dimensions).
 """
 
 from __future__ import annotations
@@ -15,8 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "TRACE_TOL",
-    "NONNEG_TOL",
+    "EQUALITY_TOL",
+    "SIGN_TOL",
+    "HERMITIAN_TOL_PER_DIM",
+    "PROBABILITY_FLOOR",
+    "BELL_TOL",
+    "CESARO_TOL",
+    "CESARO_MAX_DOUBLINGS",
+    "RANK_TOL",
+    "SAMPLED_SIGN_TOL",
+    "UNIT_TRACE_FLOOR",
     "SpectralDecomposition",
     "adjoint",
     "hs_inner",
@@ -35,17 +47,30 @@ __all__ = [
     "from_coords",
 ]
 
-# Semantic tolerances (trace-1, nonnegativity); construction-time Hermiticity
-# checks use hermitian_atol, which scales with the dimension.
-TRACE_TOL = 1e-10
-NONNEG_TOL = 1e-10
+# Tolerance table: every numerical threshold of the package, named once.
+# Slack of identities exact in exact arithmetic: unit trace, unit sums,
+# unit column sums, trace preservation, Kraus completeness, unitarity.
+EQUALITY_TOL = 1e-10
+# How far below zero an eigenvalue, outcome value or HMM probability may
+# lie and still count as nonnegative ("observable").
+SIGN_TOL = 1e-10
+HERMITIAN_TOL_PER_DIM = 1e-12  # ||Q - Q*|| slack per unit of dimension
+# Posteriors and conditionals need a probability above this floor; it is
+# also the sign slack of the OOM word scans (validate, entropy_rate).
+PROBABILITY_FLOOR = 1e-12
+BELL_TOL = 1e-12  # slack of |E(XY) - E(YZ)| <= 1 - E(XZ)
+CESARO_TOL = 1e-8  # Cesaro stationarity residual target
+CESARO_MAX_DOUBLINGS = 40  # Cesaro horizon doublings, up to t = 2^40 steps
+RANK_TOL = 1e-8  # singular values above RANK_TOL * largest count for the rank
+SAMPLED_SIGN_TOL = 1e-9  # sign slack of images in sampled_nonnegativity
+UNIT_TRACE_FLOOR = 1e-6  # Cesaro averages with |trace| below this stay unscaled
 
 _SQRT2 = float(np.sqrt(2.0))
 
 
 def hermitian_atol(n: int) -> float:
     """Hermiticity tolerance for an n x n matrix."""
-    return 1e-12 * n
+    return HERMITIAN_TOL_PER_DIM * n
 
 
 def adjoint(c: np.ndarray) -> np.ndarray:
@@ -102,7 +127,7 @@ def require_markov_density(q: np.ndarray, name: str = "density") -> np.ndarray:
     """Validate a Markov density: Hermitian with trace 1 (eigenvalues unrestricted)."""
     q = require_hermitian(q, name=name)
     tr = complex(np.trace(q)).real
-    if abs(tr - 1.0) > TRACE_TOL:
+    if abs(tr - 1.0) > EQUALITY_TOL:
         raise ValueError(f"{name} must have trace 1, got trace {tr!r}")
     return q
 
@@ -134,10 +159,6 @@ def spectral_decompose(q: np.ndarray) -> SpectralDecomposition:
         vals, vecs = np.linalg.eigh(herm)
     except np.linalg.LinAlgError as exc:
         raise ValueError("eigendecomposition did not converge") from exc
-    order = np.argsort(-vals, kind="stable")
-    vals = np.ascontiguousarray(vals[order])
-    vecs = np.ascontiguousarray(vecs[:, order])
-
     n = vals.size
     for i in range(n):
         col = vecs[:, i]
@@ -147,19 +168,11 @@ def spectral_decompose(q: np.ndarray) -> SpectralDecomposition:
         if mag > 0.0:
             vecs[:, i] = col * (lead.conjugate() / mag)
 
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and vals[j] == vals[i]:
-            j += 1
-        if j - i > 1:
-            block = sorted(
-                range(i, j),
-                key=lambda k: tuple((vecs[r, k].real, vecs[r, k].imag) for r in range(n)),
-            )
-            vecs[:, i:j] = vecs[:, block]
-        i = j
-
+    # lexsort's last key is the primary one: -vals, then re and im of row 0, 1, ...
+    parts = np.stack((vecs.real, vecs.imag), axis=1).reshape(2 * n, n)
+    order = np.lexsort(np.vstack((parts[::-1], -vals)))
+    vals = vals[order]
+    vecs = np.ascontiguousarray(vecs[:, order])
     vals.setflags(write=False)
     vecs.setflags(write=False)
     return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs)
@@ -172,7 +185,7 @@ def min_eigenvalue(q: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(herm)[0])
 
 
-def is_nonnegative(q: np.ndarray, tol: float = NONNEG_TOL) -> bool:
+def is_nonnegative(q: np.ndarray, tol: float = SIGN_TOL) -> bool:
     """True when every eigenvalue is >= -tol."""
     return min_eigenvalue(q) >= -tol
 
@@ -186,11 +199,49 @@ def pure_state(v: np.ndarray) -> np.ndarray:
     return np.outer(v, v.conj()) / norm_sq
 
 
-def is_unitary(u: np.ndarray, tol: float = 1e-10) -> bool:
+def is_unitary(u: np.ndarray, tol: float = EQUALITY_TOL) -> bool:
     """True when ||UU* - I|| <= tol."""
     u = _as_square(u, "matrix")
     n = u.shape[0]
     return bool(np.linalg.norm(u @ u.conj().T - np.eye(n)) <= tol)
+
+
+def _require_unitary(u: np.ndarray) -> np.ndarray:
+    """Validate unitarity within EQUALITY_TOL and return the matrix as a complex array."""
+    u = np.asarray(u, dtype=complex)
+    if not is_unitary(u):
+        raise ValueError(f"matrix is not unitary within {EQUALITY_TOL:g} (UU* must equal I)")
+    return u
+
+
+def _require_unit_sum(values: np.ndarray, name: str, note: str = "") -> float:
+    """Raise unless the values are finite and sum to 1; returns |sum - 1|.
+
+    ``note`` is appended to the error, to explain a sum other than 1.
+    """
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must sum to 1, got non-finite entries")
+    total = float(np.sum(values))
+    if abs(total - 1.0) > EQUALITY_TOL:
+        raise ValueError(f"{name} must sum to 1, got component sum {total!r}{note}")
+    return abs(total - 1.0)
+
+
+def _require_column_sums(m: np.ndarray, message: str) -> float:
+    """Raise ``message`` unless every column of m sums to 1; returns the largest |sum - 1|.
+
+    A non-finite entry makes the deviation NaN or inf, which fails too.
+    """
+    dev = float(np.max(np.abs(m.sum(axis=0) - 1.0)))
+    if not dev <= EQUALITY_TOL:
+        raise ValueError(f"{message}, largest deviation {dev:.3e}")
+    return dev
+
+
+def _require_same_dim(n: int, m: int, left: str, right: str) -> None:
+    """Raise unless ``left`` on H_n and ``right`` on H_m share one dimension."""
+    if n != m:
+        raise ValueError(f"dimension mismatch: {left} on H_{n}, {right} on H_{m}")
 
 
 def hermitian_basis(n: int) -> np.ndarray:

@@ -16,7 +16,8 @@ from typing import Hashable, NamedTuple, Sequence
 
 import numpy as np
 
-from .measurement import OBSERVABILITY_TOL, KrausMeasurement, OutcomeDistribution, Scale
+from .hermitian import BELL_TOL, SIGN_TOL, _require_unit_sum
+from .measurement import KrausMeasurement, OutcomeDistribution, Scale
 
 __all__ = [
     "HiddenStateSpace",
@@ -36,9 +37,6 @@ __all__ = [
     "five_state_example",
     "diagonal_povm",
 ]
-
-BELL_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class HiddenStateSpace:
@@ -96,9 +94,7 @@ class MarkovState:
                 f"need one component per hidden state: {values.shape}, "
                 f"{len(self.space)} states"
             )
-        total = float(values.sum())
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"Markov state components must sum to 1, got {total!r}")
+        _require_unit_sum(values, "Markov state components")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -163,7 +159,7 @@ def _numeric_values(func: InformationFunction, name: str) -> np.ndarray:
     return np.array(out)
 
 
-def expectation(func: InformationFunction, state: MarkovState, tol: float = OBSERVABILITY_TOL) -> float:
+def expectation(func: InformationFunction, state: MarkovState, tol: float = SIGN_TOL) -> float:
     """Expectation of a real-valued observable information function.
 
     Defined only under observability; otherwise the moment has no
@@ -179,7 +175,7 @@ def expectation(func: InformationFunction, state: MarkovState, tol: float = OBSE
     return float(values @ state.values)
 
 
-def raw_moment(func: InformationFunction, state: MarkovState, tol: float = OBSERVABILITY_TOL) -> RawMoment:
+def raw_moment(func: InformationFunction, state: MarkovState, tol: float = SIGN_TOL) -> RawMoment:
     """Algebraic moment sum X(w) q_w, flagged by observability."""
     values = _numeric_values(func, "information function")
     observable = observe_distribution(func, state).is_observable(tol)
@@ -200,7 +196,7 @@ def joint(funcs: Sequence[InformationFunction]) -> InformationFunction:
 def is_jointly_observable(
     funcs: Sequence[InformationFunction],
     state: MarkovState,
-    tol: float = OBSERVABILITY_TOL,
+    tol: float = SIGN_TOL,
 ) -> bool:
     """True when the composite function is observable in the state."""
     _require_same_space(list(funcs), state)
@@ -211,7 +207,7 @@ def product_expectation(
     x: InformationFunction,
     y: InformationFunction,
     state: MarkovState,
-    tol: float = OBSERVABILITY_TOL,
+    tol: float = SIGN_TOL,
 ) -> float:
     """E(XY) = sum X(w) Y(w) q_w for a jointly observable real-valued pair."""
     xv = _numeric_values(x, "first information function")
@@ -298,12 +294,8 @@ def feynman_state(sx: float, sy: float, sz: float) -> MarkovState:
             (1.0 - sz - sx - sy) / 4.0,
         ]
     )
-    total = float(q.sum())
-    if abs(total - 1.0) > 1e-10:
-        raise ValueError(
-            f"spin-average table has component sum {total!r}, not 1; "
-            f"these formulas normalize only when sz equals sy (sum = 1 + (sz - sy)/2)"
-        )
+    note = "; these formulas normalize only when sz equals sy (sum = 1 + (sz - sy)/2)"
+    _require_unit_sum(q, "spin-average table", note)
     return MarkovState(space=HiddenStateSpace(states=FEYNMAN_LABELS), values=q)
 
 

@@ -255,16 +255,33 @@ def load_operator(path) -> MarkovOperator:
     return operator_from_dict(_read_json(path), where=str(path))
 
 
+def _kraus_matrices(d: Mapping, labelled, where: str) -> list[np.ndarray]:
+    """Parse (label, matrix dict) pairs, each matrix checked against the file's 'n' if given."""
+    out = []
+    for label, entry in labelled:
+        m = matrix_from_dict(entry, where=f"{where}: {label}")
+        if "n" in d:
+            n = d["n"]
+            _expect(m.shape == (n, n), f"{where}: {label} has shape {m.shape}, expected ({n}, {n})")
+        out.append(m)
+    return out
+
+
 def _kraus_list(d: Mapping, where: str) -> list[np.ndarray]:
-    """The matrices of a Kraus file's non-empty 'kraus' list, checked against 'n' if given."""
+    """The matrices of a Kraus file's non-empty 'kraus' list."""
     mats = d["kraus"]
     _expect(isinstance(mats, list) and mats, f"{where}: 'kraus' must be a non-empty list")
-    out = [matrix_from_dict(m, where=f"{where}: kraus[{i}]") for i, m in enumerate(mats)]
-    if "n" in d:
-        n = d["n"]
-        for i, m in enumerate(out):
-            _expect(m.shape == (n, n), f"{where}: kraus[{i}] has shape {m.shape}, expected ({n}, {n})")
-    return out
+    return _kraus_matrices(d, ((f"kraus[{i}]", m) for i, m in enumerate(mats)), where)
+
+
+def _by_symbol(d: Mapping, field: str, scale: Scale, what: str, where: str):
+    """(symbol, entry) for each scale symbol of the object ``d[field]``; a key may be str(symbol)."""
+    table = d[field]
+    _expect(isinstance(table, Mapping), f"{where}: {field!r} must map symbols to matrices")
+    for s in scale:
+        key = s if s in table else str(s)
+        _expect(key in table, f"{where}: no {what} for symbol {s!r}")
+        yield s, table[key]
 
 
 def load_kraus_family(path) -> list[np.ndarray]:
@@ -289,21 +306,12 @@ def load_measurement(path):
     _expect("scale" in d, f"{where}: missing field 'scale'")
     scale = Scale(_symbols(d["scale"], where, "'scale'", "scale symbols"))
     if "kraus" in d:
-        kraus = d["kraus"]
-        _expect(isinstance(kraus, Mapping), f"{where}: 'kraus' must map symbols to matrices")
-        mats = []
-        for s in scale:
-            _expect(str(s) in kraus or s in kraus, f"{where}: no Kraus matrix for symbol {s!r}")
-            entry = kraus[s] if s in kraus else kraus[str(s)]
-            mats.append(matrix_from_dict(entry, where=f"{where}: kraus[{s!r}]"))
+        entries = _by_symbol(d, "kraus", scale, "Kraus matrix", where)
+        mats = _kraus_matrices(d, ((f"kraus[{s!r}]", e) for s, e in entries), where)
         return KrausMeasurement(scale=scale, kraus=tuple(mats))
     if "operators" in d:
-        ops = d["operators"]
-        _expect(isinstance(ops, Mapping), f"{where}: 'operators' must map symbols to matrices")
         out = []
-        for s in scale:
-            _expect(str(s) in ops or s in ops, f"{where}: no operator for symbol {s!r}")
-            entry = ops[s] if s in ops else ops[str(s)]
+        for s, entry in _by_symbol(d, "operators", scale, "operator", where):
             op = _float_array(entry, f"{where}: operator for {s!r}")
             _expect(
                 op.ndim == 2 and op.shape[0] == op.shape[1],
@@ -365,13 +373,9 @@ def oom_from_dict(d: Mapping, where: str = "oom") -> ObservableOperatorModel:
         _expect(key in d, f"{where}: missing field {key!r}")
     m = _positive_int(d, "dim", where)
     scale = Scale(_symbols(d["scale"], where, "'scale'", "scale symbols"))
-    ops_field = d["operators"]
-    _expect(isinstance(ops_field, Mapping), f"{where}: 'operators' must map symbols to matrices")
     ops = []
-    for s in scale:
-        key = s if s in ops_field else str(s)
-        _expect(key in ops_field, f"{where}: no operator for symbol {s!r}")
-        op = _float_array(ops_field[key], f"{where}: operator for {s!r}")
+    for s, entry in _by_symbol(d, "operators", scale, "operator", where):
+        op = _float_array(entry, f"{where}: operator for {s!r}")
         _expect(op.shape == (m, m), f"{where}: operator for {s!r} has shape {op.shape}, expected ({m}, {m})")
         ops.append(op)
     pi = _float_array(d["pi"], f"{where}: 'pi'")

@@ -16,14 +16,15 @@ from typing import Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .hermitian import coords, require_hermitian, require_markov_density
-from .operators import (
-    MarkovOperator,
-    TRACE_PRESERVING_TOL,
-    _check_completeness,
-    kraus_superop,
-    trace_preservation_deviation,
+from .hermitian import (
+    PROBABILITY_FLOOR,
+    SIGN_TOL,
+    _require_same_dim,
+    _require_unit_sum,
+    coords,
+    require_markov_density,
 )
+from .operators import MarkovOperator, _check_completeness, _require_trace_preserving, kraus_superop
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -43,8 +44,6 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_CAP = 10**6
-POSTERIOR_THRESHOLD = 1e-12
-OBSERVABILITY_TOL = 1e-10
 WORD_BLOCK = 2**15  # word values per block of _word_blocks
 
 
@@ -148,6 +147,21 @@ def _word_blocks(xs: list[np.ndarray], ys: list[np.ndarray], t: int) -> Iterator
         yield (x[i : i + rows] @ y.T).ravel()
 
 
+def _symbol_matrices(scale: Scale, mats: Sequence, kind: str, dtype) -> tuple[np.ndarray, ...]:
+    """One square, finite, read-only array per scale symbol, all of one shape."""
+    mats = tuple(np.array(m, dtype=dtype) for m in mats)
+    if len(mats) != len(scale):
+        raise ValueError(f"need one {kind} per symbol: got {len(mats)} for {len(scale)} symbols")
+    n = mats[0].shape[0] if mats[0].ndim else 0
+    for sym, m in zip(scale, mats):
+        if m.shape != (n, n):
+            raise ValueError(f"{kind} for {sym!r} has shape {m.shape}, expected ({n}, {n})")
+        if not np.all(np.isfinite(m)):
+            raise ValueError(f"{kind} for {sym!r} contains non-finite entries")
+        m.setflags(write=False)
+    return mats
+
+
 @dataclass(frozen=True, eq=False)
 class KrausMeasurement:
     """Quantum measurement: one Kraus matrix per symbol, sum_a M_a* M_a = I."""
@@ -156,19 +170,8 @@ class KrausMeasurement:
     kraus: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        mats = tuple(np.array(m, dtype=complex) for m in self.kraus)
-        if len(mats) != len(self.scale):
-            raise ValueError(
-                f"need one Kraus matrix per symbol: {len(mats)} matrices, "
-                f"{len(self.scale)} symbols"
-            )
-        n = mats[0].shape[0]
-        for sym, m in zip(self.scale, mats):
-            if m.ndim != 2 or m.shape != (n, n):
-                raise ValueError(f"Kraus matrix for {sym!r} has shape {m.shape}, expected ({n}, {n})")
+        mats = _symbol_matrices(self.scale, self.kraus, "Kraus matrix", complex)
         _check_completeness(np.array(mats))
-        for m in mats:
-            m.setflags(write=False)
         object.__setattr__(self, "kraus", mats)
 
     @classmethod
@@ -196,28 +199,11 @@ class MarkovMeasurement:
     operators: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        ops = tuple(np.array(m, dtype=float) for m in self.operators)
-        if len(ops) != len(self.scale):
-            raise ValueError(
-                f"need one operator per symbol: {len(ops)} operators, {len(self.scale)} symbols"
-            )
-        shape = ops[0].shape
-        m = shape[0]
-        n = int(round(np.sqrt(m)))
-        if ops[0].ndim != 2 or shape[0] != shape[1] or n * n != m:
-            raise ValueError(f"operators must be square of size n^2, got {shape}")
-        for sym, op in zip(self.scale, ops):
-            if op.shape != shape:
-                raise ValueError(f"operator for {sym!r} has shape {op.shape}, expected {shape}")
-            if not np.all(np.isfinite(op)):
-                raise ValueError(f"operator for {sym!r} contains non-finite entries")
-        dev = trace_preservation_deviation(sum(ops))
-        if dev > TRACE_PRESERVING_TOL:
-            raise ValueError(
-                f"symbol sum is not a Markov operator: basis-trace deviation {dev:.3e}"
-            )
-        for op in ops:
-            op.setflags(write=False)
+        ops = _symbol_matrices(self.scale, self.operators, "operator", float)
+        m = ops[0].shape[0]
+        if int(round(np.sqrt(m))) ** 2 != m:
+            raise ValueError(f"operators must be square of size n^2, got {ops[0].shape}")
+        _require_trace_preserving(sum(ops), "symbol sum is not a Markov operator")
         object.__setattr__(self, "operators", ops)
 
     @classmethod
@@ -251,9 +237,7 @@ class OutcomeDistribution:
             raise ValueError(
                 f"need one value per symbol: {values.shape} values, {len(self.scale)} symbols"
             )
-        total = float(values.sum())
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"outcome values must sum to 1, got {total!r}")
+        _require_unit_sum(values, "outcome values")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -266,7 +250,7 @@ class OutcomeDistribution:
     def min_value(self) -> float:
         return float(self.values.min())
 
-    def is_observable(self, tol: float = OBSERVABILITY_TOL) -> bool:
+    def is_observable(self, tol: float = SIGN_TOL) -> bool:
         return self.min_value() >= -tol
 
 
@@ -285,8 +269,7 @@ def _markov_outcome_values(meas: MarkovMeasurement, density: np.ndarray) -> np.n
 def outcome_distribution(meas, density: np.ndarray) -> OutcomeDistribution:
     """Distribution of single-outcome values for a Markov density."""
     density = require_markov_density(density)
-    if density.shape[0] != meas.n:
-        raise ValueError(f"dimension mismatch: measurement on H_{meas.n}, density {density.shape}")
+    _require_same_dim(meas.n, density.shape[0], "measurement", "density")
     if isinstance(meas, KrausMeasurement):
         values = _kraus_outcome_values(meas, density)
     elif isinstance(meas, MarkovMeasurement):
@@ -296,7 +279,7 @@ def outcome_distribution(meas, density: np.ndarray) -> OutcomeDistribution:
     return OutcomeDistribution(scale=meas.scale, values=values)
 
 
-def is_observable(meas, density: np.ndarray, tol: float = OBSERVABILITY_TOL) -> bool:
+def is_observable(meas, density: np.ndarray, tol: float = SIGN_TOL) -> bool:
     """True when every outcome value is >= -tol."""
     return outcome_distribution(meas, density).is_observable(tol)
 
@@ -304,7 +287,7 @@ def is_observable(meas, density: np.ndarray, tol: float = OBSERVABILITY_TOL) -> 
 def posterior(meas: KrausMeasurement, density: np.ndarray, symbol) -> tuple[float, np.ndarray]:
     """Outcome probability and posterior density (p, M_a Q M_a*/p) for one outcome.
 
-    Defined only when the outcome probability exceeds the 1e-12 threshold;
+    Defined only when the outcome probability exceeds PROBABILITY_FLOOR;
     at (near-)zero or negative probability the posterior is not a density
     and an error is raised.
     """
@@ -312,9 +295,9 @@ def posterior(meas: KrausMeasurement, density: np.ndarray, symbol) -> tuple[floa
     m = meas.matrix(symbol)
     raw = m @ density @ m.conj().T
     p = float(np.trace(raw).real)
-    if p <= POSTERIOR_THRESHOLD:
+    if p <= PROBABILITY_FLOOR:
         raise ValueError(
-            f"posterior undefined: outcome {symbol!r} has probability {p!r} <= {POSTERIOR_THRESHOLD}"
+            f"posterior undefined: outcome {symbol!r} has probability {p!r} <= {PROBABILITY_FLOOR}"
         )
     post = raw / p
     return p, (post + post.conj().T) / 2.0
@@ -361,8 +344,7 @@ def _word_values(meas: MarkovMeasurement, density: np.ndarray, t: int, cap: int 
     if t < 0:
         raise ValueError("word length must be nonnegative")
     density = require_markov_density(density)
-    if density.shape[0] != meas.n:
-        raise ValueError(f"dimension mismatch: measurement on H_{meas.n}, density {density.shape}")
+    _require_same_dim(meas.n, density.shape[0], "measurement", "density")
     _check_word_count(len(meas.scale) ** t, cap)
     trace = np.zeros(meas.operators[0].shape[0])
     trace[: meas.n] = 1.0
@@ -381,7 +363,7 @@ def is_t_observable(
     meas,
     density: np.ndarray,
     t: int,
-    tol: float = OBSERVABILITY_TOL,
+    tol: float = SIGN_TOL,
     cap: int | None = None,
 ) -> bool:
     """True when every length-t word value is >= -tol (always true at t = 0).

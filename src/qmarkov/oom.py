@@ -16,6 +16,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
+from .hermitian import PROBABILITY_FLOOR, RANK_TOL, SIGN_TOL, _require_column_sums, _require_unit_sum
 from .hidden import HiddenStateSpace, InformationFunction
 from .measurement import (
     MarkovMeasurement,
@@ -23,6 +24,7 @@ from .measurement import (
     Scale,
     _check_word_count,
     _split_levels,
+    _symbol_matrices,
     _word_blocks,
     iter_words,
 )
@@ -44,11 +46,6 @@ __all__ = [
     "to_markov_measurement",
 ]
 
-SUM_TOL = 1e-10
-CONDITIONING_THRESHOLD = 1e-12
-RANK_TOL = 1e-8
-
-
 @dataclass(frozen=True, eq=False)
 class ObservableOperatorModel:
     """Operators {M_a} with column-sum-1 total and a Markov state pi."""
@@ -58,33 +55,13 @@ class ObservableOperatorModel:
     pi: np.ndarray
 
     def __post_init__(self) -> None:
-        ops = tuple(np.array(m, dtype=float) for m in self.operators)
-        if len(ops) != len(self.scale):
-            raise ValueError(
-                f"need one operator per symbol: {len(ops)} operators, {len(self.scale)} symbols"
-            )
+        ops = _symbol_matrices(self.scale, self.operators, "operator", float)
+        _require_column_sums(sum(ops), "operator sum must have column sums 1")
         m = ops[0].shape[0]
-        for sym, op in zip(self.scale, ops):
-            if op.ndim != 2 or op.shape != (m, m):
-                raise ValueError(f"operator for {sym!r} has shape {op.shape}, expected ({m}, {m})")
-            if not np.all(np.isfinite(op)):
-                raise ValueError(f"operator for {sym!r} contains non-finite entries")
-        total = sum(ops)
-        col_dev = float(np.max(np.abs(total.sum(axis=0) - 1.0)))
-        if col_dev > SUM_TOL:
-            raise ValueError(
-                f"operator sum must be a Markov matrix (column sums 1), deviation {col_dev:.3e}"
-            )
         pi = np.array(self.pi, dtype=float)
         if pi.shape != (m,):
             raise ValueError(f"pi must have shape ({m},), got {pi.shape}")
-        if not np.all(np.isfinite(pi)):
-            raise ValueError("pi contains non-finite entries")
-        pi_dev = abs(float(pi.sum()) - 1.0)
-        if pi_dev > SUM_TOL:
-            raise ValueError(f"pi must sum to 1, got sum deviation {pi_dev:.3e}")
-        for op in ops:
-            op.setflags(write=False)
+        _require_unit_sum(pi, "pi")
         pi.setflags(write=False)
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "pi", pi)
@@ -196,7 +173,7 @@ def _decode_word(model: ObservableOperatorModel, index: int, length: int) -> tup
 def validate(
     model: ObservableOperatorModel,
     horizon: int,
-    tol: float = CONDITIONING_THRESHOLD,
+    tol: float = PROBABILITY_FLOOR,
     cap: int | None = None,
 ) -> OomValidationReport:
     """Scan structural sums and all word probabilities up to the horizon.
@@ -210,8 +187,9 @@ def validate(
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     _check_word_count(horizon * len(model.scale) ** horizon, cap)
-    col_err = float(np.max(np.abs(model.transition_sum.sum(axis=0) - 1.0)))
-    pi_err = abs(float(model.pi.sum()) - 1.0)
+    # the model passed both checks at construction, so they return the errors
+    col_err = _require_column_sums(model.transition_sum, "operator sum must have column sums 1")
+    pi_err = _require_unit_sum(model.pi, "pi")
     min_p = 1.0
     min_word: tuple = ()
     negatives = 0
@@ -238,9 +216,9 @@ def validate(
 def conditional(model: ObservableOperatorModel, future: Sequence, past: Sequence) -> float:
     """Prediction probability p(future | past) = p(past + future) / p(past)."""
     p_past = word_probability(model, past)
-    if p_past <= CONDITIONING_THRESHOLD:
+    if p_past <= PROBABILITY_FLOOR:
         raise ValueError(
-            f"cannot condition on a word with probability {p_past!r} <= {CONDITIONING_THRESHOLD}"
+            f"cannot condition on a word with probability {p_past!r} <= {PROBABILITY_FLOOR}"
         )
     return word_probability(model, tuple(past) + tuple(future)) / p_past
 
@@ -276,7 +254,7 @@ def prediction_matrix(
     xs, ys = map(np.concatenate, _levels(model, 2 * max_length))
 
     p_w = xs.sum(axis=1)
-    defined = p_w > CONDITIONING_THRESHOLD
+    defined = p_w > PROBABILITY_FLOOR
     cols = xs[defined] / p_w[defined][:, None]
     rank = 0
     if cols.size:
@@ -312,29 +290,22 @@ def hmm_to_oom(
     if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ValueError(f"transition must be square, got shape {t.shape}")
     m = t.shape[0]
-    if np.any(t < -SUM_TOL):
-        raise ValueError("transition matrix must be entrywise nonnegative")
-    col_dev = float(np.max(np.abs(t.sum(axis=0) - 1.0)))
-    if col_dev > SUM_TOL:
-        raise ValueError(f"transition must be column-stochastic, deviation {col_dev:.3e}")
     scale = Scale(tuple(emissions.keys()))
     emission_rows = np.array([np.asarray(emissions[s], dtype=float) for s in scale])
     if emission_rows.shape != (len(scale), m):
         raise ValueError(
             f"emissions must give one probability per symbol and state, got {emission_rows.shape}"
         )
-    if np.any(emission_rows < -SUM_TOL):
-        raise ValueError("emission probabilities must be nonnegative")
-    state_dev = float(np.max(np.abs(emission_rows.sum(axis=0) - 1.0)))
-    if state_dev > SUM_TOL:
-        raise ValueError(f"emission probabilities must sum to 1 per state, deviation {state_dev:.3e}")
     pi = np.asarray(initial, dtype=float)
     if pi.shape != (m,):
         raise ValueError(f"initial distribution must have shape ({m},), got {pi.shape}")
-    if np.any(pi < -SUM_TOL):
-        raise ValueError("initial distribution must be nonnegative")
-    if abs(float(pi.sum()) - 1.0) > SUM_TOL:
-        raise ValueError("initial distribution must sum to 1")
+    named = (("transition matrix", t), ("emission probabilities", emission_rows), ("initial distribution", pi))
+    for name, probs in named:
+        if np.any(probs < -SIGN_TOL):
+            raise ValueError(f"{name} must be entrywise nonnegative")
+    _require_column_sums(t, "transition must be column-stochastic")
+    _require_column_sums(emission_rows, "emission probabilities must sum to 1 per state")
+    _require_unit_sum(pi, "initial distribution")
     ops = tuple(t @ np.diag(emission_rows[i]) for i in range(len(scale)))
     return ObservableOperatorModel(scale=scale, operators=ops, pi=pi)
 
@@ -387,7 +358,7 @@ def step_distribution(lift: HiddenStateLift, t: int) -> OutcomeDistribution:
 def entropy_rate(
     model: ObservableOperatorModel,
     t_max: int,
-    tol: float = CONDITIONING_THRESHOLD,
+    tol: float = PROBABILITY_FLOOR,
     cap: int | None = None,
 ) -> list[tuple[int, float, float]]:
     """Block entropies in bits: rows (t, H(t)/t, H(t) - H(t-1)) for t = 1..t_max.

@@ -15,9 +15,13 @@ import numpy as np
 
 from .hermitian import (
     _SQRT2,
+    EQUALITY_TOL,
+    SAMPLED_SIGN_TOL,
+    _require_column_sums,
+    _require_same_dim,
+    _require_unitary,
     coords,
     from_coords,
-    is_unitary,
     min_eigenvalue,
     require_hermitian,
 )
@@ -40,9 +44,6 @@ __all__ = [
     "random_quantum_density",
 ]
 
-TRACE_PRESERVING_TOL = 1e-10
-
-
 def trace_preservation_deviation(matrix: np.ndarray) -> float:
     """Largest deviation |tr(image of B_k) - tr(B_k)| over the basis elements.
 
@@ -57,6 +58,13 @@ def trace_preservation_deviation(matrix: np.ndarray) -> float:
     target = np.zeros(m)
     target[:n] = 1.0
     return float(np.max(np.abs(matrix[:n, :].sum(axis=0) - target)))
+
+
+def _require_trace_preserving(matrix: np.ndarray, message: str) -> None:
+    """Raise ``message`` unless the basis-trace deviation is within EQUALITY_TOL."""
+    dev = trace_preservation_deviation(matrix)
+    if not dev <= EQUALITY_TOL:
+        raise ValueError(f"{message}: basis-trace deviation {dev:.3e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,11 +88,7 @@ class MarkovOperator:
             )
         if not np.all(np.isfinite(matrix)):
             raise ValueError("operator matrix contains non-finite entries")
-        dev = trace_preservation_deviation(matrix)
-        if dev > TRACE_PRESERVING_TOL:
-            raise ValueError(
-                f"operator is not trace preserving: basis-trace deviation {dev:.3e}"
-            )
+        _require_trace_preserving(matrix, "operator is not trace preserving")
         matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
 
@@ -107,7 +111,7 @@ def _check_completeness(mats: np.ndarray) -> None:
     """Raise unless the stacked Kraus matrices satisfy sum_a M_a* M_a = I."""
     gram = np.einsum("aji,ajk->ik", mats.conj(), mats)
     dev = float(np.linalg.norm(gram - np.eye(mats.shape[-1])))
-    if dev > TRACE_PRESERVING_TOL:
+    if not dev <= EQUALITY_TOL:
         raise ValueError(
             f"Kraus matrices do not sum up to the identity (POVM completeness violated): "
             f"||sum M_a* M_a - I|| = {dev:.3e}"
@@ -162,9 +166,7 @@ def from_kraus(family) -> MarkovOperator:
 
 def from_unitary(u: np.ndarray) -> MarkovOperator:
     """Markov operator of unitary conjugation Q -> UQU*."""
-    u = np.asarray(u, dtype=complex)
-    if not is_unitary(u, tol=1e-10):
-        raise ValueError("matrix is not unitary within 1e-10 (UU* must equal I)")
+    u = _require_unitary(u)
     return MarkovOperator(n=u.shape[0], matrix=kraus_superop(u[None, :, :]))
 
 
@@ -178,24 +180,20 @@ def from_stochastic(m: np.ndarray) -> MarkovOperator:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"stochastic matrix must be square, got shape {m.shape}")
-    col_dev = float(np.max(np.abs(m.sum(axis=0) - 1.0)))
-    if col_dev > TRACE_PRESERVING_TOL:
-        raise ValueError(f"column sums must equal 1, largest deviation {col_dev:.3e}")
+    _require_column_sums(m, "column sums must equal 1")
     return MarkovOperator(n=m.shape[0], matrix=diagonal_superop(m))
 
 
 def apply(op: MarkovOperator, q: np.ndarray) -> np.ndarray:
     """Apply a Markov operator to a Hermitian matrix."""
     q = require_hermitian(q)
-    if q.shape != (op.n, op.n):
-        raise ValueError(f"dimension mismatch: operator on H_{op.n}, matrix {q.shape}")
+    _require_same_dim(op.n, q.shape[0], "operator", "matrix")
     return from_coords(op.matrix @ coords(q))
 
 
 def compose(outer: MarkovOperator, inner: MarkovOperator) -> MarkovOperator:
     """Composition outer after inner."""
-    if outer.n != inner.n:
-        raise ValueError(f"dimension mismatch: {outer.n} vs {inner.n}")
+    _require_same_dim(outer.n, inner.n, "outer operator", "inner operator")
     return MarkovOperator(n=outer.n, matrix=outer.matrix @ inner.matrix)
 
 
@@ -214,7 +212,7 @@ def power(op: MarkovOperator, t: int) -> MarkovOperator:
     return MarkovOperator(n=op.n, matrix=result)
 
 
-def is_trace_preserving(op, tol: float = TRACE_PRESERVING_TOL) -> bool:
+def is_trace_preserving(op, tol: float = EQUALITY_TOL) -> bool:
     """Check |tr(image of B_k) - tr(B_k)| <= tol over all basis elements."""
     matrix = op.matrix if isinstance(op, MarkovOperator) else op
     return trace_preservation_deviation(matrix) <= tol
@@ -245,7 +243,7 @@ def sampled_nonnegativity(
     op: MarkovOperator,
     trials: int,
     seed: int = 0,
-    tol: float = 1e-9,
+    tol: float = SAMPLED_SIGN_TOL,
 ) -> NonnegativityReport:
     """Probe whether an operator maps quantum densities to quantum densities.
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import MarkovChain, _coordinate_path, cesaro_average
+from .hermitian import CESARO_MAX_DOUBLINGS, CESARO_TOL, _require_same_dim
 from .operators import MarkovOperator
 
 __all__ = [
@@ -112,10 +113,7 @@ def walk(
     the graph structure.  When all iterates are nonnegative the node values
     are genuine probabilities.
     """
-    if operator.n != graph.edge_count:
-        raise ValueError(
-            f"dimension mismatch: graph has {graph.edge_count} edges, operator acts on H_{operator.n}"
-        )
+    _require_same_dim(operator.n, graph.edge_count, "operator", "graph edges")
     path = _coordinate_path(MarkovChain(operator=operator, start=start), steps)
     # the first n coordinates of a Hermitian matrix are its diagonal entries
     diags = np.ascontiguousarray(path[:, : graph.edge_count])
@@ -127,14 +125,11 @@ def limiting_node_distribution(
     graph: DirectedGraph,
     operator: MarkovOperator,
     start: np.ndarray,
-    tol: float = 1e-8,
-    max_doublings: int = 40,
+    tol: float = CESARO_TOL,
+    max_doublings: int = CESARO_MAX_DOUBLINGS,
 ) -> np.ndarray:
     """Long-run average node distribution tr(X_v times Cesaro average)."""
-    if operator.n != graph.edge_count:
-        raise ValueError(
-            f"dimension mismatch: graph has {graph.edge_count} edges, operator acts on H_{operator.n}"
-        )
+    _require_same_dim(operator.n, graph.edge_count, "operator", "graph edges")
     result = cesaro_average(MarkovChain(operator=operator, start=start), tol=tol, max_doublings=max_doublings)
     ind = _source_indicators(graph)
     return ind @ np.diagonal(result.average).real

@@ -286,6 +286,12 @@ class TestMeasureCommand:
         assert dist[("0", "0")] == pytest.approx(0.3)
         assert dist[("0", "1")] == pytest.approx(0.0)
 
+    def test_kraus_n_checked_against_matrices(self, files, capsys):
+        bad = files["tmp"] / "zmeas_n3.json"
+        bad.write_text(json.dumps({**json.loads(files["zmeas"].read_text()), "n": 3}))
+        assert main(["measure", "--measurement", str(bad), "--density", str(files["density"])]) == 2
+        assert "kraus['0'] has shape (2, 2), expected (3, 3)" in capsys.readouterr().err
+
 
 class TestOomCommands:
     def test_prob(self, files, capsys):

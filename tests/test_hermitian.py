@@ -113,6 +113,54 @@ class TestSpectralDecompose:
         with pytest.raises(ValueError, match="not Hermitian"):
             spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_degenerate_ties_match_loop_oracle(self):
+        rng = np.random.default_rng(15)
+        tied = 0
+        for trial in range(300):
+            if trial % 3 == 0:
+                h = rng.integers(-2, 3, (2, 2)) + 1j * rng.integers(-2, 3, (2, 2))
+                q = np.kron(np.eye(rng.integers(2, 4)), h + h.conj().T)
+            elif trial % 3 == 1:
+                q = np.diag(rng.integers(-2, 3, rng.integers(2, 7)).astype(complex))
+            else:
+                h = rng.integers(-1, 2, (3, 3)) + 1j * rng.integers(-1, 2, (3, 3))
+                q = np.kron(h + h.conj().T, np.eye(2))
+            want_vals, want_vecs = _spectral_decompose_loop(q)
+            dec = spectral_decompose(q)
+            assert dec.eigenvalues.tobytes() == want_vals.tobytes()
+            assert dec.eigenvectors.tobytes() == want_vecs.tobytes()
+            tied += bool(np.any(np.diff(want_vals) == 0))
+        assert tied >= 150
+
+
+def _spectral_decompose_loop(q):
+    """spectral_decompose with its former per-group tie-break loop, kept as an oracle."""
+    vals, vecs = np.linalg.eigh((q + q.conj().T) / 2.0)
+    order = np.argsort(-vals, kind="stable")
+    vals = np.ascontiguousarray(vals[order])
+    vecs = np.ascontiguousarray(vecs[:, order])
+    n = vals.size
+    for i in range(n):
+        col = vecs[:, i]
+        pivot = int(np.argmax(np.abs(col)))
+        lead = col[pivot]
+        mag = abs(lead)
+        if mag > 0.0:
+            vecs[:, i] = col * (lead.conjugate() / mag)
+    i = 0
+    while i < n:
+        j = i + 1
+        while j < n and vals[j] == vals[i]:
+            j += 1
+        if j - i > 1:
+            block = sorted(
+                range(i, j),
+                key=lambda k: tuple((vecs[r, k].real, vecs[r, k].imag) for r in range(n)),
+            )
+            vecs[:, i:j] = vecs[:, block]
+        i = j
+    return vals, vecs
+
 
 class TestNonnegative:
     def test_scaled_identity(self):

@@ -5,8 +5,11 @@ import pytest
 
 from conftest import random_kraus_family
 from qmarkov import (
+    HiddenStateSpace,
     KrausMeasurement,
     MarkovMeasurement,
+    MarkovState,
+    OutcomeDistribution,
     Scale,
     apply,
     as_markov_measurement,
@@ -57,6 +60,23 @@ class TestScale:
         assert s.index("b") == 1
         with pytest.raises(ValueError, match="unknown symbol"):
             s.index("c")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+class TestNonFiniteRejected:
+    """A NaN compares False with every tolerance, so each check must reject it outright."""
+
+    def test_kraus_entry(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            KrausMeasurement(scale=Scale(("a",)), kraus=(np.array([[bad]]),))
+
+    def test_outcome_values(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            OutcomeDistribution(scale=Scale(("a", "b")), values=[bad, 1.0])
+
+    def test_markov_state(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            MarkovState(space=HiddenStateSpace(states=("a", "b")), values=[bad, 1.0])
 
 
 class TestKrausMeasurement:
