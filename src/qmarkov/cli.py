@@ -2,9 +2,10 @@
 
 Loads models from files, runs the analysis pipelines and emits CSV or JSON.
 Exit codes: 0 success, 2 validation failure (malformed input, violated
-invariant), 3 analysis failure (e.g. a Cesaro residual that cannot be
-reached).  Output is deterministic for identical inputs; CSV floats carry 17
-significant digits so values round trip losslessly.
+invariant, a size too large for memory or numpy's index type), 3 analysis
+failure (e.g. a Cesaro residual that cannot be reached).  Output is
+deterministic for identical inputs; CSV floats carry 17 significant digits
+so values round trip losslessly.
 """
 
 from __future__ import annotations
@@ -328,6 +329,9 @@ def run(argv=None) -> int:
         return 3
     except (ValueError, OSError) as exc:
         print(f"qmarkov: invalid input: {exc}", file=sys.stderr)
+        return 2
+    except (MemoryError, OverflowError) as exc:
+        print(f"qmarkov: input too large: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -17,7 +17,7 @@ from typing import Hashable, NamedTuple, Sequence
 import numpy as np
 
 from .hermitian import BELL_TOL, SIGN_TOL, _require_unit_sum
-from .measurement import KrausMeasurement, OutcomeDistribution, Scale
+from .measurement import KrausMeasurement, OutcomeDistribution, Scale, _diagonal_projectors
 
 __all__ = [
     "HiddenStateSpace",
@@ -141,12 +141,19 @@ def _require_same_space(funcs: Sequence[InformationFunction], state: MarkovState
         raise ValueError("Markov state lives on a different hidden-state space")
 
 
+def _labels(func: InformationFunction) -> np.ndarray:
+    """The scale position of each hidden state's value, in state order."""
+    position = {symbol: k for k, symbol in enumerate(func.scale)}
+    return np.array([position[v] for v in func.values], dtype=np.intp)
+
+
 def observe_distribution(func: InformationFunction, state: MarkovState) -> OutcomeDistribution:
-    """Aggregate the state components by outcome: p(a) = sum over X(w) = a of q_w."""
+    """Aggregate the state components by outcome: p(a) = sum over X(w) = a of q_w.
+
+    Each sum runs in state order.
+    """
     _require_same_space([func], state)
-    values = np.zeros(len(func.scale))
-    for component, symbol in zip(state.values, func.values):
-        values[func.scale.index(symbol)] += component
+    values = np.bincount(_labels(func), weights=state.values, minlength=len(func.scale))
     return OutcomeDistribution(scale=func.scale, values=values)
 
 
@@ -319,12 +326,5 @@ def diagonal_povm(func: InformationFunction) -> KrausMeasurement:
 
     Applying it to diag(q) reproduces :func:`observe_distribution` exactly.
     """
-    n = len(func.space)
-    mats = []
-    for symbol in func.scale:
-        d = np.zeros(n, dtype=complex)
-        for i, v in enumerate(func.values):
-            if v == symbol:
-                d[i] = 1.0
-        mats.append(np.diag(d))
-    return KrausMeasurement(scale=func.scale, kraus=tuple(mats))
+    projectors = _diagonal_projectors(_labels(func), len(func.scale))
+    return KrausMeasurement(scale=func.scale, kraus=projectors)

@@ -35,7 +35,6 @@ __all__ = [
     "operator_from_dict",
     "save_operator",
     "load_operator",
-    "load_kraus_family",
     "load_channel",
     "load_measurement",
     "save_graph",
@@ -51,10 +50,10 @@ __all__ = [
 BASIS_TAG = "canonical-hermitian-v1"
 
 
-def _read_json(path) -> Any:
-    text = Path(path).read_text()
+def _read_json(path, text: str | None = None) -> Any:
+    """Parse a JSON file, or its ``text`` when already read; bad JSON names the path."""
     try:
-        return json.loads(text)
+        return json.loads(Path(path).read_text() if text is None else text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: malformed JSON ({exc})") from None
 
@@ -284,12 +283,6 @@ def _by_symbol(d: Mapping, field: str, scale: Scale, what: str, where: str):
         yield s, table[key]
 
 
-def load_kraus_family(path) -> list[np.ndarray]:
-    d = _read_json(path)
-    _expect(isinstance(d, Mapping) and "kraus" in d, f"{path}: missing field 'kraus'")
-    return _kraus_list(d, str(path))
-
-
 def load_channel(path) -> MarkovOperator:
     """Load a Markov operator from either an operator file or a Kraus file."""
     d = _read_json(path)
@@ -329,9 +322,8 @@ def save_graph(path, graph: DirectedGraph) -> None:
 def load_graph(path) -> DirectedGraph:
     """Load a graph from JSON {"nodes", "edges"} or plain "u v" lines."""
     text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        d = json.loads(stripped)
+    if text.lstrip().startswith("{"):
+        d = _read_json(path, text)
         _expect("nodes" in d and "edges" in d, f"{path}: graph JSON needs 'nodes' and 'edges'")
         node_count = _positive_int(d, "nodes", str(path))
         edges = d["edges"]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Hashable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterator, Sequence
 
 import numpy as np
 
@@ -162,6 +162,18 @@ def _symbol_matrices(scale: Scale, mats: Sequence, kind: str, dtype) -> tuple[np
     return mats
 
 
+def _diagonal_projectors(labels: np.ndarray, count: int) -> tuple[np.ndarray, ...]:
+    """Read-only 0/1 projectors diag(labels == k) for k = 0..count-1.
+
+    ``labels`` holds one integer label per basis index (below ``count``),
+    so the projectors sum to the identity.
+    """
+    projectors = tuple(np.diag((labels == k).astype(complex)) for k in range(count))
+    for p in projectors:
+        p.setflags(write=False)
+    return projectors
+
+
 @dataclass(frozen=True, eq=False)
 class KrausMeasurement:
     """Quantum measurement: one Kraus matrix per symbol, sum_a M_a* M_a = I."""
@@ -173,11 +185,6 @@ class KrausMeasurement:
         mats = _symbol_matrices(self.scale, self.kraus, "Kraus matrix", complex)
         _check_completeness(np.array(mats))
         object.__setattr__(self, "kraus", mats)
-
-    @classmethod
-    def from_mapping(cls, kraus: Mapping[Hashable, np.ndarray]) -> "KrausMeasurement":
-        scale = Scale(tuple(kraus.keys()))
-        return cls(scale=scale, kraus=tuple(kraus[s] for s in scale))
 
     @property
     def n(self) -> int:
@@ -205,11 +212,6 @@ class MarkovMeasurement:
             raise ValueError(f"operators must be square of size n^2, got {ops[0].shape}")
         _require_trace_preserving(sum(ops), "symbol sum is not a Markov operator")
         object.__setattr__(self, "operators", ops)
-
-    @classmethod
-    def from_mapping(cls, operators: Mapping[Hashable, np.ndarray]) -> "MarkovMeasurement":
-        scale = Scale(tuple(operators.keys()))
-        return cls(scale=scale, operators=tuple(operators[s] for s in scale))
 
     @property
     def n(self) -> int:

@@ -66,11 +66,6 @@ class ObservableOperatorModel:
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "pi", pi)
 
-    @classmethod
-    def from_mapping(cls, operators: Mapping[Hashable, np.ndarray], pi) -> "ObservableOperatorModel":
-        scale = Scale(tuple(operators.keys()))
-        return cls(scale=scale, operators=tuple(operators[s] for s in scale), pi=pi)
-
     @property
     def dim(self) -> int:
         return self.pi.shape[0]

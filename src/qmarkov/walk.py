@@ -15,6 +15,7 @@ import numpy as np
 
 from .chain import MarkovChain, _coordinate_path, cesaro_average
 from .hermitian import CESARO_MAX_DOUBLINGS, CESARO_TOL, _require_same_dim
+from .measurement import _diagonal_projectors
 from .operators import MarkovOperator
 
 __all__ = [
@@ -52,9 +53,6 @@ class DirectedGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def out_degree(self, node: int) -> int:
-        return sum(1 for u, _ in self.edges if u == node)
-
 
 @dataclass(frozen=True, eq=False)
 class NodePOVM:
@@ -72,33 +70,28 @@ class WalkTrace:
     node_probabilities: np.ndarray
 
 
-def _source_indicators(graph: DirectedGraph) -> np.ndarray:
-    """0/1 matrix of shape (nodes, edges); row v selects edges with source v."""
-    ind = np.zeros((graph.node_count, graph.edge_count))
-    for e, (u, _) in enumerate(graph.edges):
-        ind[u, e] = 1.0
-    return ind
+def _endpoints(graph: DirectedGraph) -> np.ndarray:
+    """Integer array of shape (2, edges): the source and the target of each edge."""
+    return np.array(graph.edges, dtype=np.intp).reshape(-1, 2).T
 
 
 def node_povm(graph: DirectedGraph) -> NodePOVM:
     """The node POVM of a graph; completeness holds because every edge has one source.
 
-    Nodes without outgoing edges get the zero projector (and can never carry
+    It is the diagonal POVM of the function edge -> source node.  Nodes
+    without outgoing edges get the zero projector (and can never carry
     probability); a warning points them out.
     """
     if graph.edge_count == 0:
         raise ValueError("graph has an empty edge set; the node POVM needs at least one edge")
-    ind = _source_indicators(graph)
-    sinks = [v for v in range(graph.node_count) if ind[v].sum() == 0]
+    sources = _endpoints(graph)[0]
+    sinks = np.flatnonzero(np.bincount(sources, minlength=graph.node_count) == 0).tolist()
     if sinks:
         warnings.warn(
             f"nodes {sinks} have no outgoing edges; their projectors are zero",
             stacklevel=2,
         )
-    projectors = tuple(np.diag(ind[v].astype(complex)) for v in range(graph.node_count))
-    for p in projectors:
-        p.setflags(write=False)
-    return NodePOVM(graph=graph, projectors=projectors)
+    return NodePOVM(graph=graph, projectors=_diagonal_projectors(sources, graph.node_count))
 
 
 def walk(
@@ -115,9 +108,11 @@ def walk(
     """
     _require_same_dim(operator.n, graph.edge_count, "operator", "graph edges")
     path = _coordinate_path(MarkovChain(operator=operator, start=start), steps)
-    # the first n coordinates of a Hermitian matrix are its diagonal entries
-    diags = np.ascontiguousarray(path[:, : graph.edge_count])
-    probabilities = diags @ _source_indicators(graph).T
+    # the first n coordinates of a Hermitian matrix are its diagonal entries;
+    # each node sums the diagonal entries of its out-edges in edge order
+    probabilities = np.zeros((len(path), graph.node_count))
+    for e, u in enumerate(_endpoints(graph)[0]):
+        probabilities[:, u] += path[:, e]
     return WalkTrace(graph=graph, node_probabilities=probabilities)
 
 
@@ -131,8 +126,8 @@ def limiting_node_distribution(
     """Long-run average node distribution tr(X_v times Cesaro average)."""
     _require_same_dim(operator.n, graph.edge_count, "operator", "graph edges")
     result = cesaro_average(MarkovChain(operator=operator, start=start), tol=tol, max_doublings=max_doublings)
-    ind = _source_indicators(graph)
-    return ind @ np.diagonal(result.average).real
+    diagonal = np.diagonal(result.average).real
+    return np.bincount(_endpoints(graph)[0], weights=diagonal, minlength=graph.node_count)
 
 
 def shift_unitary(graph: DirectedGraph) -> np.ndarray:
@@ -143,27 +138,21 @@ def shift_unitary(graph: DirectedGraph) -> np.ndarray:
     """
     if graph.edge_count == 0:
         raise ValueError("graph has an empty edge set")
-    out_edge: dict[int, int] = {}
-    in_deg: dict[int, int] = {}
-    for e, (u, v) in enumerate(graph.edges):
-        if u in out_edge:
-            raise ValueError(
-                f"graph is not 1-regular in/out: node {u} has out-degree > 1"
-            )
-        out_edge[u] = e
-        in_deg[v] = in_deg.get(v, 0) + 1
-        if in_deg[v] > 1:
-            raise ValueError(
-                f"graph is not 1-regular in/out: node {v} has in-degree > 1"
-            )
-    touched = set(out_edge) | set(in_deg)
-    for node in touched:
-        if node not in out_edge or node not in in_deg:
-            raise ValueError(
-                f"graph is not 1-regular in/out: node {node} lacks an incoming or outgoing edge"
-            )
+    ends = _endpoints(graph)
+    sources, targets = ends
+    size = int(ends.max()) + 1  # degree arrays reach the largest endpoint only
+    out_deg = np.bincount(sources, minlength=size)
+    in_deg = np.bincount(targets, minlength=size)
+    bad = np.flatnonzero((in_deg != out_deg) | (out_deg > 1))
+    if bad.size:
+        v = int(bad[0])
+        raise ValueError(
+            f"graph is not 1-regular in/out: node {v} has (in, out) degrees "
+            f"({in_deg[v]}, {out_deg[v]}), expected (0, 0) or (1, 1)"
+        )
     m = graph.edge_count
+    out_edge = np.zeros(size, dtype=np.intp)
+    out_edge[sources] = np.arange(m)
     perm = np.zeros((m, m), dtype=complex)
-    for e, (_, v) in enumerate(graph.edges):
-        perm[out_edge[v], e] = 1.0
+    perm[out_edge[targets], np.arange(m)] = 1.0
     return perm

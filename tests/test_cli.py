@@ -411,6 +411,27 @@ class TestCliContract:
         assert code == 2
         assert "dimension mismatch" in capsys.readouterr().err
 
+    def test_malformed_graph_json_names_path(self, files, capsys):
+        bad = files["tmp"] / "bad_graph.json"
+        bad.write_text('{"nodes": 3, edges: []}')
+        argv = ["walk", "--graph", str(bad), "--operator", str(files["shift"]), "--density", str(files["edge0"])]
+        assert main([*argv, "--steps", "1"]) == 2
+        assert f"{bad}: malformed JSON (Expecting property name" in capsys.readouterr().err
+
+    def test_input_too_large_exit_two(self, files, capsys):
+        # 10**17 nodes: the node values alone would need exbibytes, beyond any
+        # address space, so numpy refuses the allocation before touching memory
+        huge = files["tmp"] / "huge_graph.json"
+        huge.write_text(json.dumps({"nodes": 10**17, "edges": [[0, 1], [1, 2], [2, 0]]}))
+        argv = ["walk", "--graph", str(huge), "--operator", str(files["shift"]), "--density", str(files["edge0"])]
+        for mode in (["--steps", "1"], ["--limiting"]):
+            assert main([*argv, *mode]) == 2
+            assert "qmarkov: input too large: Unable to allocate" in capsys.readouterr().err
+        # 10**30 nodes overflow numpy's index type before any allocation
+        huge.write_text(json.dumps({"nodes": 10**30, "edges": [[0, 1], [1, 2], [2, 0]]}))
+        assert main([*argv, "--limiting"]) == 2
+        assert "qmarkov: input too large: Python int too large" in capsys.readouterr().err
+
     def test_deterministic_output(self, files, capsys):
         rng = np.random.default_rng(113)
         op = from_kraus(random_kraus_family(rng, 2, 2))

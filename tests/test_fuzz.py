@@ -110,8 +110,8 @@ def test_valid_density_exits_zero(tmp_path, channel):
 
 VALID_GRAPH = {"nodes": 3, "edges": [[0, 1], [1, 2], [2, 0]]}
 # node ids that may pass validation stay small: a valid graph with N nodes
-# makes `walk` allocate an N x |E| array, so a drawn N near 10**9 would
-# exhaust memory rather than probe the loader
+# makes `walk` allocate a (steps + 1) x N array of node values, so a drawn N
+# near 10**9 would exhaust memory rather than probe the loader
 NODE_IDS = st.integers(min_value=-2, max_value=1000)
 GRAPH_FIELDS = st.fixed_dictionaries(
     {
@@ -158,6 +158,37 @@ def density(tmp_path):
     path = tmp_path / "rho.json"
     qio.save_matrix(path, np.diag([0.25, 0.75]).astype(complex), kind="density")
     return str(path)
+
+
+DAMPING = [np.diag([1.0, 0.6]), np.array([[0.0, 0.8], [0.0, 0.0]])]
+VALID_CHANNELS = {
+    "kraus": {"n": 2, "kraus": [qio.matrix_to_dict(k) for k in DAMPING]},
+    "operator": qio.operator_to_dict(from_kraus(DAMPING)),
+}
+# Kraus files may also take lists of matrix objects with drawn fields;
+# operator files draw their n, basis and matrix fields
+CHANNEL_FIELDS = _fields(
+    VALID_CHANNELS["kraus"],
+    kraus=st.lists(JSON_VALUES | _fields(VALID_CHANNELS["kraus"]["kraus"][1]).map(_kept), max_size=3),
+) | _fields(VALID_CHANNELS["operator"])
+
+
+@FUZZ
+@given(fields=CHANNEL_FIELDS, top=TOPS)
+def test_cesaro_operator_loader_exit_codes(tmp_path, density, fields, top):
+    path = _write(tmp_path / "op.json", fields, top, "n")
+    code = run(["chain-cesaro", "--operator", path, "--density", density, "--output", str(tmp_path / "out.json")])
+    assert code in (0, 2, 3)
+
+
+@pytest.mark.parametrize("form", sorted(VALID_CHANNELS))
+def test_valid_channel_exits_zero(tmp_path, density, form):
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(VALID_CHANNELS[form]))
+    argv = ["chain-cesaro", "--operator", str(path), "--density", density]
+    assert run([*argv, "--output", str(tmp_path / "out.json")]) == 0
+    entries = json.loads((tmp_path / "out.json").read_text())["average"]["entries"]
+    assert entries[0] == pytest.approx([1.0, 0.0])
 
 
 KRAUS_ENTRIES = {"a": qio.matrix_to_dict(np.diag([1.0, 0.0])), "b": qio.matrix_to_dict(np.diag([0.0, 1.0]))}

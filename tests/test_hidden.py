@@ -284,3 +284,56 @@ class TestDiagonalPovmBridge:
         povm = diagonal_povm(func)
         from_measurement = outcome_distribution(povm, np.diag(q).astype(complex))
         np.testing.assert_allclose(from_hidden.values, from_measurement.values, atol=1e-12)
+
+
+def _observe_loop(func, state):
+    """Former observe_distribution: one scale lookup and one addition per hidden state."""
+    values = np.zeros(len(func.scale))
+    for component, symbol in zip(state.values, func.values):
+        values[func.scale.index(symbol)] += component
+    return values
+
+
+def _diagonal_povm_loop(func):
+    """Former diagonal_povm: one diagonal per symbol, filled by comparing every value."""
+    n = len(func.space)
+    mats = []
+    for symbol in func.scale:
+        d = np.zeros(n, dtype=complex)
+        for i, v in enumerate(func.values):
+            if v == symbol:
+                d[i] = 1.0
+        mats.append(np.diag(d))
+    return mats
+
+
+def _random_function(rng, space, kind):
+    """An information function with an int, str or joint (tuple) scale; some symbols may go unused."""
+    n = len(space)
+    if kind == "joint":
+        parts = [_random_function(rng, space, str(k)) for k in rng.choice(["int", "str"], size=2)]
+        return joint(parts)
+    k = int(rng.integers(1, 6))
+    symbols = [int(s) for s in rng.permutation(10)[:k] - 3] if kind == "int" else [f"v{s}" for s in rng.permutation(k)]
+    values = tuple(symbols[i] for i in rng.integers(0, k, size=n))
+    return InformationFunction(space=space, scale=Scale(tuple(symbols)), values=values)
+
+
+class TestLabelReadout:
+    """observe_distribution and diagonal_povm against their former loops, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["int", "str", "joint"])
+    def test_matches_former_loops(self, kind):
+        rng = np.random.default_rng({"int": 861, "str": 862, "joint": 863}[kind])
+        for _ in range(70):
+            n = int(rng.integers(1, 12))
+            space = HiddenStateSpace(states=tuple(range(n)))
+            func = _random_function(rng, space, kind)
+            q = rng.standard_normal(n)
+            q[-1] = 1.0 - q[:-1].sum()
+            state = MarkovState(space=space, values=q)
+            np.testing.assert_array_equal(observe_distribution(func, state).values, _observe_loop(func, state))
+            kraus = diagonal_povm(func).kraus
+            assert len(kraus) == len(func.scale)
+            for got, expected in zip(kraus, _diagonal_povm_loop(func)):
+                np.testing.assert_array_equal(got, expected)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -155,3 +157,45 @@ class TestShiftUnitary:
         graph = DirectedGraph(node_count=3, edges=((0, 1), (0, 2), (1, 0), (2, 0)))
         with pytest.raises(ValueError, match="1-regular"):
             shift_unitary(graph)
+
+    def test_error_names_first_irregular_node(self):
+        # node 0 touches no edge; node 1 is the first with (in, out) degrees (0, 1)
+        graph = DirectedGraph(node_count=5, edges=((3, 4), (4, 3), (1, 2)))
+        with pytest.raises(ValueError, match=r"1-regular.*node 1 has \(in, out\) degrees \(0, 1\)"):
+            shift_unitary(graph)
+
+
+def _peak_bytes(fn):
+    """Result of fn() and the peak of traced memory while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestReadoutMemory:
+    """Node values are summed per edge source: memory stays near the size of the result."""
+
+    # 2 * 10**6 nodes, of which only 0, 1, 2 carry edges (a 3-cycle)
+    GRAPH = DirectedGraph(node_count=2 * 10**6, edges=THREE_CYCLE.edges)
+
+    def test_limiting_distribution_peak(self):
+        op = from_unitary(shift_unitary(self.GRAPH))
+        start = pure_state(np.eye(3)[0])
+        dist, peak = _peak_bytes(lambda: limiting_node_distribution(self.GRAPH, op, start))
+        np.testing.assert_allclose(dist[:3], np.full(3, 1 / 3), atol=1e-8)
+        assert peak <= 1.3 * dist.nbytes
+
+    def test_walk_step_peak(self):
+        op = from_unitary(shift_unitary(self.GRAPH))
+        start = pure_state(np.eye(3)[0])
+        trace, peak = _peak_bytes(lambda: walk(self.GRAPH, op, start, 1))
+        np.testing.assert_array_equal(trace.node_probabilities[:, :3], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        assert peak <= 1.3 * trace.node_probabilities.nbytes
+
+    def test_shift_unitary_sized_by_edges(self):
+        perm, peak = _peak_bytes(lambda: shift_unitary(self.GRAPH))
+        np.testing.assert_array_equal(perm, shift_unitary(THREE_CYCLE))
+        assert peak < 2**16
