@@ -31,7 +31,7 @@ from .oom import (
 )
 from .walk import limiting_node_distribution, walk
 
-__all__ = ["main", "run"]
+__all__ = ["run"]
 
 
 def _emit(args, text: str) -> None:
@@ -336,9 +336,5 @@ def run(argv=None) -> int:
     return 0
 
 
-def main(argv=None) -> int:
-    return run(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import MarkovChain, _coordinate_path, cesaro_average
-from .hermitian import CESARO_MAX_DOUBLINGS, CESARO_TOL, _require_same_dim
+from .chain import MarkovChain, _path_blocks, cesaro_average
+from .hermitian import CESARO_MAX_DOUBLINGS, CESARO_TOL, _require_same_dim, coords
 from .measurement import _diagonal_projectors
 from .operators import MarkovOperator
 
@@ -104,15 +104,22 @@ def walk(
 
     The operator may be any Markovian on H_|E|; it does not have to respect
     the graph structure.  When all iterates are nonnegative the node values
-    are genuine probabilities.
+    are genuine probabilities.  The iterates come in blocks from the path
+    kernel behind :func:`~qmarkov.chain.evolve` and are never held whole.
     """
     _require_same_dim(operator.n, graph.edge_count, "operator", "graph edges")
-    path = _coordinate_path(MarkovChain(operator=operator, start=start), steps)
+    chain = MarkovChain(operator=operator, start=start)
+    blocks = _path_blocks(operator.matrix, coords(chain.start), steps)
+    probabilities = np.zeros((steps + 1, graph.node_count))
+    sources = _endpoints(graph)[0]
+    t = 0
     # the first n coordinates of a Hermitian matrix are its diagonal entries;
     # each node sums the diagonal entries of its out-edges in edge order
-    probabilities = np.zeros((len(path), graph.node_count))
-    for e, u in enumerate(_endpoints(graph)[0]):
-        probabilities[:, u] += path[:, e]
+    for block in blocks:
+        rows = probabilities[t : t + len(block)]
+        for e, u in enumerate(sources):
+            rows[:, u] += block[:, e]
+        t += len(block)
     return WalkTrace(graph=graph, node_probabilities=probabilities)
 
 

@@ -51,7 +51,7 @@ from qmarkov import (
     walk,
     word_probability,
 )
-from qmarkov.cli import main
+from qmarkov.cli import run
 from qmarkov.walk import DirectedGraph
 
 
@@ -74,10 +74,10 @@ def criterion(label):
 
 @criterion("criterion 1: five-state Bell violation via the CLI, under 10 ms")
 def test_criterion_01_bell_five_state(capsys):
-    main(["bell", "--builtin", "five-state"])  # warm-up
+    run(["bell", "--builtin", "five-state"])  # warm-up
     capsys.readouterr()
     start = time.perf_counter()
-    code = main(["bell", "--builtin", "five-state"])
+    code = run(["bell", "--builtin", "five-state"])
     elapsed = time.perf_counter() - start
     out = json.loads(capsys.readouterr().out)
     assert code == 0
@@ -96,12 +96,12 @@ def test_criterion_02_feynman_point(capsys):
     expected = np.array([5 / 8, 1 / 8, 3 / 8, -1 / 8])
     assert np.abs(state.values - expected).max() <= 1e-12
 
-    code = main(["feynman", "--sx", "0.5", "--sy", "0.5", "--sz", "0.5"])
+    code = run(["feynman", "--sx", "0.5", "--sy", "0.5", "--sz", "0.5"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert np.abs(np.array(out["q"]) - expected).max() <= 1e-12
 
-    code = main(["feynman", "--sx", "0.3", "--sy", "0.1", "--sz", "0.5"])
+    code = run(["feynman", "--sx", "0.3", "--sy", "0.1", "--sz", "0.5"])
     err = capsys.readouterr().err
     assert code == 2
     assert "1.2" in err

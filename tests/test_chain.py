@@ -25,6 +25,7 @@ from qmarkov import (
     random_quantum_density,
     unitary_vector_average,
 )
+from qmarkov import chain as qchain
 
 
 def off_diagonal_amplifier(factor: float) -> MarkovOperator:
@@ -331,3 +332,55 @@ class TestChainValidation:
     def test_trace_checked(self):
         with pytest.raises(ValueError, match="trace 1"):
             MarkovChain(operator=identity_operator(2), start=np.eye(2))
+
+
+def _step_loop(k: np.ndarray, c: np.ndarray, steps: int) -> np.ndarray:
+    """Coordinates of K^t c for t = 0..steps, one mat-vec per step."""
+    rows = [c]
+    for _ in range(steps):
+        c = k @ c
+        rows.append(c)
+    return np.array(rows)
+
+
+class TestPathBlocks:
+    """The path kernel steps until steps > n^2 and steps >= PATH_BLOCK, then multiplies blocks."""
+
+    @pytest.mark.parametrize("block", [2, 4, 8])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_step_loop(self, monkeypatch, block, n):
+        monkeypatch.setattr(qchain, "PATH_BLOCK", block)
+        rng = np.random.default_rng([80, n, block])
+        op = from_kraus(random_kraus_family(rng, n, 2))
+        q = random_quantum_density(n, rng)
+        for steps in (n * n, n * n + 1, 3 * block + 5):
+            expected = _step_loop(op.matrix, coords(q), steps)
+            blocks = [b.copy() for b in qchain._path_blocks(op.matrix, coords(q), steps)]
+            assert all(1 <= len(b) <= block for b in blocks)
+            path = np.concatenate(blocks)
+            densities = evolve(MarkovChain(operator=op, start=q), steps)
+            assert path.shape == (steps + 1, n * n)
+            assert densities.shape == (steps + 1, n, n)
+            np.testing.assert_array_equal(path[:block], expected[:block])
+            if steps > n * n and steps >= block:
+                np.testing.assert_allclose(path, expected, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(densities, from_coords(expected), rtol=0, atol=1e-12)
+                np.testing.assert_array_equal(densities[1:], from_coords(path[1:]))
+            else:
+                np.testing.assert_array_equal(path, expected)
+                np.testing.assert_array_equal(densities[1:], from_coords(expected[1:]))
+
+    def test_rejects_negative_steps(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            evolve(MarkovChain(operator=identity_operator(2), start=np.eye(2) / 2), -3)
+
+    def test_probe_reads_squared_norms_of_the_path(self):
+        # horizon 60 > n^2 = 4 and >= PATH_BLOCK: the probe reads blocked rows
+        chain = MarkovChain(
+            operator=off_diagonal_amplifier(1.1),
+            start=pure_state(np.array([1.0, 1.0]) / np.sqrt(2)),
+        )
+        values = (_step_loop(chain.operator.matrix, coords(chain.start), 60) ** 2).sum(axis=1)
+        report = boundedness_probe(chain, horizon=60, bound=10.0)
+        assert report.max_value == pytest.approx(values.max(), rel=1e-12)
+        assert report.first_exceeded == int(np.flatnonzero(values > 10.0)[0])

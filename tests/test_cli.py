@@ -19,7 +19,7 @@ from qmarkov import (
 )
 from qmarkov import io as qio
 from qmarkov.hermitian import coords
-from qmarkov.cli import main
+from qmarkov.cli import run
 
 
 @pytest.fixture
@@ -77,7 +77,7 @@ def files(tmp_path):
 
 class TestBell:
     def test_builtin_five_state(self, capsys):
-        assert main(["bell", "--builtin", "five-state"]) == 0
+        assert run(["bell", "--builtin", "five-state"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["lhs"] == pytest.approx(4 / 3, abs=1e-12)
         assert out["rhs"] == pytest.approx(0.0, abs=1e-12)
@@ -103,7 +103,7 @@ class TestBell:
                 }
             )
         )
-        assert main(["bell", "--table", str(table)]) == 0
+        assert run(["bell", "--table", str(table)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["satisfied"] is False
 
@@ -112,19 +112,19 @@ class TestBell:
         table.write_text(
             json.dumps({"states": ["a"], "functions": {"X": [1]}, "q": [1.0]})
         )
-        assert main(["bell", "--table", str(table)]) == 2
+        assert run(["bell", "--table", str(table)]) == 2
         assert "X, Y and Z" in capsys.readouterr().err
 
 
 class TestFeynman:
     def test_worked_point(self, capsys):
-        assert main(["feynman", "--sx", "0.5", "--sy", "0.5", "--sz", "0.5"]) == 0
+        assert run(["feynman", "--sx", "0.5", "--sy", "0.5", "--sz", "0.5"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["q"] == [0.625, 0.125, 0.375, -0.125]
         assert out["states"] == ["++", "+-", "-+", "--"]
 
     def test_invalid_point_exit_code(self, capsys):
-        assert main(["feynman", "--sx", "0.3", "--sy", "0.1", "--sz", "0.5"]) == 2
+        assert run(["feynman", "--sx", "0.3", "--sy", "0.1", "--sz", "0.5"]) == 2
         err = capsys.readouterr().err
         assert "1.2" in err
 
@@ -132,7 +132,7 @@ class TestFeynman:
 class TestChainCommands:
     def test_cesaro_identity(self, files, capsys):
         assert (
-            main(
+            run(
                 [
                     "chain-cesaro",
                     "--operator",
@@ -152,7 +152,7 @@ class TestChainCommands:
 
     def test_evolve_csv(self, files, capsys):
         assert (
-            main(
+            run(
                 [
                     "chain-evolve",
                     "--operator",
@@ -179,7 +179,7 @@ class TestChainCommands:
         from qmarkov import from_stochastic
 
         qio.save_operator(bad, from_stochastic(np.array([[2.0, 1.0], [-1.0, 0.0]])))
-        code = main(
+        code = run(
             [
                 "chain-cesaro",
                 "--operator",
@@ -197,7 +197,7 @@ class TestChainCommands:
 class TestWalkCommand:
     def test_trace_rows_sum_to_one(self, files, capsys):
         assert (
-            main(
+            run(
                 [
                     "walk",
                     "--graph",
@@ -223,7 +223,7 @@ class TestWalkCommand:
 
     def test_limiting_distribution(self, files, capsys):
         assert (
-            main(
+            run(
                 [
                     "walk",
                     "--graph",
@@ -246,7 +246,7 @@ class TestWalkCommand:
 class TestMeasureCommand:
     def test_csv_output(self, files, capsys):
         assert (
-            main(
+            run(
                 [
                     "measure",
                     "--measurement",
@@ -265,7 +265,7 @@ class TestMeasureCommand:
 
     def test_json_word_depth(self, files, capsys):
         assert (
-            main(
+            run(
                 [
                     "measure",
                     "--measurement",
@@ -289,14 +289,14 @@ class TestMeasureCommand:
     def test_kraus_n_checked_against_matrices(self, files, capsys):
         bad = files["tmp"] / "zmeas_n3.json"
         bad.write_text(json.dumps({**json.loads(files["zmeas"].read_text()), "n": 3}))
-        assert main(["measure", "--measurement", str(bad), "--density", str(files["density"])]) == 2
+        assert run(["measure", "--measurement", str(bad), "--density", str(files["density"])]) == 2
         assert "kraus['0'] has shape (2, 2), expected (3, 3)" in capsys.readouterr().err
 
 
 class TestOomCommands:
     def test_prob(self, files, capsys):
         assert (
-            main(["oom-prob", "--oom", str(files["oom"]), "--word", "ab", "--word", "a"]) == 0
+            run(["oom-prob", "--oom", str(files["oom"]), "--word", "ab", "--word", "a"]) == 0
         )
         lines = capsys.readouterr().out.strip().splitlines()
         values = dict(l.split(",") for l in lines[1:])
@@ -304,22 +304,22 @@ class TestOomCommands:
         assert float(values["a"]) == pytest.approx(0.5)
 
     def test_prob_unknown_symbol(self, files, capsys):
-        assert main(["oom-prob", "--oom", str(files["oom"]), "--word", "xy"]) == 2
+        assert run(["oom-prob", "--oom", str(files["oom"]), "--word", "xy"]) == 2
         assert "unknown symbol" in capsys.readouterr().err
 
     def test_rank(self, files, capsys):
-        assert main(["oom-rank", "--oom", str(files["oom"]), "--max-length", "3"]) == 0
+        assert run(["oom-rank", "--oom", str(files["oom"]), "--max-length", "3"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["rank"] == 1
 
     def test_lift(self, files, capsys):
-        assert main(["oom-lift", "--oom", str(files["oom"])]) == 0
+        assert run(["oom-lift", "--oom", str(files["oom"])]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["states"] == [["a", 0], ["a", 1], ["b", 0], ["b", 1]]
         assert out["pi"] == [0.25, 0.25, 0.25, 0.25]
 
     def test_entropy(self, files, capsys):
-        assert main(["oom-entropy", "--oom", str(files["oom"]), "--t-max", "3"]) == 0
+        assert run(["oom-entropy", "--oom", str(files["oom"]), "--t-max", "3"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "t,entropy_per_symbol,entropy_increment"
         for line in lines[1:]:
@@ -332,14 +332,14 @@ class TestCliContract:
     def test_malformed_file_exit_two(self, files, capsys):
         bad = files["tmp"] / "broken.json"
         bad.write_text("{oops")
-        code = main(
+        code = run(
             ["chain-cesaro", "--operator", str(bad), "--density", str(files["density"])]
         )
         assert code == 2
         assert "malformed JSON" in capsys.readouterr().err
 
     def test_missing_file_exit_two(self, files, capsys):
-        code = main(
+        code = run(
             [
                 "chain-cesaro",
                 "--operator",
@@ -357,7 +357,7 @@ class TestCliContract:
                 {"n": 2, "kraus": [qio.matrix_to_dict(np.diag([1.0, 0.999]).astype(complex))]}
             )
         )
-        code = main(
+        code = run(
             ["chain-cesaro", "--operator", str(bad), "--density", str(files["density"])]
         )
         assert code == 2
@@ -372,7 +372,7 @@ class TestCliContract:
         bad = files["tmp"] / "bad_kraus_list.json"
         for payload, message in cases:
             bad.write_text(json.dumps(payload))
-            code = main(
+            code = run(
                 ["chain-cesaro", "--operator", str(bad), "--density", str(files["density"])]
             )
             assert code == 2
@@ -391,11 +391,11 @@ class TestCliContract:
         bad = files["tmp"] / "bad_model.json"
         for payload, argv, message in cases:
             bad.write_text(json.dumps(payload))
-            assert main([*argv, str(bad)]) == 2
+            assert run([*argv, str(bad)]) == 2
             assert message in capsys.readouterr().err
 
     def test_dimension_mismatch_exit_two(self, files, capsys):
-        code = main(
+        code = run(
             [
                 "walk",
                 "--graph",
@@ -415,7 +415,7 @@ class TestCliContract:
         bad = files["tmp"] / "bad_graph.json"
         bad.write_text('{"nodes": 3, edges: []}')
         argv = ["walk", "--graph", str(bad), "--operator", str(files["shift"]), "--density", str(files["edge0"])]
-        assert main([*argv, "--steps", "1"]) == 2
+        assert run([*argv, "--steps", "1"]) == 2
         assert f"{bad}: malformed JSON (Expecting property name" in capsys.readouterr().err
 
     def test_input_too_large_exit_two(self, files, capsys):
@@ -425,11 +425,11 @@ class TestCliContract:
         huge.write_text(json.dumps({"nodes": 10**17, "edges": [[0, 1], [1, 2], [2, 0]]}))
         argv = ["walk", "--graph", str(huge), "--operator", str(files["shift"]), "--density", str(files["edge0"])]
         for mode in (["--steps", "1"], ["--limiting"]):
-            assert main([*argv, *mode]) == 2
+            assert run([*argv, *mode]) == 2
             assert "qmarkov: input too large: Unable to allocate" in capsys.readouterr().err
         # 10**30 nodes overflow numpy's index type before any allocation
         huge.write_text(json.dumps({"nodes": 10**30, "edges": [[0, 1], [1, 2], [2, 0]]}))
-        assert main([*argv, "--limiting"]) == 2
+        assert run([*argv, "--limiting"]) == 2
         assert "qmarkov: input too large: Python int too large" in capsys.readouterr().err
 
     def test_deterministic_output(self, files, capsys):
@@ -444,16 +444,16 @@ class TestCliContract:
             "--density",
             str(files["density"]),
         ]
-        assert main(argv) == 0
+        assert run(argv) == 0
         first = capsys.readouterr().out
-        assert main(argv) == 0
+        assert run(argv) == 0
         second = capsys.readouterr().out
         assert first == second
 
     def test_output_file(self, files):
         out_path = files["tmp"] / "result.json"
         assert (
-            main(
+            run(
                 [
                     "bell",
                     "--builtin",
@@ -469,7 +469,7 @@ class TestCliContract:
 
     def test_distribution_rows_sum_to_one(self, files, capsys):
         assert (
-            main(
+            run(
                 [
                     "measure",
                     "--measurement",
@@ -570,7 +570,7 @@ class TestOutputBytes:
             "walk": ["--graph", str(paths["graph"]), *chain_args],
             "measure": ["--measurement", str(paths["meas"]), "--density", str(paths["rho"]), "--steps", "3"],
         }[command]
-        assert main([command, *args, "--format", fmt]) == 0
+        assert run([command, *args, "--format", fmt]) == 0
         want = expected[f"{command}-{fmt}"]
         if fmt == "json":
             want = json.dumps(want, indent=2) + "\n"

@@ -3,19 +3,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_unitary
+from conftest import random_kraus_family, random_unitary
 from qmarkov import (
     DirectedGraph,
     MarkovChain,
     evolve,
+    from_kraus,
     from_unitary,
     identity_operator,
     limiting_node_distribution,
     node_povm,
     pure_state,
+    random_quantum_density,
     shift_unitary,
     walk,
 )
+from qmarkov import chain as qchain
 
 THREE_CYCLE = DirectedGraph(node_count=3, edges=((0, 1), (1, 2), (2, 0)))
 
@@ -199,3 +202,35 @@ class TestReadoutMemory:
         perm, peak = _peak_bytes(lambda: shift_unitary(self.GRAPH))
         np.testing.assert_array_equal(perm, shift_unitary(THREE_CYCLE))
         assert peak < 2**16
+
+
+class TestBlockedWalk:
+    """Long walks read node values block by block off the path kernel."""
+
+    # node 0 has two out-edges, so each of its values is one exact sum of two
+    GRAPH = DirectedGraph(node_count=3, edges=((0, 1), (1, 2), (2, 0), (0, 2)))
+
+    @pytest.mark.parametrize("block", [2, 4, 8, 32])
+    def test_node_values_equal_evolved_diagonals(self, monkeypatch, block):
+        monkeypatch.setattr(qchain, "PATH_BLOCK", block)
+        rng = np.random.default_rng(90 + block)
+        op = from_kraus(random_kraus_family(rng, 4, 2))
+        start = random_quantum_density(4, rng)
+        steps = 3 * block + 21  # longer than n^2 = 16 and than one block
+        trace = walk(self.GRAPH, op, start, steps)
+        diags = np.diagonal(evolve(MarkovChain(operator=op, start=start), steps), axis1=1, axis2=2).real
+        expected = np.stack([diags[:, 0] + diags[:, 3], diags[:, 1], diags[:, 2]], axis=1)
+        np.testing.assert_array_equal(trace.node_probabilities, expected)
+
+    def test_memory_below_half_the_path(self):
+        # 16 edges on 4 nodes (every ordered pair); the path would hold
+        # (steps + 1) * 256 coordinates
+        graph = DirectedGraph(node_count=4, edges=tuple((u, v) for u in range(4) for v in range(4)))
+        rng = np.random.default_rng(91)
+        op = from_kraus(random_kraus_family(rng, 16, 2))
+        start = random_quantum_density(16, rng)
+        steps = 4000
+        trace, peak = _peak_bytes(lambda: walk(graph, op, start, steps))
+        assert trace.node_probabilities.shape == (steps + 1, 4)
+        np.testing.assert_allclose(trace.node_probabilities.sum(axis=1), 1.0, atol=1e-10)
+        assert peak < (steps + 1) * 16**2 * 8 / 2
