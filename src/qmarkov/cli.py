@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from itertools import chain
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from . import io as qio
 from .chain import ConvergenceError, MarkovChain, cesaro_average, evolve
 from .hermitian import BELL_TOL, CESARO_MAX_DOUBLINGS, CESARO_TOL, RANK_TOL, SIGN_TOL, coords
 from .hidden import bell_check, feynman_state, five_state_example
-from .measurement import word_distribution
+from .measurement import _word_values
 from .oom import (
     entropy_rate,
     lift_hidden_states,
@@ -75,33 +75,25 @@ def _parse_word(scale, text: str) -> tuple:
     return tuple(word)
 
 
-def _words(symbols, steps: int, empty):
-    """The words of length ``steps`` in product order, one symbol appended per level."""
-    words = [empty]
-    for _ in range(steps):
-        words = [w + s for w in words for s in symbols]
-    return words
-
-
 def _cmd_measure(args) -> None:
     meas = qio.load_measurement(args.measurement)
     density = qio.load_density(args.density)
-    dist = word_distribution(meas, density, args.steps)
+    values = np.concatenate(list(_word_values(meas, density, args.steps, None)))
     symbols = [str(s) for s in meas.scale]
+    words = product(symbols, repeat=args.steps)
     if args.format == "json":
-        words = _words([[s] for s in symbols], args.steps, [])
         payload = {
             "steps": args.steps,
             "scale": symbols,
-            "observable": bool(min(dist.values()) >= -args.tol),
+            "observable": bool(values.min() >= -args.tol),
             "distribution": [
-                {"word": w, "probability": p} for w, p in zip(words, dist.values())
+                {"word": list(w), "probability": p} for w, p in zip(words, values.tolist())
             ],
         }
         _emit_json(args, payload)
     else:
-        texts = _words(symbols, args.steps, "")
-        _emit_csv(args, "word,probability", map("%s,%.17g".__mod__, zip(texts, dist.values())))
+        texts = map("".join, words)
+        _emit_csv(args, "word,probability", map("%s,%.17g".__mod__, zip(texts, values.tolist())))
 
 
 def _cmd_chain_evolve(args) -> None:

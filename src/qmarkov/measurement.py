@@ -207,9 +207,6 @@ class MarkovMeasurement:
 
     def __post_init__(self) -> None:
         ops = _symbol_matrices(self.scale, self.operators, "operator", float)
-        m = ops[0].shape[0]
-        if int(round(np.sqrt(m))) ** 2 != m:
-            raise ValueError(f"operators must be square of size n^2, got {ops[0].shape}")
         _require_trace_preserving(sum(ops), "symbol sum is not a Markov operator")
         object.__setattr__(self, "operators", ops)
 
@@ -334,10 +331,11 @@ def word_operator(meas, word: Sequence) -> np.ndarray:
     return out
 
 
-def _word_values(meas: MarkovMeasurement, density: np.ndarray, t: int, cap: int | None) -> Iterator[np.ndarray]:
+def _word_values(meas, density: np.ndarray, t: int, cap: int | None) -> Iterator[np.ndarray]:
     """Values tr(mu_w(Q)) for all words of length t, in product order, in blocks.
 
-    Checks the arguments and the word cap before it returns.  Prefix states
+    Takes a Kraus or a Markov measurement, and checks the arguments and the
+    word cap before it converts a Kraus one or returns.  Prefix states
     start at the coordinates of the density and suffix covectors at the
     trace functional (the sum of the first n coordinates); the blocks come
     from :func:`_word_blocks`, so the levels built hold O(|scale|^ceil(t/2))
@@ -348,6 +346,7 @@ def _word_values(meas: MarkovMeasurement, density: np.ndarray, t: int, cap: int 
     density = require_markov_density(density)
     _require_same_dim(meas.n, density.shape[0], "measurement", "density")
     _check_word_count(len(meas.scale) ** t, cap)
+    meas = _as_markov(meas)
     trace = np.zeros(meas.operators[0].shape[0])
     trace[: meas.n] = 1.0
     xs, ys = _split_levels(meas.operators, coords(density), trace, t)
@@ -356,7 +355,6 @@ def _word_values(meas: MarkovMeasurement, density: np.ndarray, t: int, cap: int 
 
 def word_distribution(meas, density: np.ndarray, t: int, cap: int | None = None) -> dict[tuple, float]:
     """Map from each word of length t to tr(mu_w(Q)); values sum to 1."""
-    meas = _as_markov(meas)
     values = np.concatenate(list(_word_values(meas, density, t, cap)))
     return dict(zip(iter_words(meas.scale, t), values.tolist()))
 
@@ -372,5 +370,4 @@ def is_t_observable(
 
     Stops at the first block of word values that holds one below -tol.
     """
-    meas = _as_markov(meas)
     return all(block.min() >= -tol for block in _word_values(meas, density, t, cap))

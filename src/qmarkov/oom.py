@@ -155,16 +155,6 @@ def _levels(model: ObservableOperatorModel, depth: int):
     return _split_levels(model.operators, model.pi, np.ones(model.dim), depth)
 
 
-def _decode_word(model: ObservableOperatorModel, index: int, length: int) -> tuple:
-    symbols = model.scale.symbols
-    base = len(symbols)
-    out = []
-    for _ in range(length):
-        out.append(symbols[index % base])
-        index //= base
-    return tuple(reversed(out))
-
-
 def validate(
     model: ObservableOperatorModel,
     horizon: int,
@@ -196,7 +186,8 @@ def validate(
             idx = int(np.argmin(block))
             if block[idx] < min_p:
                 min_p = float(block[idx])
-                min_word = _decode_word(model, offset + idx, length)
+                digits = np.unravel_index(offset + idx, (len(model.scale),) * length)
+                min_word = tuple(model.scale.symbols[i] for i in digits)
             offset += len(block)
     return OomValidationReport(
         horizon=horizon,

@@ -178,10 +178,9 @@ def from_stochastic(m: np.ndarray) -> MarkovOperator:
     traceless) and positivity preserving whenever M is entrywise nonnegative.
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"stochastic matrix must be square, got shape {m.shape}")
+    matrix = diagonal_superop(m)
     _require_column_sums(m, "column sums must equal 1")
-    return MarkovOperator(n=m.shape[0], matrix=diagonal_superop(m))
+    return MarkovOperator(n=m.shape[0], matrix=matrix)
 
 
 def apply(op: MarkovOperator, q: np.ndarray) -> np.ndarray:
@@ -201,15 +200,7 @@ def power(op: MarkovOperator, t: int) -> MarkovOperator:
     """t-fold composition via repeated squaring; power(op, 0) is the identity."""
     if t != int(t) or t < 0:
         raise ValueError(f"exponent must be a nonnegative integer, got {t!r}")
-    t = int(t)
-    result = np.eye(op.n * op.n)
-    base = np.asarray(op.matrix)
-    while t > 0:
-        if t & 1:
-            result = base @ result
-        base = base @ base
-        t >>= 1
-    return MarkovOperator(n=op.n, matrix=result)
+    return MarkovOperator(n=op.n, matrix=np.linalg.matrix_power(op.matrix, int(t)))
 
 
 def is_trace_preserving(op, tol: float = EQUALITY_TOL) -> bool:

@@ -496,6 +496,19 @@ def _g17(x):
     return f"{float(x):.17g}"
 
 
+def _measure_expected(dist, symbols, steps):
+    """Expected ``measure`` CSV text and JSON payload, one word of ``dist`` at a time."""
+    return {
+        "csv": _old_csv("word,probability", [("".join(str(s) for s in w), _g17(p)) for w, p in dist.items()]),
+        "json": {
+            "steps": steps,
+            "scale": [str(s) for s in symbols],
+            "observable": True,
+            "distribution": [{"word": [str(s) for s in w], "probability": p} for w, p in dist.items()],
+        },
+    }
+
+
 class TestOutputBytes:
     """CSV and JSON bytes of the table commands equal the per-value formatting they replaced."""
 
@@ -523,7 +536,8 @@ class TestOutputBytes:
         graph = qio.load_graph(paths["graph"])
         densities = evolve(MarkovChain(operator=op, start=rho), 5)
         probabilities = walk(graph, op, rho, 5).node_probabilities
-        dist = word_distribution(KrausMeasurement(scale=Scale(tuple(symbols)), kraus=tuple(kraus)), rho, 3)
+        meas = KrausMeasurement(scale=Scale(tuple(symbols)), kraus=tuple(kraus))
+        measure = {t: _measure_expected(word_distribution(meas, rho, t), symbols, t) for t in (0, 1, 3)}
         expected = {
             "chain-evolve-csv": _old_csv(
                 "t,coordinate_index,value",
@@ -548,15 +562,9 @@ class TestOutputBytes:
             "walk-json": [
                 {"t": t, "probabilities": [float(p) for p in probs]} for t, probs in enumerate(probabilities)
             ],
-            "measure-csv": _old_csv(
-                "word,probability", [("".join(str(s) for s in w), _g17(p)) for w, p in dist.items()]
-            ),
-            "measure-json": {
-                "steps": 3,
-                "scale": [str(s) for s in symbols],
-                "observable": True,
-                "distribution": [{"word": [str(s) for s in w], "probability": p} for w, p in dist.items()],
-            },
+            "measure-csv": measure[3]["csv"],
+            "measure-json": measure[3]["json"],
+            "measure-by-steps": measure,
         }
         return paths, expected
 
@@ -572,6 +580,18 @@ class TestOutputBytes:
         }[command]
         assert run([command, *args, "--format", fmt]) == 0
         want = expected[f"{command}-{fmt}"]
+        if fmt == "json":
+            want = json.dumps(want, indent=2) + "\n"
+        assert capsys.readouterr().out == want
+
+    # the empty word prints as "" in CSV and [] in JSON
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_measure_bytes_at_short_lengths(self, inputs, capsys, steps, fmt):
+        paths, expected = inputs
+        args = ["--measurement", str(paths["meas"]), "--density", str(paths["rho"]), "--steps", str(steps)]
+        assert run(["measure", *args, "--format", fmt]) == 0
+        want = expected["measure-by-steps"][steps][fmt]
         if fmt == "json":
             want = json.dumps(want, indent=2) + "\n"
         assert capsys.readouterr().out == want

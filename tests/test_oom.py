@@ -137,6 +137,31 @@ class TestWordBlocks:
         assert is_t_observable(meas, density, 4)
         assert not is_t_observable(meas, density, 5)
 
+    # blocks of 4 and 7 values put the minimum past the first block, so the
+    # word is decoded from a block offset
+    @pytest.mark.parametrize("block", [4, 7])
+    @pytest.mark.parametrize("symbols", [("a", "b"), ("a", "b", "c")])
+    def test_validate_matches_bruteforce_scan(self, monkeypatch, block, symbols):
+        monkeypatch.setattr(qmeasurement, "WORD_BLOCK", block)
+        tol = 1e-12
+        for seed in range(3):
+            model = random_oom(np.random.default_rng([190, seed, len(symbols)]), 3, symbols)
+            words = [(), *itertools.chain.from_iterable(iter_words(model.scale, t) for t in range(1, 7))]
+            probs = np.array([word_probability(model, w) for w in words])
+            for horizon in range(1, 7):
+                # words of lengths 1..horizon, by length and then product order;
+                # the empty word stands for the scan's starting minimum 1.0
+                scanned = sum(len(symbols) ** t for t in range(horizon + 1))
+                p = np.concatenate([[1.0], probs[1:scanned]])
+                report = validate(model, horizon, tol=tol)
+                i = int(np.argmin(p))
+                assert report.min_probability == pytest.approx(p[i], abs=1e-12)
+                if np.partition(p, 1)[1] - p[i] > 1e-12:
+                    assert report.min_word == words[i]
+                # values within rounding of -tol may fall on either side
+                sure, near = np.count_nonzero(p < -tol - 1e-12), np.count_nonzero(abs(p + tol) <= 1e-12)
+                assert sure <= report.negative_words <= sure + near
+
 
 class TestConditional:
     def test_empty_condition(self):
