@@ -97,21 +97,24 @@ class BoundednessReport:
 def evolve(chain: MarkovChain, steps: int) -> np.ndarray:
     """Densities mu^t(P) for t = 0..steps, stacked along the first axis.
 
-    The coordinates come from the block kernel :func:`_path_blocks`: for
-    steps > n^2 (and at least PATH_BLOCK) all rows past the first block are
-    blocked products and differ from a plain step loop in the last digits.
-    All densities but the start are then built by one batched
-    :func:`from_coords` call.
+    The densities come in blocks from :func:`_density_blocks`: for steps >
+    n^2 (and at least PATH_BLOCK) all rows past the first block are blocked
+    products and differ from a plain step loop in the last digits.
+    """
+    return np.concatenate(list(_density_blocks(chain, steps)))
+
+
+def _density_blocks(chain: MarkovChain, steps: int) -> Iterator[np.ndarray]:
+    """Densities mu^t(P) for t = 0..steps in the blocks of :func:`_path_blocks`.
+
+    Each block is one batched :func:`from_coords` call, except that row 0
+    is the start density itself rather than its coordinates' round trip.
     """
     blocks = _path_blocks(chain.operator.matrix, coords(chain.start), steps)
-    path = np.empty((steps + 1, chain.operator.n ** 2))
-    t = 0
-    for block in blocks:
-        path[t : t + len(block)] = block
-        t += len(block)
-    densities = from_coords(path)
-    densities[0] = chain.start
-    return densities
+    first = from_coords(next(blocks))
+    first[0] = chain.start
+    yield first
+    yield from map(from_coords, blocks)
 
 
 def _path_blocks(k: np.ndarray, c0: np.ndarray, steps: int) -> Iterator[np.ndarray]:

@@ -13,13 +13,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from itertools import chain, product
-from pathlib import Path
-
-import numpy as np
+from contextlib import nullcontext
+from itertools import chain, islice, product
 
 from . import io as qio
-from .chain import ConvergenceError, MarkovChain, cesaro_average, evolve
+from .chain import ConvergenceError, MarkovChain, _density_blocks, _path_blocks, cesaro_average
 from .hermitian import BELL_TOL, CESARO_MAX_DOUBLINGS, CESARO_TOL, RANK_TOL, SIGN_TOL, coords
 from .hidden import bell_check, feynman_state, five_state_example
 from .measurement import _word_values
@@ -34,26 +32,45 @@ from .walk import limiting_node_distribution, walk
 __all__ = ["run"]
 
 
-def _emit(args, text: str) -> None:
-    if getattr(args, "output", None):
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _emit(args, chunks) -> None:
+    """Write text chunks to ``--output`` or stdout as they are made.
+
+    The file is opened once the first chunk exists, so an error raised
+    before it creates no file; one raised later leaves the chunks written.
+    """
+    chunks = iter(chunks)
+    first = next(chunks)
+    with open(args.output, "w") if args.output else nullcontext(sys.stdout) as out:
+        out.write(first)
+        out.writelines(chunks)
 
 
-def _emit_json(args, payload) -> None:
-    _emit(args, qio._json_text(payload) + "\n")
+def _json(payload):
+    """JSON chunks of ``payload`` (see :func:`qio._json_chunks`) and the final newline."""
+    return chain(qio._json_chunks(payload), ("\n",))
 
 
-def _emit_csv(args, header: str, lines) -> None:
-    """Write a header and the row lines; floats in rows are ``%.17g`` text."""
-    _emit(args, "\n".join(chain((header,), lines)) + "\n")
+def _csv(header: str, blocks):
+    """CSV chunks: the header line, then each block of row lines and its closing newline."""
+    yield header + "\n"
+    for lines in blocks:
+        yield "\n".join(lines)
+        yield "\n"
 
 
-def _step_lines(values: np.ndarray):
-    """Lines "t,k,value" of a (steps+1, m) array, one row template per step."""
-    return chain.from_iterable(
-        map(f"{t},%d,%.17g".__mod__, enumerate(row)) for t, row in enumerate(values.tolist())
+def _numbered(blocks):
+    """The rows of consecutive blocks of a path as (t, row) pairs, one iterator per block."""
+    t = 0
+    for block in blocks:
+        yield enumerate(block, t)
+        t += len(block)
+
+
+def _step_lines(blocks):
+    """Lines "t,k,value" of the (rows, m) blocks of a step table, one iterable per block."""
+    return (
+        chain.from_iterable(map(f"{t},%d,%.17g".__mod__, enumerate(row)) for t, row in rows)
+        for rows in _numbered(block.tolist() for block in blocks)
     )
 
 
@@ -67,49 +84,47 @@ def _parse_word(scale, text: str) -> tuple:
         parts = list(text)
     else:
         parts = [text]
-    word = []
     for p in parts:
-        if p not in scale:
-            raise ValueError(f"unknown symbol {p!r}, scale is {scale.symbols!r}")
-        word.append(p)
-    return tuple(word)
+        scale.index(p)  # raises on an unknown symbol
+    return tuple(parts)
 
 
 def _cmd_measure(args) -> None:
     meas = qio.load_measurement(args.measurement)
     density = qio.load_density(args.density)
-    values = np.concatenate(list(_word_values(meas, density, args.steps, None)))
+    blocks = list(_word_values(meas, density, args.steps))
     symbols = [str(s) for s in meas.scale]
     words = product(symbols, repeat=args.steps)
     if args.format == "json":
         payload = {
             "steps": args.steps,
             "scale": symbols,
-            "observable": bool(values.min() >= -args.tol),
-            "distribution": [
-                {"word": list(w), "probability": p} for w, p in zip(words, values.tolist())
-            ],
+            "observable": all(b.min() >= -args.tol for b in blocks),
+            "distribution": (
+                [{"word": list(w), "probability": p} for w, p in zip(islice(words, len(b)), b.tolist())]
+                for b in blocks
+            ),
         }
-        _emit_json(args, payload)
+        _emit(args, _json(payload))
     else:
         texts = map("".join, words)
-        _emit_csv(args, "word,probability", map("%s,%.17g".__mod__, zip(texts, values.tolist())))
+        lines = (map("%s,%.17g".__mod__, zip(islice(texts, len(b)), b.tolist())) for b in blocks)
+        _emit(args, _csv("word,probability", lines))
 
 
 def _cmd_chain_evolve(args) -> None:
     operator = qio.load_channel(args.operator)
     density = qio.load_density(args.density)
-    densities = evolve(MarkovChain(operator=operator, start=density), args.steps)
+    markov_chain = MarkovChain(operator=operator, start=density)
     if args.format == "json":
-        payload = [
-            {"t": t, "matrix": qio.matrix_to_dict(d, kind="hermitian")}
-            for t, d in enumerate(densities)
-        ]
-        _emit_json(args, payload)
+        densities = _numbered(_density_blocks(markov_chain, args.steps))
+        items = (
+            [{"t": t, "matrix": qio.matrix_to_dict(d, kind="hermitian")} for t, d in rows] for rows in densities
+        )
+        _emit(args, _json(items))
     else:
-        path = coords(densities)
-        del densities  # the CSV rows need only the coordinates
-        _emit_csv(args, "t,coordinate_index,value", _step_lines(path))
+        blocks = _path_blocks(operator.matrix, coords(markov_chain.start), args.steps)
+        _emit(args, _csv("t,coordinate_index,value", _step_lines(blocks)))
 
 
 def _cmd_chain_cesaro(args) -> None:
@@ -125,7 +140,7 @@ def _cmd_chain_cesaro(args) -> None:
         "iterations": result.iterations,
         "residual": result.residual,
     }
-    _emit_json(args, payload)
+    _emit(args, _json(payload))
 
 
 def _cmd_walk(args) -> None:
@@ -135,9 +150,9 @@ def _cmd_walk(args) -> None:
     if args.limiting:
         dist = limiting_node_distribution(graph, operator, density, tol=args.tol)
         if args.format == "json":
-            _emit_json(args, {"nodes": graph.node_count, "distribution": dist.tolist()})
+            _emit(args, _json({"nodes": graph.node_count, "distribution": dist.tolist()}))
         else:
-            _emit_csv(args, "node,probability", map("%d,%.17g".__mod__, enumerate(dist.tolist())))
+            _emit(args, _csv("node,probability", [map("%d,%.17g".__mod__, enumerate(dist.tolist()))]))
         return
     trace = walk(graph, operator, density, args.steps)
     if args.format == "json":
@@ -145,9 +160,9 @@ def _cmd_walk(args) -> None:
             {"t": t, "probabilities": probs}
             for t, probs in enumerate(trace.node_probabilities.tolist())
         ]
-        _emit_json(args, payload)
+        _emit(args, _json(payload))
     else:
-        _emit_csv(args, "t,node,probability", _step_lines(trace.node_probabilities))
+        _emit(args, _csv("t,node,probability", _step_lines([trace.node_probabilities])))
 
 
 def _cmd_bell(args) -> None:
@@ -161,48 +176,40 @@ def _cmd_bell(args) -> None:
                 raise ValueError(f"{args.table}: bell check needs functions named X, Y and Z")
         x, y, z = functions["X"], functions["Y"], functions["Z"]
     result = bell_check(x, y, z, state, tol=args.tol)
-    _emit_json(args, dataclasses.asdict(result))
+    _emit(args, _json(dataclasses.asdict(result)))
 
 
 def _cmd_feynman(args) -> None:
     state = feynman_state(args.sx, args.sy, args.sz)
-    _emit_json(
-        args,
-        {"states": list(state.space.states), "q": [float(v) for v in state.values]},
-    )
+    _emit(args, _json({"states": list(state.space.states), "q": [float(v) for v in state.values]}))
 
 
 def _cmd_oom_prob(args) -> None:
     model = qio.load_oom(args.oom)
-    words = [_parse_word(model.scale, w) for w in args.word]
+    words = [_parse_word(model.scale, w) for w in args.word]  # tuples of str symbols
+    probabilities = [word_probability(model, w) for w in words]
     if args.format == "json":
-        payload = [
-            {"word": [str(s) for s in w], "probability": word_probability(model, w)}
-            for w in words
-        ]
-        _emit_json(args, payload)
+        _emit(args, _json([{"word": list(w), "probability": p} for w, p in zip(words, probabilities)]))
     else:
-        lines = ["%s,%.17g" % ("".join(w), word_probability(model, w)) for w in words]
-        _emit_csv(args, "word,probability", lines)
+        lines = map("%s,%.17g".__mod__, zip(map("".join, words), probabilities))
+        _emit(args, _csv("word,probability", [lines]))
 
 
 def _cmd_oom_rank(args) -> None:
     model = qio.load_oom(args.oom)
     matrix, rank = prediction_matrix(model, args.max_length, rank_tol=args.tol)
-    _emit_json(
-        args,
-        {
-            "rank": rank,
-            "rows": len(matrix.row_words),
-            "cols": len(matrix.col_words),
-            "max_length": args.max_length,
-        },
-    )
+    payload = {
+        "rank": rank,
+        "rows": len(matrix.row_words),
+        "cols": len(matrix.col_words),
+        "max_length": args.max_length,
+    }
+    _emit(args, _json(payload))
 
 
 def _cmd_oom_lift(args) -> None:
     model = qio.load_oom(args.oom)
-    _emit_json(args, qio.lift_to_dict(lift_hidden_states(model)))
+    _emit(args, _json(qio.lift_to_dict(lift_hidden_states(model))))
 
 
 def _cmd_oom_entropy(args) -> None:
@@ -212,9 +219,9 @@ def _cmd_oom_entropy(args) -> None:
         payload = [
             {"t": t, "entropy_per_symbol": a, "entropy_increment": d} for t, a, d in rows
         ]
-        _emit_json(args, payload)
+        _emit(args, _json(payload))
     else:
-        _emit_csv(args, "t,entropy_per_symbol,entropy_increment", map("%d,%.17g,%.17g".__mod__, rows))
+        _emit(args, _csv("t,entropy_per_symbol,entropy_increment", [map("%d,%.17g,%.17g".__mod__, rows)]))
 
 
 def _add_output_options(p, formats=("csv", "json"), default="csv") -> None:

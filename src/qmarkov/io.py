@@ -10,6 +10,7 @@ written as the text of ``json.dumps(payload, indent=2)``.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -90,6 +91,31 @@ def _json_text(obj, nl: str = "\n") -> str:
         ]
         return "{" + inner + ("," + inner).join(items) + nl + "}"
     return _json_scalar(obj)
+
+
+def _json_chunks(obj, nl: str = "\n") -> Iterator[str]:
+    """The text of :func:`_json_text` in chunks, for lists that arrive in blocks.
+
+    An iterator in ``obj`` stands for a list whose items it yields in blocks
+    (lists); each block is one chunk.  A dict holding such an iterator is
+    written key by key; any other value is one ``_json_text`` chunk.
+    """
+    inner = nl + "  "
+    if isinstance(obj, Iterator):
+        sep = "[" + inner
+        for block in filter(None, obj):
+            yield sep + _json_items(block, inner)
+            sep = "," + inner
+        yield "[]" if sep[0] == "[" else nl + "]"
+    elif isinstance(obj, dict) and any(isinstance(v, Iterator) for v in obj.values()):
+        sep = "{" + inner
+        for k, v in obj.items():
+            yield sep + encode_basestring_ascii(k if isinstance(k, str) else _json_scalar(k)) + ": "
+            yield from _json_chunks(v, inner)
+            sep = "," + inner
+        yield nl + "}"
+    else:
+        yield _json_text(obj, nl)
 
 
 def _json_items(seq, inner: str) -> str:

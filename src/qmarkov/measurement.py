@@ -47,10 +47,8 @@ DEFAULT_ENUMERATION_CAP = 10**6
 WORD_BLOCK = 2**15  # word values per block of _word_blocks
 
 
-def enumeration_cap(override: int | None = None) -> int:
-    """Word-enumeration cap: explicit override, else QMARKOV_ENUM_CAP, else 10^6."""
-    if override is not None:
-        return int(override)
+def enumeration_cap() -> int:
+    """Word-enumeration cap: QMARKOV_ENUM_CAP, else 10^6."""
     env = os.environ.get("QMARKOV_ENUM_CAP")
     return int(env) if env else DEFAULT_ENUMERATION_CAP
 
@@ -90,9 +88,9 @@ def iter_words(scale: Scale, length: int) -> Iterator[tuple]:
     return itertools.product(scale.symbols, repeat=length)
 
 
-def _check_word_count(count: int, cap: int | None) -> None:
+def _check_word_count(count: int) -> None:
     """Raise when an enumeration of ``count`` words would exceed the cap."""
-    limit = enumeration_cap(cap)
+    limit = enumeration_cap()
     if count > limit:
         raise ValueError(
             f"word enumeration cap exceeded: {count} words > {limit} "
@@ -331,7 +329,7 @@ def word_operator(meas, word: Sequence) -> np.ndarray:
     return out
 
 
-def _word_values(meas, density: np.ndarray, t: int, cap: int | None) -> Iterator[np.ndarray]:
+def _word_values(meas, density: np.ndarray, t: int) -> Iterator[np.ndarray]:
     """Values tr(mu_w(Q)) for all words of length t, in product order, in blocks.
 
     Takes a Kraus or a Markov measurement, and checks the arguments and the
@@ -345,7 +343,7 @@ def _word_values(meas, density: np.ndarray, t: int, cap: int | None) -> Iterator
         raise ValueError("word length must be nonnegative")
     density = require_markov_density(density)
     _require_same_dim(meas.n, density.shape[0], "measurement", "density")
-    _check_word_count(len(meas.scale) ** t, cap)
+    _check_word_count(len(meas.scale) ** t)
     meas = _as_markov(meas)
     trace = np.zeros(meas.operators[0].shape[0])
     trace[: meas.n] = 1.0
@@ -353,21 +351,15 @@ def _word_values(meas, density: np.ndarray, t: int, cap: int | None) -> Iterator
     return _word_blocks(xs, ys, t)
 
 
-def word_distribution(meas, density: np.ndarray, t: int, cap: int | None = None) -> dict[tuple, float]:
+def word_distribution(meas, density: np.ndarray, t: int) -> dict[tuple, float]:
     """Map from each word of length t to tr(mu_w(Q)); values sum to 1."""
-    values = np.concatenate(list(_word_values(meas, density, t, cap)))
+    values = np.concatenate(list(_word_values(meas, density, t)))
     return dict(zip(iter_words(meas.scale, t), values.tolist()))
 
 
-def is_t_observable(
-    meas,
-    density: np.ndarray,
-    t: int,
-    tol: float = SIGN_TOL,
-    cap: int | None = None,
-) -> bool:
+def is_t_observable(meas, density: np.ndarray, t: int, tol: float = SIGN_TOL) -> bool:
     """True when every length-t word value is >= -tol (always true at t = 0).
 
     Stops at the first block of word values that holds one below -tol.
     """
-    return all(block.min() >= -tol for block in _word_values(meas, density, t, cap))
+    return all(block.min() >= -tol for block in _word_values(meas, density, t))

@@ -159,7 +159,6 @@ def validate(
     model: ObservableOperatorModel,
     horizon: int,
     tol: float = PROBABILITY_FLOOR,
-    cap: int | None = None,
 ) -> OomValidationReport:
     """Scan structural sums and all word probabilities up to the horizon.
 
@@ -171,7 +170,7 @@ def validate(
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    _check_word_count(horizon * len(model.scale) ** horizon, cap)
+    _check_word_count(horizon * len(model.scale) ** horizon)
     # the model passed both checks at construction, so they return the errors
     col_err = _require_column_sums(model.transition_sum, "operator sum must have column sums 1")
     pi_err = _require_unit_sum(model.pi, "pi")
@@ -213,7 +212,6 @@ def prediction_matrix(
     model: ObservableOperatorModel,
     max_length: int,
     rank_tol: float = RANK_TOL,
-    cap: int | None = None,
 ) -> tuple[PredictionMatrix, int]:
     """Truncated prediction matrix over words of length <= max_length, with its rank.
 
@@ -228,7 +226,7 @@ def prediction_matrix(
         raise ValueError("max_length must be nonnegative")
     base = len(model.scale)
     total = (base ** (max_length + 1) - 1) // (base - 1) if base > 1 else max_length + 1
-    _check_word_count(total, cap)
+    _check_word_count(total)
 
     words: list[tuple] = [()]
     for length in range(1, max_length + 1):
@@ -345,7 +343,6 @@ def entropy_rate(
     model: ObservableOperatorModel,
     t_max: int,
     tol: float = PROBABILITY_FLOOR,
-    cap: int | None = None,
 ) -> list[tuple[int, float, float]]:
     """Block entropies in bits: rows (t, H(t)/t, H(t) - H(t-1)) for t = 1..t_max.
 
@@ -358,7 +355,7 @@ def entropy_rate(
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
-    _check_word_count(len(model.scale) ** t_max, cap)
+    _check_word_count(len(model.scale) ** t_max)
     rows: list[tuple[int, float, float]] = []
     h_prev = 0.0
     xs, ys = _levels(model, t_max)

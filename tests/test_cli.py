@@ -1,8 +1,15 @@
+import gc
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qmarkov
 from conftest import random_kraus_family
 from qmarkov import (
     DirectedGraph,
@@ -18,6 +25,9 @@ from qmarkov import (
     word_distribution,
 )
 from qmarkov import io as qio
+from qmarkov import chain as qchain
+from qmarkov import measurement as qmeasurement
+from qmarkov.chain import _path_blocks
 from qmarkov.hermitian import coords
 from qmarkov.cli import run
 
@@ -535,13 +545,15 @@ class TestOutputBytes:
         paths["graph"].write_text("0 1\n1 2\n2 0\n")
         graph = qio.load_graph(paths["graph"])
         densities = evolve(MarkovChain(operator=op, start=rho), 5)
+        path = np.concatenate([block.copy() for block in _path_blocks(op.matrix, coords(rho), 5)])
         probabilities = walk(graph, op, rho, 5).node_probabilities
         meas = KrausMeasurement(scale=Scale(tuple(symbols)), kraus=tuple(kraus))
         measure = {t: _measure_expected(word_distribution(meas, rho, t), symbols, t) for t in (0, 1, 3)}
         expected = {
+            # CSV prints the path kernel's own coordinates
             "chain-evolve-csv": _old_csv(
                 "t,coordinate_index,value",
-                [(str(t), str(k), _g17(v)) for t, c in enumerate(coords(densities)) for k, v in enumerate(c)],
+                [(str(t), str(k), _g17(v)) for t, c in enumerate(path) for k, v in enumerate(c)],
             ),
             "chain-evolve-json": [
                 {
@@ -595,3 +607,119 @@ class TestOutputBytes:
         if fmt == "json":
             want = json.dumps(want, indent=2) + "\n"
         assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_measure_bytes_across_word_blocks(self, inputs, capsys, monkeypatch, fmt):
+        # blocks of 3 words: each block's labels must continue where the last block's stopped
+        monkeypatch.setattr(qmeasurement, "WORD_BLOCK", 2)
+        paths, _ = inputs
+        meas, rho = qio.load_measurement(paths["meas"]), qio.load_density(paths["rho"])
+        want = _measure_expected(word_distribution(meas, rho, 3), list(meas.scale), 3)[fmt]
+        args = ["--measurement", str(paths["meas"]), "--density", str(paths["rho"]), "--steps", "3"]
+        assert run(["measure", *args, "--format", fmt]) == 0
+        if fmt == "json":
+            want = json.dumps(want, indent=2) + "\n"
+        assert capsys.readouterr().out == want
+
+
+def _bad_density(path, n):
+    """A trace-1 matrix file whose matrix is not Hermitian, so no density loader accepts it."""
+    m = np.eye(n, dtype=complex) / n
+    m[0, -1] = 0.25
+    path.write_text(json.dumps(qio.matrix_to_dict(m)))
+    return path
+
+
+class TestStreamedOutput:
+    """Tables leave as the kernels yield them, through one writer."""
+
+    @pytest.fixture
+    def chain_files(self, tmp_path):
+        rng = np.random.default_rng(115)
+        # n = 4: a density's 16 [re, im] pairs format through 32-tuples, which
+        # CPython keeps no free list for (it does below 20 items)
+        op = from_kraus(random_kraus_family(rng, 4, 2))
+        paths = {"op": tmp_path / "op.json", "rho": tmp_path / "rho.json", "bad": tmp_path / "bad.json"}
+        qio.save_operator(paths["op"], op)
+        _bad_density(paths["bad"], 4)
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        qio.save_matrix(paths["rho"], g @ g.conj().T / np.trace(g @ g.conj().T).real, kind="density")
+        return paths, op
+
+    def test_evolve_csv_rows_are_path_blocks(self, chain_files, capsys, monkeypatch):
+        monkeypatch.setattr(qchain, "PATH_BLOCK", 4)
+        paths, op = chain_files
+        steps = 25  # > n^2 = 16, so rows past the first block are blocked products; the last block is partial
+        rho = qio.load_density(paths["rho"])
+        path = np.concatenate([b.copy() for b in _path_blocks(op.matrix, coords(rho), steps)])
+        assert len(path) == steps + 1
+        argv = ["chain-evolve", "--operator", str(paths["op"]), "--density", str(paths["rho"])]
+        assert run([*argv, "--steps", str(steps)]) == 0
+        rows = [(str(t), str(k), _g17(v)) for t, c in enumerate(path) for k, v in enumerate(c)]
+        assert capsys.readouterr().out == _old_csv("t,coordinate_index,value", rows)
+
+    @pytest.mark.parametrize("fmt, steps", [("csv", 2000), ("json", 200)])
+    def test_peak_memory_flat_in_steps(self, chain_files, fmt, steps):
+        paths, _ = chain_files
+        out = paths["op"].parent / "out.txt"
+        argv = ["chain-evolve", "--operator", str(paths["op"]), "--density", str(paths["rho"]), "--format", fmt]
+
+        def peak(count):
+            gc.collect(1)  # every run starts with empty young generations
+            tracemalloc.start()
+            try:
+                assert run([*argv, "--steps", str(count), "--output", str(out)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10 * steps)  # imports and first-call caches
+        small, large = peak(steps), peak(10 * steps)
+        assert out.read_text().count("\n") > 10 * steps
+        assert large <= 1.25 * small, (small, large)
+
+    @pytest.mark.parametrize("case", ["chain-evolve", "walk", "measure", "chain-evolve-negative-steps"])
+    def test_invalid_input_writes_nothing(self, files, chain_files, capsys, case):
+        paths, _ = chain_files
+        out = files["tmp"] / "never.txt"
+        evolve_args = ["chain-evolve", "--operator", str(paths["op"]), "--density"]
+        argv = {
+            "chain-evolve": [*evolve_args, str(paths["bad"]), "--steps", "40"],
+            "walk": ["walk", "--graph", str(files["graph"]), "--operator", str(files["shift"]),
+                     "--density", str(paths["bad"]), "--steps", "5"],
+            "measure": ["measure", "--measurement", str(files["zmeas"]),
+                        "--density", str(_bad_density(files["tmp"] / "bad2.json", 2)), "--steps", "2"],
+            # the JSON path checks --steps only when the writer draws the first block
+            "chain-evolve-negative-steps": [*evolve_args, str(paths["rho"]), "--steps", "-1", "--format", "json"],
+        }[case]
+        assert run([*argv, "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "qmarkov: invalid input" in captured.err
+        assert not out.exists()
+
+    def test_real_process_output(self, chain_files, capsys):
+        paths, _ = chain_files
+        args = ["chain-evolve", "--operator", str(paths["op"]), "--steps", "2000", "--density"]
+        assert run([*args, str(paths["rho"])]) == 0
+        want = capsys.readouterr().out
+        src = str(Path(qmarkov.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        command = [sys.executable, "-m", "qmarkov.cli", *args]
+
+        def real_run(density, *extra, **streams):
+            return subprocess.run([*command, str(density), *extra], env=env, timeout=120, **streams)
+
+        redirected = paths["op"].parent / "stdout.txt"
+        with open(redirected, "w") as stdout:
+            done = real_run(paths["rho"], stdout=stdout, stderr=subprocess.PIPE)
+        assert done.returncode == 0, done.stderr
+        assert redirected.read_text() == want
+        written, never = paths["op"].parent / "written.txt", paths["op"].parent / "never.txt"
+        done = real_run(paths["rho"], "--output", str(written), capture_output=True)
+        assert (done.returncode, done.stdout) == (0, b"")
+        assert written.read_text() == want
+        done = real_run(paths["bad"], "--output", str(never), capture_output=True)
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert b"qmarkov: invalid input" in done.stderr
+        assert not never.exists()

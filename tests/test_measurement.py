@@ -301,14 +301,17 @@ class TestTObservability:
             verdicts = [is_t_observable(meas, q, t) for t in range(6)]
             assert verdicts == sorted(verdicts, reverse=True)
 
-    def test_cap_respected(self):
+    def test_cap_respected(self, monkeypatch):
+        monkeypatch.setenv("QMARKOV_ENUM_CAP", "1000")
         with pytest.raises(ValueError, match="cap exceeded"):
-            is_t_observable(Z_PAIR, np.diag([0.5, 0.5]), 30, cap=1000)
+            is_t_observable(Z_PAIR, np.diag([0.5, 0.5]), 30)
 
-    def test_cap_counts_words_of_the_last_level(self):
-        word_distribution(Z_PAIR, np.diag([0.5, 0.5]), 3, cap=8)
+    def test_cap_counts_words_of_the_last_level(self, monkeypatch):
+        monkeypatch.setenv("QMARKOV_ENUM_CAP", "8")
+        word_distribution(Z_PAIR, np.diag([0.5, 0.5]), 3)
+        monkeypatch.setenv("QMARKOV_ENUM_CAP", "7")
         with pytest.raises(ValueError, match="cap exceeded: 8 words > 7"):
-            word_distribution(Z_PAIR, np.diag([0.5, 0.5]), 3, cap=7)
+            word_distribution(Z_PAIR, np.diag([0.5, 0.5]), 3)
 
     def test_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("QMARKOV_ENUM_CAP", "4")

@@ -439,24 +439,18 @@ class TestEnumerationCap:
     # word counts at depth 4 over two symbols: validate scans 4 * 2^4 words,
     # the prediction matrix has 1 + 2 + 4 + 8 + 16 rows, entropy_rate 2^4 words
     CALLS = (
-        pytest.param(lambda cap: validate(iid_uniform(), 4, cap=cap), 64, id="validate"),
-        pytest.param(lambda cap: prediction_matrix(iid_uniform(), 4, cap=cap), 31, id="prediction"),
-        pytest.param(lambda cap: entropy_rate(iid_uniform(), 4, cap=cap), 16, id="entropy"),
+        pytest.param(lambda: validate(iid_uniform(), 4), 64, id="validate"),
+        pytest.param(lambda: prediction_matrix(iid_uniform(), 4), 31, id="prediction"),
+        pytest.param(lambda: entropy_rate(iid_uniform(), 4), 16, id="entropy"),
     )
-
-    @pytest.mark.parametrize("call, count", CALLS)
-    def test_cap_argument(self, call, count):
-        call(count)
-        with pytest.raises(ValueError, match="cap exceeded"):
-            call(count - 1)
 
     @pytest.mark.parametrize("call, count", CALLS)
     def test_cap_environment(self, call, count, monkeypatch):
         monkeypatch.setenv("QMARKOV_ENUM_CAP", str(count))
-        call(None)
+        call()
         monkeypatch.setenv("QMARKOV_ENUM_CAP", str(count - 1))
         with pytest.raises(ValueError, match="cap exceeded.*QMARKOV_ENUM_CAP"):
-            call(None)
+            call()
 
 
 class TestMeasurementBridge:

@@ -55,3 +55,27 @@ def test_matrix_entries_keep_signed_zeros_and_specials():
     entries = qio.matrix_to_dict(m)["entries"]
     assert json.dumps(entries) == json.dumps([[float(z.real), float(z.imag)] for z in m.reshape(-1)])
     assert qio._json_text(entries) == json.dumps(entries, indent=2)
+
+
+def _blocks(items, sizes):
+    """``items`` cut into consecutive blocks of the given sizes (empty blocks included), the rest last."""
+    blocks, start = [], 0
+    for size in sizes:
+        blocks.append(items[start : start + size])
+        start += size
+    return blocks + [items[start:]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(PAYLOADS, max_size=6),
+    st.lists(st.integers(min_value=0, max_value=3), max_size=4),
+    st.dictionaries(TEXT, PAYLOADS, max_size=3),
+)
+def test_json_chunks_equal_json_dumps(items, sizes, head):
+    """A list that arrives in blocks, alone or as the last value of a dict, prints as the whole list."""
+    streamed = qio._json_chunks(iter(_blocks(items, sizes)))
+    assert "".join(streamed) == json.dumps(items, indent=2)
+    payload = {**head, "list": iter(_blocks(items, sizes))}
+    assert "".join(qio._json_chunks(payload)) == json.dumps({**head, "list": items}, indent=2)
+    assert "".join(qio._json_chunks(head)) == json.dumps(head, indent=2)

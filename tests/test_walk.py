@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -18,9 +19,17 @@ from qmarkov import (
     shift_unitary,
     walk,
 )
+import qmarkov
 from qmarkov import chain as qchain
 
 THREE_CYCLE = DirectedGraph(node_count=3, edges=((0, 1), (1, 2), (2, 0)))
+
+
+def test_package_walk_is_the_function_over_the_module_name():
+    # the package binds the function over its submodule; renaming either must be deliberate
+    module = sys.modules["qmarkov.walk"]
+    assert module.walk is qmarkov.walk
+    assert module.limiting_node_distribution is limiting_node_distribution
 
 
 class TestDirectedGraph:
