@@ -53,10 +53,7 @@ lift = qm.lift_hidden_states(hmm)
 print("lifted hidden states:", lift.space.states)
 print("lifted start state:", np.round(lift.pi, 4))
 word = ("a", "b", "a")
-x = lift.pi
-for s in word:
-    x = lift.operator(s) @ x
-print(f"p(aba) via lift = {float(x.sum()):.10f}")
+print(f"p(aba) via lift = {qm.word_probability(lift, word):.10f}")
 print(f"p(aba) directly = {qm.word_probability(hmm, word):.10f}")
 dist = qm.step_distribution(lift, 3)
 print("distribution of the symbol at t = 3:", dist.as_dict())

@@ -193,10 +193,13 @@ def cesaro_average(
     ``iterations`` is the step count the returned average spans: t for the
     plain average, 2t for the tail.  Raises ConvergenceError when neither
     average gets within tol, which signals an unbounded chain or extremely
-    slow mixing.
+    slow mixing, and ValueError for arguments that can never succeed: a tol
+    that is not positive (NaN included) or a negative max_doublings.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
+    if max_doublings < 0:
+        raise ValueError("max_doublings must be nonnegative")
     k = chain.operator.matrix
     n = chain.operator.n
     c0 = coords(chain.start)

@@ -75,18 +75,23 @@ def _step_lines(blocks):
 
 
 def _parse_word(scale, text: str) -> tuple:
-    """Parse a word argument: comma-separated symbols, or one character each."""
+    """Parse a word argument into scale symbols, each named by its text ``str(symbol)``.
+
+    Parts are comma-separated, or one character each when every symbol's
+    text is one character.  A string symbol wins over an integer of the
+    same text.
+    """
     if text == "":
         return ()
+    names = {str(s): s for s in scale if not isinstance(s, str)}
+    names.update((s, s) for s in scale if isinstance(s, str))
     if "," in text:
         parts = text.split(",")
-    elif all(isinstance(s, str) and len(s) == 1 for s in scale.symbols):
+    elif all(len(name) == 1 for name in names):
         parts = list(text)
     else:
         parts = [text]
-    for p in parts:
-        scale.index(p)  # raises on an unknown symbol
-    return tuple(parts)
+    return tuple(names.get(p, p) for p in parts)  # an unknown part fails in word_probability
 
 
 def _cmd_measure(args) -> None:
@@ -186,12 +191,13 @@ def _cmd_feynman(args) -> None:
 
 def _cmd_oom_prob(args) -> None:
     model = qio.load_oom(args.oom)
-    words = [_parse_word(model.scale, w) for w in args.word]  # tuples of str symbols
+    words = [_parse_word(model.scale, w) for w in args.word]
     probabilities = [word_probability(model, w) for w in words]
+    texts = [list(map(str, w)) for w in words]
     if args.format == "json":
-        _emit(args, _json([{"word": list(w), "probability": p} for w, p in zip(words, probabilities)]))
+        _emit(args, _json([{"word": t, "probability": p} for t, p in zip(texts, probabilities)]))
     else:
-        lines = map("%s,%.17g".__mod__, zip(map("".join, words), probabilities))
+        lines = map("%s,%.17g".__mod__, zip(map("".join, texts), probabilities))
         _emit(args, _csv("word,probability", [lines]))
 
 

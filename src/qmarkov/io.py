@@ -282,12 +282,11 @@ def load_operator(path) -> MarkovOperator:
 
 def _kraus_matrices(d: Mapping, labelled, where: str) -> list[np.ndarray]:
     """Parse (label, matrix dict) pairs, each matrix checked against the file's 'n' if given."""
+    n = _positive_int(d, "n", where) if "n" in d else None
     out = []
     for label, entry in labelled:
         m = matrix_from_dict(entry, where=f"{where}: {label}")
-        if "n" in d:
-            n = d["n"]
-            _expect(m.shape == (n, n), f"{where}: {label} has shape {m.shape}, expected ({n}, {n})")
+        _expect(n is None or m.shape == (n, n), f"{where}: {label} has shape {m.shape}, expected ({n}, {n})")
         out.append(m)
     return out
 
@@ -413,8 +412,8 @@ def lift_to_dict(lift: HiddenStateLift) -> dict:
     return {
         "states": [[str(sym), int(j)] for sym, j in lift.space.states],
         "scale": [str(s) for s in lift.scale],
-        "operators": {str(s): np.asarray(op, dtype=float).tolist() for s, op in zip(lift.scale, lift.operators)},
-        "pi": np.asarray(lift.pi, dtype=float).tolist(),
+        "operators": {str(s): op.tolist() for s, op in zip(lift.scale, lift.operators)},
+        "pi": lift.pi.tolist(),
     }
 
 

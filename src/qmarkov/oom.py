@@ -3,9 +3,9 @@
 An OOM is a family of real m x m matrices {M_a} whose sum has column sums 1,
 together with a Markov state pi (entries may be negative).  Word
 probabilities are the component sums of M_{a_t} ... M_{a_1} pi.  The model
-is equivalent to a diagonal Markov measurement, and lifts to an explicit
-hidden-state system on |scale| * m states that reproduces every word
-probability through an information function.
+is equivalent to a diagonal Markov measurement, and lifts to an OOM on
+|scale| * m explicit hidden states, read off by an information function,
+with the same word probabilities.
 """
 
 from __future__ import annotations
@@ -119,8 +119,8 @@ class OomValidationReport:
 
 
 @dataclass(frozen=True, eq=False)
-class HiddenStateLift:
-    """Block lift of an OOM to |scale| * m hidden states.
+class HiddenStateLift(ObservableOperatorModel):
+    """Block lift of an OOM to |scale| * m hidden states, itself an OOM.
 
     The hidden states are the pairs (a, j) in symbol-major order; the
     information function reads off the symbol.  The lifted operators and
@@ -129,17 +129,7 @@ class HiddenStateLift:
 
     space: HiddenStateSpace
     info: InformationFunction
-    scale: Scale
     base_dim: int
-    operators: tuple[np.ndarray, ...]
-    pi: np.ndarray
-
-    def operator(self, symbol) -> np.ndarray:
-        return self.operators[self.scale.index(symbol)]
-
-    @property
-    def transition_sum(self) -> np.ndarray:
-        return sum(self.operators)
 
 
 def word_probability(model: ObservableOperatorModel, word: Sequence) -> float:
@@ -316,14 +306,13 @@ def lift_hidden_states(model: ObservableOperatorModel) -> HiddenStateLift:
         selector = np.zeros((base, 1))
         selector[i, 0] = 1.0
         lifted.append(np.kron(selector @ ones_row, model.operators[i]))
-    pi_bar = np.tile(model.pi, base) / base
     return HiddenStateLift(
+        scale=model.scale,
+        operators=tuple(lifted),
+        pi=np.tile(model.pi, base) / base,
         space=space,
         info=info,
-        scale=model.scale,
         base_dim=m,
-        operators=tuple(lifted),
-        pi=pi_bar,
     )
 
 

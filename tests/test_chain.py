@@ -138,6 +138,24 @@ class TestCesaroAverage:
         result = cesaro_average(chain)
         np.testing.assert_allclose(result.average, np.diag([0.5, 0.5]), atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "tol, max_doublings, message",
+        [
+            (float("nan"), 40, "tol must be positive"),
+            (0.0, 40, "tol must be positive"),
+            (-1e-8, 40, "tol must be positive"),
+            (1e-8, -1, "max_doublings must be nonnegative"),
+        ],
+    )
+    def test_arguments_that_cannot_succeed_rejected(self, tol, max_doublings, message):
+        # the identity chain is stationary at once, so only the argument check can fail
+        chain = MarkovChain(operator=identity_operator(2), start=np.diag([0.3, 0.7]))
+        with pytest.raises(ValueError, match=message):
+            cesaro_average(chain, tol=tol, max_doublings=max_doublings)
+        with pytest.raises(ValueError, match=message):
+            functional_average(chain, np.eye(2), tol=tol, max_doublings=max_doublings)
+        assert cesaro_average(chain, tol=1e-8, max_doublings=0).iterations == 0
+
     def test_unbounded_chain_errors(self):
         chain = MarkovChain(
             operator=off_diagonal_amplifier(1.1),

@@ -15,6 +15,7 @@ from qmarkov import (
     DirectedGraph,
     KrausMeasurement,
     MarkovChain,
+    ObservableOperatorModel,
     Scale,
     evolve,
     from_kraus,
@@ -317,6 +318,38 @@ class TestOomCommands:
         assert run(["oom-prob", "--oom", str(files["oom"]), "--word", "xy"]) == 2
         assert "unknown symbol" in capsys.readouterr().err
 
+    def test_prob_integer_symbols(self, files, capsys):
+        path = files["tmp"] / "int_oom.json"
+        qio.save_oom(
+            path,
+            ObservableOperatorModel(
+                scale=Scale((0, 1)), operators=(np.array([[0.3]]), np.array([[0.7]])), pi=np.array([1.0])
+            ),
+        )
+        argv = ["oom-prob", "--oom", str(path), "--word", "01", "--word", "1,1", "--word", ""]
+        assert run(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "word,probability"
+        assert [l.split(",")[0] for l in lines[1:]] == ["01", "11", ""]
+        for line, expected in zip(lines[1:], (0.3 * 0.7, 0.7 * 0.7, 1.0)):
+            assert float(line.split(",")[1]) == pytest.approx(expected, abs=1e-15)
+        assert run([*argv, "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["word"] for r in rows] == [["0", "1"], ["1", "1"], []]
+        assert rows[0]["probability"] == pytest.approx(0.21, abs=1e-15)
+        for word in ("2", "0,2", "012"):
+            assert run(["oom-prob", "--oom", str(path), "--word", word]) == 2
+            assert "unknown symbol '2'" in capsys.readouterr().err
+
+    def test_prob_word_parts_named_by_text(self):
+        from qmarkov.cli import _parse_word
+
+        assert _parse_word(Scale((0, 1)), "0,1") == (0, 1)
+        assert _parse_word(Scale((10, 2)), "10,2") == (10, 2)
+        assert _parse_word(Scale((10, 2)), "10") == (10,)
+        assert _parse_word(Scale((1, "1")), "11") == ("1", "1")  # an exact string symbol wins
+        assert _parse_word(Scale(("a", "bc")), "bc") == ("bc",)
+
     def test_rank(self, files, capsys):
         assert run(["oom-rank", "--oom", str(files["oom"]), "--max-length", "3"]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -377,7 +410,7 @@ class TestCliContract:
         swap = qio.matrix_to_dict(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
         cases = (
             ({"kraus": 5}, "'kraus' must be a non-empty list"),
-            ({"n": None, "kraus": [swap]}, "kraus[0] has shape (2, 2), expected (None, None)"),
+            ({"n": None, "kraus": [swap]}, "'n' must be a positive integer"),
         )
         bad = files["tmp"] / "bad_kraus_list.json"
         for payload, message in cases:
@@ -387,6 +420,44 @@ class TestCliContract:
             )
             assert code == 2
             assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [2.0, True, "2", 0, None])
+    def test_kraus_n_must_be_positive_integer(self, files, capsys, n):
+        channel = files["tmp"] / "kraus_n.json"
+        channel.write_text(json.dumps({**json.loads(files["swap"].read_text()), "n": n}))
+        meas = files["tmp"] / "meas_n.json"
+        meas.write_text(json.dumps({**json.loads(files["zmeas"].read_text()), "n": n}))
+        density = ["--density", str(files["density"])]
+        for argv in (["chain-cesaro", "--operator", str(channel)], ["measure", "--measurement", str(meas)]):
+            assert run([*argv, *density]) == 2
+            captured = capsys.readouterr()
+            assert f"'n' must be a positive integer, got {n!r}" in captured.err
+            assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ("chain-cesaro", ["--max-doublings", "-1"]),
+            ("chain-cesaro", ["--tol", "nan"]),
+            ("chain-cesaro", ["--tol", "0"]),
+            ("walk", ["--limiting", "--tol", "nan"]),
+            ("walk", ["--limiting", "--tol", "-1"]),
+        ],
+    )
+    def test_cesaro_arguments_that_cannot_succeed_exit_two(self, files, capsys, command, options):
+        if command == "walk":
+            argv = ["walk", "--graph", str(files["graph"]), "--operator", str(files["shift"])]
+            argv += ["--density", str(files["edge0"])]
+        else:
+            argv = ["chain-cesaro", "--operator", str(files["swap"]), "--density", str(files["density"])]
+        out_path = files["tmp"] / "never.json"
+        for output in ([], ["--output", str(out_path)]):
+            assert run([*argv, *options, *output]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "qmarkov: invalid input: " in captured.err
+            assert "must be" in captured.err
+        assert not out_path.exists()
 
     def test_malformed_oom_and_operator_fields_exit_two(self, files, capsys):
         oom = {"dim": 1, "scale": ["a"], "operators": {"a": [[1.0]]}, "pi": [1.0]}

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import hmm_word_probability_bruteforce, random_hmm, random_oom
 from qmarkov import (
+    HiddenStateLift,
     ObservableOperatorModel,
     Scale,
     conditional,
@@ -20,6 +21,7 @@ from qmarkov import (
     word_probability,
 )
 from qmarkov import measurement as qmeasurement
+from qmarkov.io import load_oom, save_oom
 from qmarkov.measurement import _word_blocks, iter_words
 from qmarkov.oom import _levels, validate
 
@@ -366,6 +368,92 @@ class TestLift:
                     assert float(x.sum()) == pytest.approx(
                         word_probability(model, word), abs=1e-10
                     )
+
+
+def seeded_hmm(seed: int, m: int, symbols: tuple) -> ObservableOperatorModel:
+    return hmm_to_oom(*random_hmm(np.random.default_rng(seed), m, symbols))
+
+
+# HMM-derived models, then one that is not observable at depth 3; every word
+# probability up to length 6 of each is at least 2e-4 away from zero, far
+# outside the validate/entropy tolerance of 1e-12
+LIFT_MODELS = (
+    pytest.param(lambda: seeded_hmm(131, 3, ("a", "b")), True, id="hmm-m3"),
+    pytest.param(lambda: seeded_hmm(132, 2, ("a", "b", "c")), True, id="hmm-m2-abc"),
+    pytest.param(lambda: probability_clock(0.4), False, id="clock"),
+)
+
+
+class TestLiftIsModel:
+    @pytest.mark.parametrize("make, _", LIFT_MODELS)
+    def test_lift_is_read_only_oom(self, make, _):
+        model = make()
+        lift = lift_hidden_states(model)
+        assert isinstance(lift, ObservableOperatorModel)
+        assert lift.dim == len(model.scale) * model.dim == len(lift.space)
+        assert lift.base_dim == model.dim
+        for array in (*lift.operators, lift.pi):
+            assert not array.flags.writeable
+
+    def test_construction_runs_model_checks(self):
+        lift = lift_hidden_states(iid_uniform())
+        fields = dict(scale=lift.scale, operators=lift.operators, space=lift.space, info=lift.info, base_dim=2)
+        with pytest.raises(ValueError, match="pi"):
+            HiddenStateLift(pi=2 * lift.pi, **fields)
+        with pytest.raises(ValueError, match="column sums 1"):
+            HiddenStateLift(pi=lift.pi, **{**fields, "operators": tuple(2 * op for op in lift.operators)})
+
+    @pytest.mark.parametrize("make, _", LIFT_MODELS)
+    def test_word_probabilities_match_model(self, make, _):
+        model = make()
+        lift = lift_hidden_states(model)
+        for length in range(6):
+            for word in iter_words(model.scale, length):
+                assert word_probability(lift, word) == pytest.approx(word_probability(model, word), abs=1e-12)
+        assert conditional(lift, ("a",), ("b",)) == pytest.approx(conditional(model, ("a",), ("b",)), abs=1e-12)
+
+    @pytest.mark.parametrize("make, _", LIFT_MODELS)
+    def test_lift_of_lift_and_measurement_bridge_match_model(self, make, _):
+        model = make()
+        lift = lift_hidden_states(model)
+        twice = lift_hidden_states(lift)
+        assert twice.dim == len(model.scale) ** 2 * model.dim and twice.base_dim == lift.dim
+        dist = word_distribution(to_markov_measurement(lift), np.diag(lift.pi).astype(complex), 3)
+        for word in iter_words(model.scale, 3):
+            assert word_probability(twice, word) == pytest.approx(word_probability(model, word), abs=1e-12)
+            assert dist[word] == pytest.approx(word_probability(model, word), abs=1e-12)
+
+    @pytest.mark.parametrize("make, observable", LIFT_MODELS)
+    def test_entropy_rate_matches_model(self, make, observable):
+        model = make()
+        lift = lift_hidden_states(model)
+        if not observable:
+            with pytest.raises(ValueError, match="negative word probability"):
+                entropy_rate(lift, 8)
+            return
+        np.testing.assert_allclose(entropy_rate(lift, 8), entropy_rate(model, 8), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("make, _", LIFT_MODELS)
+    def test_prediction_rank_matches_model(self, make, _):
+        model = make()
+        assert prediction_matrix(lift_hidden_states(model), 4)[1] == prediction_matrix(model, 4)[1]
+
+    @pytest.mark.parametrize("make, observable", LIFT_MODELS)
+    def test_validate_matches_model(self, make, observable):
+        model = make()
+        report = validate(lift_hidden_states(model), 6)
+        assert report.negative_words == validate(model, 6).negative_words
+        assert report.observable == observable
+
+    @pytest.mark.parametrize("make, _", LIFT_MODELS)
+    def test_save_load_round_trip_bit_exact(self, make, _, tmp_path):
+        lift = lift_hidden_states(make())
+        path = tmp_path / "lift.json"
+        save_oom(path, lift)
+        loaded = load_oom(path)
+        assert loaded.scale.symbols == lift.scale.symbols
+        for a, b in zip((*loaded.operators, loaded.pi), (*lift.operators, lift.pi)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestStepDistribution:
