@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from contextlib import nullcontext
 from itertools import chain, islice, product
@@ -27,7 +28,7 @@ from .oom import (
     prediction_matrix,
     word_probability,
 )
-from .walk import limiting_node_distribution, walk
+from .walk import _node_blocks, limiting_node_distribution
 
 __all__ = ["run"]
 
@@ -159,15 +160,15 @@ def _cmd_walk(args) -> None:
         else:
             _emit(args, _csv("node,probability", [map("%d,%.17g".__mod__, enumerate(dist.tolist()))]))
         return
-    trace = walk(graph, operator, density, args.steps)
+    blocks = _node_blocks(graph, operator, density, args.steps)
     if args.format == "json":
-        payload = [
-            {"t": t, "probabilities": probs}
-            for t, probs in enumerate(trace.node_probabilities.tolist())
-        ]
-        _emit(args, _json(payload))
+        items = (
+            [{"t": t, "probabilities": probs} for t, probs in rows]
+            for rows in _numbered(block.tolist() for block in blocks)
+        )
+        _emit(args, _json(items))
     else:
-        _emit(args, _csv("t,node,probability", _step_lines([trace.node_probabilities])))
+        _emit(args, _csv("t,node,probability", _step_lines(blocks)))
 
 
 def _cmd_bell(args) -> None:
@@ -323,10 +324,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`run`: built on the first call, then reused by every call in the process."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
     """Parse arguments and run one command, returning the exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.func(args)
     except ConvergenceError as exc:

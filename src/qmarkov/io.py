@@ -298,10 +298,21 @@ def _kraus_list(d: Mapping, where: str) -> list[np.ndarray]:
     return _kraus_matrices(d, ((f"kraus[{i}]", m) for i, m in enumerate(mats)), where)
 
 
+def _text_keys(scale: Scale, where: str) -> list[str]:
+    """The JSON key ``str(symbol)`` of each scale symbol; two symbols may not share one."""
+    keys: dict[str, Any] = {}
+    for s in scale:
+        other = keys.setdefault(str(s), s)
+        if other is not s:
+            raise ValueError(f"{where}: scale symbols {other!r} and {s!r} share the JSON key {str(s)!r}")
+    return list(keys)
+
+
 def _by_symbol(d: Mapping, field: str, scale: Scale, what: str, where: str):
     """(symbol, entry) for each scale symbol of the object ``d[field]``; a key may be str(symbol)."""
     table = d[field]
     _expect(isinstance(table, Mapping), f"{where}: {field!r} must map symbols to matrices")
+    _text_keys(scale, where)
     for s in scale:
         key = s if s in table else str(s)
         _expect(key in table, f"{where}: no {what} for symbol {s!r}")
@@ -379,7 +390,7 @@ def oom_to_dict(model: ObservableOperatorModel) -> dict:
     return {
         "dim": model.dim,
         "scale": list(model.scale.symbols),
-        "operators": {str(s): op.tolist() for s, op in zip(model.scale, model.operators)},
+        "operators": dict(zip(_text_keys(model.scale, "oom"), (op.tolist() for op in model.operators))),
         "pi": model.pi.tolist(),
     }
 
@@ -409,10 +420,11 @@ def load_oom(path) -> ObservableOperatorModel:
 
 
 def lift_to_dict(lift: HiddenStateLift) -> dict:
+    keys = _text_keys(lift.scale, "lift")
     return {
         "states": [[str(sym), int(j)] for sym, j in lift.space.states],
-        "scale": [str(s) for s in lift.scale],
-        "operators": {str(s): op.tolist() for s, op in zip(lift.scale, lift.operators)},
+        "scale": keys,
+        "operators": dict(zip(keys, (op.tolist() for op in lift.operators))),
         "pi": lift.pi.tolist(),
     }
 

@@ -206,14 +206,16 @@ def prediction_matrix(
     """Truncated prediction matrix over words of length <= max_length, with its rank.
 
     The numerical rank counts singular values above rank_tol times the
-    largest one.  They are taken from the m x m core R_y R_c^T of the QR
-    factors of the two m-column factors, never from the words x words
-    matrix, so the rank never exceeds m and the cost is O(words * m^2) time
-    and O(words * m) memory.  The returned matrix forms ``values`` only when
-    it is read.
+    largest one; rank_tol must be positive.  They are taken from the m x m
+    core R_y R_c^T of the QR factors of the two m-column factors, never from
+    the words x words matrix, so the rank never exceeds m and the cost is
+    O(words * m^2) time and O(words * m) memory.  The returned matrix forms
+    ``values`` only when it is read.
     """
     if max_length < 0:
         raise ValueError("max_length must be nonnegative")
+    if not rank_tol > 0:
+        raise ValueError("rank_tol must be positive")
     base = len(model.scale)
     total = (base ** (max_length + 1) - 1) // (base - 1) if base > 1 else max_length + 1
     _check_word_count(total)

@@ -94,6 +94,31 @@ def node_povm(graph: DirectedGraph) -> NodePOVM:
     return NodePOVM(graph=graph, projectors=_diagonal_projectors(sources, graph.node_count))
 
 
+def _path(graph: DirectedGraph, operator: MarkovOperator, start: np.ndarray, steps: int):
+    """The walk's coordinate path in the blocks of :func:`~qmarkov.chain._path_blocks`.
+
+    The arguments are checked here, before the first block is drawn.
+    """
+    _require_same_dim(operator.n, graph.edge_count, "operator", "graph edges")
+    chain = MarkovChain(operator=operator, start=start)
+    return _path_blocks(operator.matrix, coords(chain.start), steps)
+
+
+def _read_nodes(block: np.ndarray, sources: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Add the node values of a block of path coordinates into ``out`` (one row per step)."""
+    # the first n coordinates of a Hermitian matrix are its diagonal entries;
+    # each node sums the diagonal entries of its out-edges in edge order
+    for e, u in enumerate(sources):
+        out[:, u] += block[:, e]
+    return out
+
+
+def _node_blocks(graph: DirectedGraph, operator: MarkovOperator, start: np.ndarray, steps: int):
+    """Node values for t = 0..steps as (rows, nodes) arrays, one per block of :func:`_path`."""
+    blocks, sources = _path(graph, operator, start, steps), _endpoints(graph)[0]
+    return (_read_nodes(block, sources, np.zeros((len(block), graph.node_count))) for block in blocks)
+
+
 def walk(
     graph: DirectedGraph,
     operator: MarkovOperator,
@@ -107,18 +132,11 @@ def walk(
     are genuine probabilities.  The iterates come in blocks from the path
     kernel behind :func:`~qmarkov.chain.evolve` and are never held whole.
     """
-    _require_same_dim(operator.n, graph.edge_count, "operator", "graph edges")
-    chain = MarkovChain(operator=operator, start=start)
-    blocks = _path_blocks(operator.matrix, coords(chain.start), steps)
+    blocks, sources = _path(graph, operator, start, steps), _endpoints(graph)[0]
     probabilities = np.zeros((steps + 1, graph.node_count))
-    sources = _endpoints(graph)[0]
     t = 0
-    # the first n coordinates of a Hermitian matrix are its diagonal entries;
-    # each node sums the diagonal entries of its out-edges in edge order
     for block in blocks:
-        rows = probabilities[t : t + len(block)]
-        for e, u in enumerate(sources):
-            rows[:, u] += block[:, e]
+        _read_nodes(block, sources, probabilities[t : t + len(block)])
         t += len(block)
     return WalkTrace(graph=graph, node_probabilities=probabilities)
 

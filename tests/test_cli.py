@@ -27,6 +27,7 @@ from qmarkov import (
 )
 from qmarkov import io as qio
 from qmarkov import chain as qchain
+from qmarkov import cli
 from qmarkov import measurement as qmeasurement
 from qmarkov.chain import _path_blocks
 from qmarkov.hermitian import coords
@@ -354,6 +355,19 @@ class TestOomCommands:
         assert run(["oom-rank", "--oom", str(files["oom"]), "--max-length", "3"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["rank"] == 1
+
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+    def test_rank_tol_must_be_positive(self, files, capsys, tol):
+        assert run(["oom-rank", "--oom", str(files["oom"]), "--max-length", "3", "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "qmarkov: invalid input: rank_tol must be positive" in captured.err
+
+    def test_symbols_sharing_a_text_exit_two(self, files, capsys):
+        path = files["tmp"] / "shared.json"
+        path.write_text(json.dumps({"dim": 1, "scale": [1, "1"], "operators": {"1": [[0.5]]}, "pi": [1.0]}))
+        assert run(["oom-prob", "--oom", str(path), "--word", "1"]) == 2
+        assert "scale symbols 1 and '1' share the JSON key '1'" in capsys.readouterr().err
 
     def test_lift(self, files, capsys):
         assert run(["oom-lift", "--oom", str(files["oom"])]) == 0
@@ -749,6 +763,26 @@ class TestStreamedOutput:
         assert out.read_text().count("\n") > 10 * steps
         assert large <= 1.25 * small, (small, large)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_walk_peak_memory_flat_in_steps(self, files, fmt):
+        out = files["tmp"] / "walk.txt"
+        argv = ["walk", "--graph", str(files["graph"]), "--operator", str(files["shift"]),
+                "--density", str(files["edge0"]), "--format", fmt, "--output", str(out)]
+
+        def peak(steps):
+            gc.collect(1)
+            tracemalloc.start()
+            try:
+                assert run([*argv, "--steps", str(steps)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(20000)  # imports and first-call caches
+        small, large = peak(2000), peak(20000)
+        assert out.read_text().count("\n") > 20000
+        assert large <= 1.25 * small, (small, large)
+
     @pytest.mark.parametrize("case", ["chain-evolve", "walk", "measure", "chain-evolve-negative-steps"])
     def test_invalid_input_writes_nothing(self, files, chain_files, capsys, case):
         paths, _ = chain_files
@@ -794,3 +828,74 @@ class TestStreamedOutput:
         assert (done.returncode, done.stdout) == (2, b"")
         assert b"qmarkov: invalid input" in done.stderr
         assert not never.exists()
+
+
+class TestParserReuse:
+    """``run`` builds its parser once per process, and one run leaves nothing behind for the next."""
+
+    @staticmethod
+    def _outcome(argv, capsys, out_file):
+        """Exit code, stdout, stderr and ``--output`` text of one run."""
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse usage errors and --help
+            code = exc.code
+        captured = capsys.readouterr()
+        written = out_file.read_text() if out_file.exists() else None
+        out_file.unlink(missing_ok=True)
+        return code, captured.out, captured.err, written
+
+    @staticmethod
+    def _sequence(files):
+        oom, out = str(files["oom"]), str(files["tmp"] / "out.txt")
+        measure = ["measure", "--measurement", str(files["zmeas"]), "--density", str(files["density"]), "--steps", "2"]
+        cesaro = ["chain-cesaro", "--operator", str(files["swap"]), "--density", str(files["density"])]
+        return [
+            ["oom-prob", "--oom", oom, "--word", "ab", "--word", "a"],  # an append action
+            ["oom-prob", "--oom", oom, "--word", "b"],
+            [*measure, "--output", out],
+            measure,
+            [*measure, "--format", "json"],
+            [*cesaro, "--tol", "0.1"],
+            cesaro,
+            ["oom-rank", "--oom", oom],  # usage error: --max-length is required
+            ["measure", "--help"],
+        ]
+
+    def test_built_once(self, files, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            for argv in self._sequence(files)[:3]:
+                assert run(argv) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_not_built_at_import(self):
+        src = str(Path(qmarkov.__file__).parents[1])
+        code = "import qmarkov.cli as c; assert c._parser.cache_info().currsize == 0"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", code], env=env, timeout=120, check=True)
+
+    @pytest.mark.parametrize("order", ["forward", "reversed"])
+    def test_runs_leak_no_state(self, files, capsys, monkeypatch, order):
+        out_file = files["tmp"] / "out.txt"
+        sequence = self._sequence(files)
+        if order == "reversed":
+            sequence.reverse()
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parser", cli.build_parser)  # a fresh parser for every run
+            fresh = [self._outcome(argv, capsys, out_file) for argv in sequence]
+        shared = [self._outcome(argv, capsys, out_file) for argv in sequence]
+        assert shared == fresh
+        assert sorted(code for code, *_ in fresh) == [0] * 8 + [2]  # --help exits 0, the usage error 2
+
+    def test_every_help_renders(self):
+        parser = cli.build_parser()
+        (action,) = [a for a in parser._actions if a.dest == "command"]
+        assert "qmarkov" in parser.format_help()
+        for name, sub in action.choices.items():
+            assert sub.format_help().startswith(f"usage: qmarkov {name}")

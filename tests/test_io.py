@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from qmarkov import (
     Scale,
     from_kraus,
     identity_operator,
+    lift_hidden_states,
 )
 from qmarkov import io as qio
 
@@ -249,6 +251,26 @@ class TestOomRoundTrip:
         payload = {"dim": 2, "scale": ["a"], "operators": {"a": np.eye(2).tolist()}, "pi": [np.inf, -np.inf]}
         with pytest.raises(ValueError, match="non-finite"):
             qio.oom_from_dict(payload)
+
+    # 1 and "1" are distinct symbols with one text, and a JSON key is text only
+    SHARED = ObservableOperatorModel(
+        scale=Scale((1, "1")), operators=(np.array([[0.3]]), np.array([[0.7]])), pi=np.array([1.0])
+    )
+    SHARED_MESSAGE = r"scale symbols 1 and '1' share the JSON key '1'"
+
+    def test_symbols_sharing_a_text_not_saved(self, tmp_path):
+        path = tmp_path / "oom.json"
+        with pytest.raises(ValueError, match=self.SHARED_MESSAGE):
+            qio.save_oom(path, self.SHARED)
+        assert not path.exists()
+        with pytest.raises(ValueError, match=self.SHARED_MESSAGE):
+            qio.lift_to_dict(lift_hidden_states(self.SHARED))
+
+    def test_symbols_sharing_a_text_not_loaded(self, tmp_path):
+        path = tmp_path / "oom.json"
+        path.write_text(json.dumps({"dim": 1, "scale": [1, "1"], "operators": {"1": [[0.5]]}, "pi": [1.0]}))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + self.SHARED_MESSAGE):
+            qio.load_oom(path)
 
 
 class TestStateTable:

@@ -200,6 +200,12 @@ class TestPredictionMatrix:
         _, rank = prediction_matrix(alternating(), 3)
         assert rank == 2
 
+    @pytest.mark.parametrize("rank_tol", [float("nan"), 0.0, -1.0])
+    def test_rank_tol_must_be_positive(self, rank_tol):
+        # a NaN cutoff would count no singular value, a nonpositive one every zero
+        with pytest.raises(ValueError, match="rank_tol must be positive"):
+            prediction_matrix(alternating(), 3, rank_tol=rank_tol)
+
     def test_rank_bounded_by_dimension(self):
         rng = np.random.default_rng(93)
         for _ in range(10):
