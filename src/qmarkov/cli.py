@@ -79,13 +79,11 @@ def _parse_word(scale, text: str) -> tuple:
     """Parse a word argument into scale symbols, each named by its text ``str(symbol)``.
 
     Parts are comma-separated, or one character each when every symbol's
-    text is one character.  A string symbol wins over an integer of the
-    same text.
+    text is one character.
     """
     if text == "":
         return ()
-    names = {str(s): s for s in scale if not isinstance(s, str)}
-    names.update((s, s) for s in scale if isinstance(s, str))
+    names = {str(s): s for s in scale}
     if "," in text:
         parts = text.split(",")
     elif all(len(name) == 1 for name in names):

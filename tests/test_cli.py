@@ -348,7 +348,6 @@ class TestOomCommands:
         assert _parse_word(Scale((0, 1)), "0,1") == (0, 1)
         assert _parse_word(Scale((10, 2)), "10,2") == (10, 2)
         assert _parse_word(Scale((10, 2)), "10") == (10,)
-        assert _parse_word(Scale((1, "1")), "11") == ("1", "1")  # an exact string symbol wins
         assert _parse_word(Scale(("a", "bc")), "bc") == ("bc",)
 
     def test_rank(self, files, capsys):

@@ -152,6 +152,20 @@ class TestMeasurementLoading:
         with pytest.raises(ValueError, match="'kraus' or 'operators'"):
             qio.load_measurement(path)
 
+    @pytest.mark.parametrize(
+        "family",
+        [
+            {"n": 1, "kraus": {"1": qio.matrix_to_dict(np.eye(1, dtype=complex))}},
+            {"operators": {"1": [[1.0]]}},
+        ],
+        ids=["kraus", "markov"],
+    )
+    def test_symbols_sharing_a_text_not_loaded(self, tmp_path, family):
+        path = tmp_path / "meas.json"
+        path.write_text(json.dumps({"scale": [1, "1"], **family}))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: scale symbols 1 and '1' share the JSON key '1'")):
+            qio.load_measurement(path)
+
 
 class TestGraphLoading:
     def test_text_three_cycle(self, tmp_path):
