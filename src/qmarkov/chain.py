@@ -29,6 +29,7 @@ from .hermitian import (
     CESARO_MAX_DOUBLINGS,
     CESARO_TOL,
     UNIT_TRACE_FLOOR,
+    _frozen_array,
     _require_same_dim,
     _require_unitary,
     coords,
@@ -68,9 +69,9 @@ class MarkovChain:
     start: np.ndarray
 
     def __post_init__(self) -> None:
-        start = np.array(require_markov_density(self.start, name="start density"))
+        start = require_markov_density(self.start, name="start density")
+        start = _frozen_array(start, "start density", complex)
         _require_same_dim(self.operator.n, start.shape[0], "operator", "start density")
-        start.setflags(write=False)
         object.__setattr__(self, "start", start)
 
 

@@ -52,9 +52,13 @@ def _json(payload):
 
 
 def _csv(header: str, blocks):
-    """CSV chunks: the header line, then each block of row lines and its closing newline."""
-    yield header + "\n"
-    for lines in blocks:
+    """CSV chunks: each block of row lines and its closing newline, the header leading the first block.
+
+    The header leaves with the first rows, so an error raised while they
+    are computed writes nothing.
+    """
+    blocks = iter(blocks)
+    for lines in chain([chain((header,), next(blocks, ()))], blocks):
         yield "\n".join(lines)
         yield "\n"
 
@@ -229,9 +233,9 @@ def _cmd_oom_entropy(args) -> None:
         _emit(args, _csv("t,entropy_per_symbol,entropy_increment", [map("%d,%.17g,%.17g".__mod__, rows)]))
 
 
-def _add_output_options(p, formats=("csv", "json"), default="csv") -> None:
+def _add_output_options(p, formats=("csv", "json")) -> None:
     if formats:
-        p.add_argument("--format", choices=formats, default=default, help="output format")
+        p.add_argument("--format", choices=formats, default="csv", help="output format")
     p.add_argument("--output", help="output path (default: standard output)")
 
 

@@ -9,7 +9,8 @@ superoperators are represented (see :func:`hermitian_basis`,
 
 This module is the root of the import graph, so it also holds the
 package's tolerance table and the one check of each shared invariant
-(unit sums, unit column sums, unitarity, matching dimensions).
+(finite read-only arrays, unit sums, unit column sums, unitarity,
+matching dimensions).
 """
 
 from __future__ import annotations
@@ -212,6 +213,17 @@ def _require_unitary(u: np.ndarray) -> np.ndarray:
     if not is_unitary(u):
         raise ValueError(f"matrix is not unitary within {EQUALITY_TOL:g} (UU* must equal I)")
     return u
+
+
+def _frozen_array(value, name: str, dtype, shape: tuple | None = None) -> np.ndarray:
+    """A read-only copy of ``value`` as ``dtype``, of ``shape`` when given, with finite entries."""
+    array = np.array(value, dtype=dtype)
+    if shape is not None and array.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
+    if not np.all(np.isfinite(array)):
+        raise ValueError(f"{name} contains non-finite entries")
+    array.setflags(write=False)
+    return array
 
 
 def _require_unit_sum(values: np.ndarray, name: str, note: str = "") -> float:

@@ -16,7 +16,7 @@ from typing import Hashable, NamedTuple, Sequence
 
 import numpy as np
 
-from .hermitian import BELL_TOL, SIGN_TOL, _require_unit_sum
+from .hermitian import BELL_TOL, SIGN_TOL, _frozen_array, _require_unit_sum
 from .measurement import KrausMeasurement, OutcomeDistribution, Scale, _diagonal_projectors
 
 __all__ = [
@@ -88,14 +88,8 @@ class MarkovState:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float)
-        if values.shape != (len(self.space),):
-            raise ValueError(
-                f"need one component per hidden state: {values.shape}, "
-                f"{len(self.space)} states"
-            )
+        values = _frozen_array(self.values, "Markov state components", float, (len(self.space),))
         _require_unit_sum(values, "Markov state components")
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
 

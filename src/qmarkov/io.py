@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator
+from contextlib import contextmanager
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -51,12 +52,21 @@ __all__ = [
 BASIS_TAG = "canonical-hermitian-v1"
 
 
+@contextmanager
+def _within(where) -> Iterator[None]:
+    """Prefix ``where`` (a file, or a part of one) to a ValueError raised inside."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
 def _read_json(path, text: str | None = None) -> Any:
-    """Parse a JSON file, or its ``text`` when already read; bad JSON names the path."""
+    """Parse a JSON file, or its ``text`` when already read."""
     try:
         return json.loads(Path(path).read_text() if text is None else text)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: malformed JSON ({exc})") from None
+        raise ValueError(f"malformed JSON ({exc})") from None
 
 
 def _write_json(path, payload) -> None:
@@ -167,23 +177,30 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _positive_int(d: Mapping, key: str, where: str) -> int:
+def _fields(d, *keys: str) -> None:
+    """Raise unless ``d`` is a JSON object holding every one of ``keys``."""
+    _expect(isinstance(d, Mapping), f"expected a JSON object with fields {', '.join(keys)}")
+    for key in keys:
+        _expect(key in d, f"missing field {key!r}")
+
+
+def _positive_int(d: Mapping, key: str) -> int:
     """A field that must be a JSON integer >= 1 (booleans and floats rejected)."""
     value = d[key]
-    _expect(_is_int(value) and value >= 1, f"{where}: {key!r} must be a positive integer, got {value!r}")
+    _expect(_is_int(value) and value >= 1, f"{key!r} must be a positive integer, got {value!r}")
     return value
 
 
-def _symbols(value, where: str, field: str, items: str) -> tuple:
+def _symbols(value, field: str, items: str) -> tuple:
     """A non-empty JSON list of strings or integers (booleans rejected), as a tuple."""
-    _expect(isinstance(value, list) and value, f"{where}: {field} must be a non-empty list")
+    _expect(isinstance(value, list) and value, f"{field} must be a non-empty list")
     for s in value:
-        _expect(isinstance(s, str) or _is_int(s), f"{where}: {items} must be strings or integers, got {s!r}")
+        _expect(isinstance(s, str) or _is_int(s), f"{items} must be strings or integers, got {s!r}")
     return tuple(value)
 
 
-def _float_array(value, where: str) -> np.ndarray:
-    """A nested JSON list of numbers as a float array; any other value is a ValueError.
+def _float_array(value, name: str, shape: tuple | None = None) -> np.ndarray:
+    """A nested JSON list of numbers as a float array, of ``shape`` when given.
 
     The inferred dtype must be numeric, so null, strings and integers beyond
     64 bits are rejected; a float conversion would turn null into NaN.
@@ -193,8 +210,10 @@ def _float_array(value, where: str) -> np.ndarray:
     except ValueError:  # ragged nesting
         array = None
     if array is None or array.dtype.kind not in "iuf":
-        raise ValueError(f"{where}: expected numbers, got {value!r}")
-    return array.astype(float)
+        raise ValueError(f"{name}: expected numbers, got {value!r}")
+    if shape is not None and array.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
+    return array.astype(float, copy=False)
 
 
 def matrix_to_dict(m: np.ndarray, kind: str | None = None) -> dict:
@@ -211,26 +230,20 @@ def matrix_to_dict(m: np.ndarray, kind: str | None = None) -> dict:
     return payload
 
 
-def matrix_from_dict(d: Mapping, where: str = "matrix") -> np.ndarray:
+def matrix_from_dict(d: Mapping) -> np.ndarray:
     """Parse a matrix dict, validating any declared kind (hermitian/density)."""
-    _expect(isinstance(d, Mapping), f"{where}: expected an object with rows/cols/entries")
-    for key in ("rows", "cols", "entries"):
-        _expect(key in d, f"{where}: missing field {key!r}")
-    rows, cols = _positive_int(d, "rows", where), _positive_int(d, "cols", where)
-    entries = _float_array(d["entries"], f"{where}: 'entries'")
-    _expect(
-        entries.shape == (rows * cols, 2),
-        f"{where}: entries must hold rows*cols = {rows * cols} [re, im] pairs, got shape {entries.shape}",
-    )
+    _fields(d, "rows", "cols", "entries")
+    rows, cols = _positive_int(d, "rows"), _positive_int(d, "cols")
+    entries = _float_array(d["entries"], "'entries' ([re, im] pairs)", (rows * cols, 2))
     # a view keeps the sign of -0.0 real parts, which re + 1j * im would not
     m = entries.view(complex).reshape(rows, cols)
     kind = d.get("kind")
     if kind == "hermitian":
-        require_hermitian(m, name=where)
+        require_hermitian(m)
     elif kind == "density":
-        require_markov_density(m, name=where)
+        require_markov_density(m)
     elif kind is not None:
-        raise ValueError(f"{where}: unknown kind {kind!r} (expected 'hermitian' or 'density')")
+        raise ValueError(f"unknown kind {kind!r} (expected 'hermitian' or 'density')")
     return m
 
 
@@ -239,12 +252,14 @@ def save_matrix(path, m: np.ndarray, kind: str | None = None) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    return matrix_from_dict(_read_json(path), where=str(path))
+    with _within(path):
+        return matrix_from_dict(_read_json(path))
 
 
 def load_density(path) -> np.ndarray:
     """Load a matrix file and insist it is a Markov density."""
-    return require_markov_density(load_matrix(path), name=str(path))
+    with _within(path):
+        return require_markov_density(matrix_from_dict(_read_json(path)))
 
 
 def operator_to_dict(op: MarkovOperator) -> dict:
@@ -255,21 +270,10 @@ def operator_to_dict(op: MarkovOperator) -> dict:
     }
 
 
-def operator_from_dict(d: Mapping, where: str = "operator") -> MarkovOperator:
-    _expect(isinstance(d, Mapping), f"{where}: expected an object")
-    for key in ("n", "basis", "matrix"):
-        _expect(key in d, f"{where}: missing field {key!r}")
-    _expect(
-        d["basis"] == BASIS_TAG,
-        f"{where}: unsupported basis {d['basis']!r} (expected {BASIS_TAG!r})",
-    )
-    n = _positive_int(d, "n", where)
-    matrix = _float_array(d["matrix"], f"{where}: 'matrix'")
-    _expect(
-        matrix.shape == (n * n, n * n),
-        f"{where}: matrix must be {n * n}x{n * n}, got {matrix.shape}",
-    )
-    return MarkovOperator(n=n, matrix=matrix)
+def operator_from_dict(d: Mapping) -> MarkovOperator:
+    _fields(d, "n", "basis", "matrix")
+    _expect(d["basis"] == BASIS_TAG, f"unsupported basis {d['basis']!r} (expected {BASIS_TAG!r})")
+    return MarkovOperator(n=_positive_int(d, "n"), matrix=_float_array(d["matrix"], "'matrix'"))
 
 
 def save_operator(path, op: MarkovOperator) -> None:
@@ -277,78 +281,74 @@ def save_operator(path, op: MarkovOperator) -> None:
 
 
 def load_operator(path) -> MarkovOperator:
-    return operator_from_dict(_read_json(path), where=str(path))
+    with _within(path):
+        return operator_from_dict(_read_json(path))
 
 
-def _kraus_matrices(d: Mapping, labelled, where: str) -> list[np.ndarray]:
+def _kraus_matrices(d: Mapping, labelled) -> list[np.ndarray]:
     """Parse (label, matrix dict) pairs, each matrix checked against the file's 'n' if given."""
-    n = _positive_int(d, "n", where) if "n" in d else None
+    n = _positive_int(d, "n") if "n" in d else None
     out = []
     for label, entry in labelled:
-        m = matrix_from_dict(entry, where=f"{where}: {label}")
-        _expect(n is None or m.shape == (n, n), f"{where}: {label} has shape {m.shape}, expected ({n}, {n})")
+        with _within(label):
+            m = matrix_from_dict(entry)
+        _expect(n is None or m.shape == (n, n), f"{label} has shape {m.shape}, expected ({n}, {n})")
         out.append(m)
     return out
 
 
-def _kraus_list(d: Mapping, where: str) -> list[np.ndarray]:
+def _kraus_list(d: Mapping) -> list[np.ndarray]:
     """The matrices of a Kraus file's non-empty 'kraus' list."""
     mats = d["kraus"]
-    _expect(isinstance(mats, list) and mats, f"{where}: 'kraus' must be a non-empty list")
-    return _kraus_matrices(d, ((f"kraus[{i}]", m) for i, m in enumerate(mats)), where)
+    _expect(isinstance(mats, list) and mats, "'kraus' must be a non-empty list")
+    return _kraus_matrices(d, ((f"kraus[{i}]", m) for i, m in enumerate(mats)))
 
 
-def _text_keys(scale: Scale, where: str) -> list[str]:
+def _text_keys(scale: Scale) -> list[str]:
     """The JSON key ``str(symbol)`` of each scale symbol; two symbols may not share one."""
     keys: dict[str, Any] = {}
     for s in scale:
         other = keys.setdefault(str(s), s)
         if other is not s:
-            raise ValueError(f"{where}: scale symbols {other!r} and {s!r} share the JSON key {str(s)!r}")
+            raise ValueError(f"scale symbols {other!r} and {s!r} share the JSON key {str(s)!r}")
     return list(keys)
 
 
-def _by_symbol(d: Mapping, field: str, scale: Scale, what: str, where: str):
+def _by_symbol(d: Mapping, field: str, scale: Scale, what: str):
     """(symbol, entry) for each scale symbol of the object ``d[field]``; a key may be str(symbol)."""
     table = d[field]
-    _expect(isinstance(table, Mapping), f"{where}: {field!r} must map symbols to matrices")
-    _text_keys(scale, where)
+    _expect(isinstance(table, Mapping), f"{field!r} must map symbols to matrices")
+    _text_keys(scale)
     for s in scale:
         key = s if s in table else str(s)
-        _expect(key in table, f"{where}: no {what} for symbol {s!r}")
+        _expect(key in table, f"no {what} for symbol {s!r}")
         yield s, table[key]
 
 
 def load_channel(path) -> MarkovOperator:
     """Load a Markov operator from either an operator file or a Kraus file."""
-    d = _read_json(path)
-    if isinstance(d, Mapping) and "kraus" in d:
-        return from_kraus(_kraus_list(d, str(path)))
-    return operator_from_dict(d, where=str(path))
+    with _within(path):
+        d = _read_json(path)
+        if isinstance(d, Mapping) and "kraus" in d:
+            return from_kraus(_kraus_list(d))
+        return operator_from_dict(d)
 
 
 def load_measurement(path):
     """Load a measurement file; returns a Kraus or Markov measurement."""
-    d = _read_json(path)
-    where = str(path)
-    _expect(isinstance(d, Mapping), f"{where}: expected an object")
-    _expect("scale" in d, f"{where}: missing field 'scale'")
-    scale = Scale(_symbols(d["scale"], where, "'scale'", "scale symbols"))
-    if "kraus" in d:
-        entries = _by_symbol(d, "kraus", scale, "Kraus matrix", where)
-        mats = _kraus_matrices(d, ((f"kraus[{s!r}]", e) for s, e in entries), where)
-        return KrausMeasurement(scale=scale, kraus=tuple(mats))
-    if "operators" in d:
-        out = []
-        for s, entry in _by_symbol(d, "operators", scale, "operator", where):
-            op = _float_array(entry, f"{where}: operator for {s!r}")
-            _expect(
-                op.ndim == 2 and op.shape[0] == op.shape[1],
-                f"{where}: operator for {s!r} must be a square matrix, got shape {op.shape}",
-            )
-            out.append(op)
-        return MarkovMeasurement(scale=scale, operators=tuple(out))
-    raise ValueError(f"{where}: measurement needs either 'kraus' or 'operators'")
+    with _within(path):
+        d = _read_json(path)
+        _fields(d, "scale")
+        scale = Scale(_symbols(d["scale"], "'scale'", "scale symbols"))
+        if "kraus" in d:
+            entries = _by_symbol(d, "kraus", scale, "Kraus matrix")
+            mats = _kraus_matrices(d, ((f"kraus[{s!r}]", e) for s, e in entries))
+            return KrausMeasurement(scale=scale, kraus=tuple(mats))
+        if "operators" in d:
+            entries = _by_symbol(d, "operators", scale, "operator")
+            ops = tuple(_float_array(e, f"operator for {s!r}") for s, e in entries)
+            return MarkovMeasurement(scale=scale, operators=ops)
+        raise ValueError("measurement needs either 'kraus' or 'operators'")
 
 
 def save_graph(path, graph: DirectedGraph) -> None:
@@ -359,17 +359,18 @@ def load_graph(path) -> DirectedGraph:
     """Load a graph from JSON {"nodes", "edges"} or plain "u v" lines."""
     text = Path(path).read_text()
     if text.lstrip().startswith("{"):
-        d = _read_json(path, text)
-        _expect("nodes" in d and "edges" in d, f"{path}: graph JSON needs 'nodes' and 'edges'")
-        node_count = _positive_int(d, "nodes", str(path))
-        edges = d["edges"]
-        _expect(
-            isinstance(edges, list)
-            and all(isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges),
-            f"{path}: 'edges' must be a list of [u, v] integer pairs",
-        )
-        return DirectedGraph(node_count=node_count, edges=tuple(map(tuple, edges)))
-    edges = []
+        with _within(path):
+            d = _read_json(path, text)
+            _expect("nodes" in d and "edges" in d, "graph JSON needs 'nodes' and 'edges'")
+            node_count = _positive_int(d, "nodes")
+            edges = d["edges"]
+            _expect(
+                isinstance(edges, list)
+                and all(isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges),
+                "'edges' must be a list of [u, v] integer pairs",
+            )
+            return DirectedGraph(node_count=node_count, edges=tuple(map(tuple, edges)))
+    edges = []  # a bad line names path:line itself
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -381,34 +382,27 @@ def load_graph(path) -> DirectedGraph:
             edges.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise ValueError(f"{path}:{lineno}: node ids must be integers, got {line!r}") from None
-    _expect(bool(edges), f"{path}: graph file contains no edges")
-    node_count = max(max(u, v) for u, v in edges) + 1
-    return DirectedGraph(node_count=node_count, edges=tuple(edges))
+    with _within(path):
+        _expect(bool(edges), "graph file contains no edges")
+        return DirectedGraph(node_count=max(max(u, v) for u, v in edges) + 1, edges=tuple(edges))
 
 
 def oom_to_dict(model: ObservableOperatorModel) -> dict:
     return {
         "dim": model.dim,
         "scale": list(model.scale.symbols),
-        "operators": dict(zip(_text_keys(model.scale, "oom"), (op.tolist() for op in model.operators))),
+        "operators": dict(zip(_text_keys(model.scale), (op.tolist() for op in model.operators))),
         "pi": model.pi.tolist(),
     }
 
 
-def oom_from_dict(d: Mapping, where: str = "oom") -> ObservableOperatorModel:
-    _expect(isinstance(d, Mapping), f"{where}: expected an object")
-    for key in ("dim", "scale", "operators", "pi"):
-        _expect(key in d, f"{where}: missing field {key!r}")
-    m = _positive_int(d, "dim", where)
-    scale = Scale(_symbols(d["scale"], where, "'scale'", "scale symbols"))
-    ops = []
-    for s, entry in _by_symbol(d, "operators", scale, "operator", where):
-        op = _float_array(entry, f"{where}: operator for {s!r}")
-        _expect(op.shape == (m, m), f"{where}: operator for {s!r} has shape {op.shape}, expected ({m}, {m})")
-        ops.append(op)
-    pi = _float_array(d["pi"], f"{where}: 'pi'")
-    _expect(pi.shape == (m,), f"{where}: 'pi' must have length {m}")
-    return ObservableOperatorModel(scale=scale, operators=tuple(ops), pi=pi)
+def oom_from_dict(d: Mapping) -> ObservableOperatorModel:
+    _fields(d, "dim", "scale", "operators", "pi")
+    m = _positive_int(d, "dim")
+    scale = Scale(_symbols(d["scale"], "'scale'", "scale symbols"))
+    entries = _by_symbol(d, "operators", scale, "operator")
+    ops = tuple(_float_array(e, f"operator for {s!r}", (m, m)) for s, e in entries)
+    return ObservableOperatorModel(scale=scale, operators=ops, pi=_float_array(d["pi"], "'pi'"))
 
 
 def save_oom(path, model: ObservableOperatorModel) -> None:
@@ -416,11 +410,12 @@ def save_oom(path, model: ObservableOperatorModel) -> None:
 
 
 def load_oom(path) -> ObservableOperatorModel:
-    return oom_from_dict(_read_json(path), where=str(path))
+    with _within(path):
+        return oom_from_dict(_read_json(path))
 
 
 def lift_to_dict(lift: HiddenStateLift) -> dict:
-    keys = _text_keys(lift.scale, "lift")
+    keys = _text_keys(lift.scale)
     return {
         "states": [[str(sym), int(j)] for sym, j in lift.space.states],
         "scale": keys,
@@ -435,20 +430,16 @@ def load_state_table(path) -> tuple[HiddenStateSpace, dict[str, InformationFunct
     States and function values are strings or integers; a function's scale
     is its distinct values in order of first appearance.
     """
-    d = _read_json(path)
-    where = str(path)
-    for key in ("states", "functions", "q"):
-        _expect(isinstance(d, Mapping) and key in d, f"{where}: missing field {key!r}")
-    space = HiddenStateSpace(states=_symbols(d["states"], where, "'states'", "states"))
-    functions: dict[str, InformationFunction] = {}
-    _expect(isinstance(d["functions"], Mapping), f"{where}: 'functions' must map names to value lists")
-    for name, values in d["functions"].items():
-        values = _symbols(values, where, f"function {name!r}", f"values of function {name!r}")
-        _expect(len(values) == len(space), f"{where}: function {name!r} needs one value per state")
-        functions[name] = InformationFunction(
-            space=space, scale=Scale(tuple(dict.fromkeys(values))), values=values
-        )
-    q = _float_array(d["q"], f"{where}: 'q'")
-    _expect(q.shape == (len(space),), f"{where}: 'q' must have length {len(space)}")
-    state = MarkovState(space=space, values=q)
-    return space, functions, state
+    with _within(path):
+        d = _read_json(path)
+        _fields(d, "states", "functions", "q")
+        space = HiddenStateSpace(states=_symbols(d["states"], "'states'", "states"))
+        functions: dict[str, InformationFunction] = {}
+        _expect(isinstance(d["functions"], Mapping), "'functions' must map names to value lists")
+        for name, values in d["functions"].items():
+            values = _symbols(values, f"function {name!r}", f"values of function {name!r}")
+            _expect(len(values) == len(space), f"function {name!r} needs one value per state")
+            functions[name] = InformationFunction(
+                space=space, scale=Scale(tuple(dict.fromkeys(values))), values=values
+            )
+        return space, functions, MarkovState(space=space, values=_float_array(d["q"], "'q'"))

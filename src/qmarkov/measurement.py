@@ -19,6 +19,7 @@ import numpy as np
 from .hermitian import (
     PROBABILITY_FLOOR,
     SIGN_TOL,
+    _frozen_array,
     _require_same_dim,
     _require_unit_sum,
     coords,
@@ -147,17 +148,11 @@ def _word_blocks(xs: list[np.ndarray], ys: list[np.ndarray], t: int) -> Iterator
 
 def _symbol_matrices(scale: Scale, mats: Sequence, kind: str, dtype) -> tuple[np.ndarray, ...]:
     """One square, finite, read-only array per scale symbol, all of one shape."""
-    mats = tuple(np.array(m, dtype=dtype) for m in mats)
+    mats = tuple(mats)
     if len(mats) != len(scale):
         raise ValueError(f"need one {kind} per symbol: got {len(mats)} for {len(scale)} symbols")
-    n = mats[0].shape[0] if mats[0].ndim else 0
-    for sym, m in zip(scale, mats):
-        if m.shape != (n, n):
-            raise ValueError(f"{kind} for {sym!r} has shape {m.shape}, expected ({n}, {n})")
-        if not np.all(np.isfinite(m)):
-            raise ValueError(f"{kind} for {sym!r} contains non-finite entries")
-        m.setflags(write=False)
-    return mats
+    n = np.shape(mats[0])[0] if np.ndim(mats[0]) else 0
+    return tuple(_frozen_array(m, f"{kind} for {sym!r}", dtype, (n, n)) for sym, m in zip(scale, mats))
 
 
 def _diagonal_projectors(labels: np.ndarray, count: int) -> tuple[np.ndarray, ...]:
@@ -229,13 +224,8 @@ class OutcomeDistribution:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float)
-        if values.shape != (len(self.scale),):
-            raise ValueError(
-                f"need one value per symbol: {values.shape} values, {len(self.scale)} symbols"
-            )
+        values = _frozen_array(self.values, "outcome values", float, (len(self.scale),))
         _require_unit_sum(values, "outcome values")
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     def value(self, symbol) -> float:

@@ -16,7 +16,14 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .hermitian import PROBABILITY_FLOOR, RANK_TOL, SIGN_TOL, _require_column_sums, _require_unit_sum
+from .hermitian import (
+    PROBABILITY_FLOOR,
+    RANK_TOL,
+    SIGN_TOL,
+    _frozen_array,
+    _require_column_sums,
+    _require_unit_sum,
+)
 from .hidden import HiddenStateSpace, InformationFunction
 from .measurement import (
     MarkovMeasurement,
@@ -57,12 +64,8 @@ class ObservableOperatorModel:
     def __post_init__(self) -> None:
         ops = _symbol_matrices(self.scale, self.operators, "operator", float)
         _require_column_sums(sum(ops), "operator sum must have column sums 1")
-        m = ops[0].shape[0]
-        pi = np.array(self.pi, dtype=float)
-        if pi.shape != (m,):
-            raise ValueError(f"pi must have shape ({m},), got {pi.shape}")
+        pi = _frozen_array(self.pi, "pi", float, (ops[0].shape[0],))
         _require_unit_sum(pi, "pi")
-        pi.setflags(write=False)
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "pi", pi)
 

@@ -17,6 +17,7 @@ from .hermitian import (
     _SQRT2,
     EQUALITY_TOL,
     SAMPLED_SIGN_TOL,
+    _frozen_array,
     _require_column_sums,
     _require_same_dim,
     _require_unitary,
@@ -80,16 +81,9 @@ class MarkovOperator:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        matrix = np.array(self.matrix, dtype=float)
         m = self.n * self.n
-        if matrix.shape != (m, m):
-            raise ValueError(
-                f"operator on dimension {self.n} needs a {m}x{m} matrix, got {matrix.shape}"
-            )
-        if not np.all(np.isfinite(matrix)):
-            raise ValueError("operator matrix contains non-finite entries")
+        matrix = _frozen_array(self.matrix, f"operator matrix on H_{self.n}", float, (m, m))
         _require_trace_preserving(matrix, "operator is not trace preserving")
-        matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
 
 

@@ -782,10 +782,15 @@ class TestStreamedOutput:
         assert out.read_text().count("\n") > 20000
         assert large <= 1.25 * small, (small, large)
 
-    @pytest.mark.parametrize("case", ["chain-evolve", "walk", "measure", "chain-evolve-negative-steps"])
+    @pytest.mark.parametrize(
+        "case", ["chain-evolve", "walk", "measure", "chain-evolve-negative-steps", "walk-huge-graph-csv"]
+    )
     def test_invalid_input_writes_nothing(self, files, chain_files, capsys, case):
         paths, _ = chain_files
         out = files["tmp"] / "never.txt"
+        # 2**62 nodes: numpy refuses the first block's node array without allocating it
+        huge = files["tmp"] / "huge_graph.json"
+        huge.write_text(json.dumps({"nodes": 2**62, "edges": [[0, 1], [1, 0]]}))
         evolve_args = ["chain-evolve", "--operator", str(paths["op"]), "--density"]
         argv = {
             "chain-evolve": [*evolve_args, str(paths["bad"]), "--steps", "40"],
@@ -795,6 +800,9 @@ class TestStreamedOutput:
                         "--density", str(_bad_density(files["tmp"] / "bad2.json", 2)), "--steps", "2"],
             # the JSON path checks --steps only when the writer draws the first block
             "chain-evolve-negative-steps": [*evolve_args, str(paths["rho"]), "--steps", "-1", "--format", "json"],
+            # the CSV header leaves with the first block of rows, not before it
+            "walk-huge-graph-csv": ["walk", "--graph", str(huge), "--operator", str(files["id_op"]),
+                                    "--density", str(files["density"]), "--steps", "1"],
         }[case]
         assert run([*argv, "--output", str(out)]) == 2
         captured = capsys.readouterr()

@@ -313,3 +313,23 @@ class TestStateTable:
         )
         with pytest.raises(ValueError, match="sum to 1"):
             qio.load_state_table(path)
+
+
+@pytest.mark.parametrize(
+    "load, payload, message",
+    [
+        (qio.load_operator, {"n": 1, "basis": qio.BASIS_TAG, "matrix": [[2.0]]}, "not trace preserving"),
+        (qio.load_channel, {"n": 1, "kraus": [{"rows": 1, "cols": 1, "entries": [[0.5, 0.0]]}]}, "identity"),
+        (qio.load_measurement, {"scale": ["a"], "operators": {"a": [[2.0]]}}, "not a Markov operator"),
+        (qio.load_oom, {"dim": 1, "scale": ["a"], "operators": {"a": [[2.0]]}, "pi": [1.0]}, "column sums 1"),
+        (qio.load_state_table, {"states": ["a"], "functions": {}, "q": [0.5]}, "sum to 1"),
+        (qio.load_graph, {"nodes": 3, "edges": [[0, 5]]}, "out of range"),
+    ],
+    ids=["operator", "kraus", "measurement", "oom", "state-table", "graph"],
+)
+def test_constructor_violation_names_file(tmp_path, load, payload, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=message) as caught:
+        load(path)
+    assert str(caught.value).startswith(f"{path}: ")

@@ -7,14 +7,18 @@ from conftest import random_kraus_family
 from qmarkov import (
     HiddenStateSpace,
     KrausMeasurement,
+    MarkovChain,
     MarkovMeasurement,
+    MarkovOperator,
     MarkovState,
+    ObservableOperatorModel,
     OutcomeDistribution,
     Scale,
     apply,
     as_markov_measurement,
     compose,
     from_unitary,
+    identity_operator,
     is_observable,
     is_t_observable,
     outcome_distribution,
@@ -77,6 +81,57 @@ class TestNonFiniteRejected:
     def test_markov_state(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
             MarkovState(space=HiddenStateSpace(states=("a", "b")), values=[bad, 1.0])
+
+    def test_operator_matrix(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            MarkovOperator(n=1, matrix=[[bad]])
+
+    def test_markov_measurement_operator(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            MarkovMeasurement(scale=Scale(("a", "b")), operators=(np.eye(1), np.array([[bad]])))
+
+    def test_oom_operator(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            ObservableOperatorModel(scale=Scale(("a", "b")), operators=(np.eye(1), np.array([[bad]])), pi=[1.0])
+
+    def test_oom_pi(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            ObservableOperatorModel(scale=Scale(("a",)), operators=(np.eye(2),), pi=[bad, 1.0])
+
+    def test_chain_start(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            MarkovChain(operator=identity_operator(1), start=np.array([[bad]]))
+
+
+def _frozen_fields():
+    """(source arrays, stored arrays) of every constructor that keeps a read-only copy, by field."""
+    kraus = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
+    markov_ops = (0.5 * np.eye(4), 0.5 * np.eye(4))
+    oom_ops = (np.array([[0.5, 0.5], [0.0, 0.0]]), np.array([[0.0, 0.0], [0.5, 0.5]]))
+    pi, values, start, matrix = np.array([0.5, 0.5]), np.array([0.25, 0.75]), np.diag([0.3, 0.7]), np.eye(4)
+    oom = ObservableOperatorModel(scale=Scale(("a", "b")), operators=oom_ops, pi=pi)
+    space = HiddenStateSpace(states=("a", "b"))
+    return [
+        pytest.param([matrix], [MarkovOperator(n=2, matrix=matrix).matrix], id="operator-matrix"),
+        pytest.param(kraus, KrausMeasurement(scale=Scale(("0", "1")), kraus=kraus).kraus, id="kraus"),
+        pytest.param(
+            markov_ops, MarkovMeasurement(scale=Scale(("a", "b")), operators=markov_ops).operators, id="markov-operators"
+        ),
+        pytest.param(oom_ops, oom.operators, id="oom-operators"),
+        pytest.param([pi], [oom.pi], id="oom-pi"),
+        pytest.param([values], [OutcomeDistribution(scale=Scale(("a", "b")), values=values).values], id="outcomes"),
+        pytest.param([values], [MarkovState(space=space, values=values).values], id="markov-state"),
+        pytest.param([start], [MarkovChain(operator=identity_operator(2), start=start).start], id="chain-start"),
+    ]
+
+
+@pytest.mark.parametrize("sources, stored", _frozen_fields())
+def test_stored_arrays_are_read_only_copies(sources, stored):
+    for source, array in zip(sources, stored, strict=True):
+        assert not array.flags.writeable
+        assert not np.shares_memory(source, array)
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 0.0
 
 
 class TestKrausMeasurement:
