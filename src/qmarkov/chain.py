@@ -1,12 +1,18 @@
 """Markov chains (mu, P): evolution, boundedness, Cesaro averages, stationarity.
 
-The Cesaro average of a bounded chain exists and is stationary; it is
-computed here with a doubling scheme on the superoperator, so horizons up to
-~10^12 steps cost only ~40 matrix products of size n^2.  Each doubling also
-tests the tail average over steps t+1..2t, which has the same limit and, for
-mixing channels, loses its transient geometrically; it is accepted only once
-it is stationary and has stopped moving, so the doubling usually ends after
-a few hundred steps instead of ~10^7.
+The Cesaro average of a bounded chain exists and is stationary.  It is
+checked at t = 1, 2, 4, ... from window sums of mu^k(P).  While 2t <= n^2
+the sums come from stepping the chain: a Kraus-form operator steps
+P -> sum_a M_a P M_a* with two small products and never forms its
+superoperator, any other operator steps through the path kernel.  Past
+that point the routine falls back to doubling on the superoperator, so
+horizons up to ~10^12 steps cost only ~40 matrix products of size n^2.
+Each check also tests the tail average over steps t+1..2t, which has the
+same limit and, for mixing channels, loses its transient geometrically; it
+is accepted only once it is stationary and has stopped moving, so mixing
+channels usually stop after a few hundred steps instead of ~10^7, which
+for n >= 16 lies within the stepped phase.  Stepped sums differ from
+doubled ones in the last digits only.
 
 Trajectories t -> mu^t(P) come from one block kernel, ``_path_blocks``.  The
 first PATH_BLOCK rows are stepped one mat-vec at a time.  A path longer than
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -38,7 +45,7 @@ from .hermitian import (
     require_hermitian,
     require_markov_density,
 )
-from .operators import MarkovOperator
+from .operators import MarkovOperator, _image, _kraus_factors, _kraus_step
 
 __all__ = [
     "MarkovChain",
@@ -178,19 +185,21 @@ def cesaro_average(
     tol: float = CESARO_TOL,
     max_doublings: int = CESARO_MAX_DOUBLINGS,
 ) -> CesaroResult:
-    """Limit of averages (1/t) sum_{k=1..t} mu^k(P) via superoperator doubling.
+    """Limit of averages (1/t) sum_{k=1..t} mu^k(P), checked at t = 1, 2, 4, ..., 2^max_doublings.
 
-    Maintains T_t = mu^t and the coordinates of S_t P = sum_{k=1..t} mu^k(P)
-    with S_2t P = S_t P + T_t S_t P and T_2t = T_t^2, so each doubling costs
-    one n^2 x n^2 product (the rest are mat-vecs), and checks the stationarity
-    residual ||mu(avg) - avg|| at t = 1, 2, 4, ..., 2^max_doublings.  When
-    the plain average misses tol, the tail average T_t S_t P / t over steps
-    t+1..2t (the mat-vec the update needs anyway) is tested: it is returned
-    when its residual is within tol and it moved by at most tol since the
-    previous doubling's tail.  That second condition keeps drifting chains
-    out: for a defective eigenvalue-1 block the tail grows like t, and at
-    large t rounding can cancel its residual.  Averages are renormalized to
-    unit trace to absorb accumulated rounding.
+    The sums S_t P = sum_{k=1..t} mu^k(P) and the windows S_2t P - S_t P
+    come from :func:`_window_sums`: stepped while 2t <= n^2, then doubled
+    with one n^2 x n^2 product each.  Stepped and doubled sums differ in the
+    last digits only, so the hand-off moves no more than the last digits of
+    an average and leaves ``iterations`` as it was.  At each t the
+    stationarity residual ||mu(avg) - avg|| of the plain average S_t P / t
+    is tested, with mu applied as the operator applies itself.  When it
+    misses tol, the tail average over steps t+1..2t is tested: it is
+    returned when its residual is within tol and it moved by at most tol
+    since the previous check's tail.  That second condition keeps drifting
+    chains out: for a defective eigenvalue-1 block the tail grows like t,
+    and at large t rounding can cancel its residual.  Averages are
+    renormalized to unit trace to absorb accumulated rounding.
     ``iterations`` is the step count the returned average spans: t for the
     plain average, 2t for the tail.  Raises ConvergenceError when neither
     average gets within tol, which signals an unbounded chain or extremely
@@ -201,33 +210,27 @@ def cesaro_average(
         raise ValueError("tol must be positive")
     if max_doublings < 0:
         raise ValueError("max_doublings must be nonnegative")
-    k = chain.operator.matrix
-    n = chain.operator.n
+    op, n = chain.operator, chain.operator.n
     c0 = coords(chain.start)
-
-    partial = k @ c0
-    residual = float(np.linalg.norm(partial - c0))
+    residual = float(np.linalg.norm(_image(op, c0) - c0))
     if residual <= tol:
         return CesaroResult(average=np.array(chain.start), iterations=0, residual=residual)
 
-    t_mat = k.copy()
-    t = 1
     previous_tail = None
     # overflow along the way is a legitimate signal of an unbounded chain,
     # not a numerical accident worth warning about
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_doublings + 1):
+        for t, partial, shifted in islice(_window_sums(op, chain.start, c0), max_doublings + 1):
             avg = _unit_trace(partial / t, n)
-            residual = float(np.linalg.norm(k @ avg - avg))
+            residual = float(np.linalg.norm(_image(op, avg) - avg))
             if not np.isfinite(residual):
                 raise ConvergenceError(
                     f"averages diverged after {t} steps; the chain appears unbounded"
                 )
             if residual <= tol:
                 return CesaroResult(average=from_coords(avg), iterations=t, residual=residual)
-            shifted = t_mat @ partial
             tail = _unit_trace(shifted / t, n)
-            tail_residual = float(np.linalg.norm(k @ tail - tail))
+            tail_residual = float(np.linalg.norm(_image(op, tail) - tail))
             if (
                 tail_residual <= tol
                 and previous_tail is not None
@@ -235,13 +238,52 @@ def cesaro_average(
             ):
                 return CesaroResult(average=from_coords(tail), iterations=2 * t, residual=tail_residual)
             previous_tail = tail
-            partial += shifted
-            t_mat = t_mat @ t_mat
-            t *= 2
     raise ConvergenceError(
         f"stationarity residual {residual:.3e} still above {tol:.1e} after "
-        f"{max_doublings} doublings (t = {t // 2}); the chain may be unbounded"
+        f"{max_doublings} doublings (t = {t}); the chain may be unbounded"
     )
+
+
+def _window_sums(op: MarkovOperator, start: np.ndarray, c0: np.ndarray) -> Iterator[tuple]:
+    """Coordinates (t, S_t P, S_2t P - S_t P) for t = 1, 2, 4, ..., where S_t P = sum_{k=1..t} mu^k(P).
+
+    While 2t <= n^2 the sums add up stepped rows mu^k(P): a Kraus-form
+    operator steps its stack in matrix form, any other operator runs
+    :func:`_path_blocks`, which does not block at that length.  Past that
+    point K^t is formed once by squaring, and each later window is
+    K^t S_t P, with S_2t = S_t + K^t S_t and K^2t = (K^t)^2.
+    """
+    m = c0.size
+    if op.kraus is None:  # rows are coordinates already
+        steps = 1 << (m.bit_length() - 1)  # rows 1..2t of the last stepped t
+        rows = (row for block in _path_blocks(op.matrix, c0, steps) for row in block)
+        read = np.asarray
+        next(rows)  # row 0 is P itself
+    else:
+        rows, read = _kraus_rows(op.kraus, start), coords
+    partial, t = next(rows).copy(), 1
+    while 2 * t <= m:
+        window = np.zeros_like(partial)
+        for row in islice(rows, t):
+            window += row
+        yield t, read(partial), read(window)
+        partial = partial + window
+        t *= 2
+    partial, power = read(partial), np.linalg.matrix_power(op.matrix, t)
+    while True:
+        window = power @ partial
+        yield t, partial, window
+        partial = partial + window
+        power = power @ power
+        t *= 2
+
+
+def _kraus_rows(mats: np.ndarray, q: np.ndarray) -> Iterator[np.ndarray]:
+    """mu^t(Q) for t = 1, 2, ... under the Kraus stack ``mats``, as matrices."""
+    row, col = _kraus_factors(mats)
+    while True:
+        q = _kraus_step(row, col, q)
+        yield q
 
 
 def _unit_trace(c: np.ndarray, n: int) -> np.ndarray:
@@ -254,9 +296,8 @@ def _unit_trace(c: np.ndarray, n: int) -> np.ndarray:
 
 def is_stationary(chain: MarkovChain, tol: float = CESARO_TOL) -> bool:
     """True when ||mu(P) - P|| <= tol."""
-    k = chain.operator.matrix
     c = coords(chain.start)
-    return bool(np.linalg.norm(k @ c - c) <= tol)
+    return bool(np.linalg.norm(_image(chain.operator, c) - c) <= tol)
 
 
 def functional_average(

@@ -16,6 +16,7 @@ matching dimensions).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -270,6 +271,15 @@ def hermitian_basis(n: int) -> np.ndarray:
     return from_coords(np.eye(n * n))
 
 
+@lru_cache(maxsize=8)
+def _upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the entries above the diagonal, row-major, read-only."""
+    iu, ju = np.triu_indices(n, k=1)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
+
+
 def coords(q: np.ndarray) -> np.ndarray:
     """Real coordinates of Hermitian matrices in the canonical basis.
 
@@ -281,7 +291,7 @@ def coords(q: np.ndarray) -> np.ndarray:
     if q.ndim < 2 or q.shape[-1] != q.shape[-2]:
         raise ValueError(f"coords expects square matrices, got shape {q.shape}")
     n = q.shape[-1]
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = _upper_indices(n)
     out = np.empty(q.shape[:-2] + (n * n,), dtype=float)
     out[..., :n] = np.diagonal(q, axis1=-2, axis2=-1).real
     off = q[..., iu, ju]
@@ -302,7 +312,7 @@ def from_coords(c: np.ndarray) -> np.ndarray:
     q = np.zeros(c.shape[:-1] + (n, n), dtype=complex)
     idx = np.arange(n)
     q[..., idx, idx] = c[..., :n]
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju = _upper_indices(n)
     # in-place steps keep a batch to one complex temporary
     off = 1j * c[..., n + 1 :: 2]
     off += c[..., n::2]

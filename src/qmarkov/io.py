@@ -10,6 +10,7 @@ written as the text of ``json.dumps(payload, indent=2)``.
 from __future__ import annotations
 
 import json
+import reprlib
 from collections.abc import Iterator
 from contextlib import contextmanager
 from itertools import chain
@@ -203,17 +204,28 @@ def _float_array(value, name: str, shape: tuple | None = None) -> np.ndarray:
     """A nested JSON list of numbers as a float array, of ``shape`` when given.
 
     The inferred dtype must be numeric, so null, strings and integers beyond
-    64 bits are rejected; a float conversion would turn null into NaN.
+    64 bits are rejected; a float conversion would turn null into NaN.  The
+    message names the first entry that is not a number, not the whole value.
     """
     try:
         array = np.asarray(value)
-    except ValueError:  # ragged nesting
-        array = None
-    if array is None or array.dtype.kind not in "iuf":
-        raise ValueError(f"{name}: expected numbers, got {value!r}")
+    except ValueError:
+        raise ValueError(f"{name}: expected numbers in rows of equal length") from None
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{name}: expected numbers, got {_first_non_number(value)}")
     if shape is not None and array.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
     return array.astype(float, copy=False)
+
+
+def _first_non_number(value, where: str = "") -> str | None:
+    """The first entry of nested lists that is no number within 64 bits, shortened, with its index."""
+    if isinstance(value, list):
+        found = (_first_non_number(v, f"{where}[{i}]") for i, v in enumerate(value))
+        return next(filter(None, found), None)
+    if isinstance(value, float) or (_is_int(value) and -(2**63) <= value < 2**64):
+        return None
+    return f"{reprlib.repr(value)} at {where}" if where else reprlib.repr(value)
 
 
 def matrix_to_dict(m: np.ndarray, kind: str | None = None) -> dict:
@@ -357,7 +369,8 @@ def save_graph(path, graph: DirectedGraph) -> None:
 
 def load_graph(path) -> DirectedGraph:
     """Load a graph from JSON {"nodes", "edges"} or plain "u v" lines."""
-    text = Path(path).read_text()
+    with _within(path):
+        text = Path(path).read_text()
     if text.lstrip().startswith("{"):
         with _within(path):
             d = _read_json(path, text)

@@ -1,15 +1,17 @@
 """Trace-preserving linear operators (Markovians) on Hermitian matrices.
 
-A Markov operator is stored as a real n^2 x n^2 matrix acting on canonical
-basis coordinates (see :mod:`qmarkov.hermitian`).  Constructors cover the
-three standard sources: Kraus families, unitary conjugation, and stochastic
+A Markov operator is a real n^2 x n^2 matrix acting on canonical basis
+coordinates (see :mod:`qmarkov.hermitian`).  Constructors cover the three
+standard sources: Kraus families, unitary conjugation, and stochastic
 matrices extended from the diagonal subspace by annihilating off-diagonal
-coordinates.
+coordinates.  Kraus families and unitaries stay in Kraus form: they are
+applied as Q -> sum_a M_a Q M_a*, and the matrix is formed on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from .hermitian import (
     _require_column_sums,
     _require_same_dim,
     _require_unitary,
+    _upper_indices,
     coords,
     from_coords,
     min_eigenvalue,
@@ -68,23 +71,39 @@ def _require_trace_preserving(matrix: np.ndarray, message: str) -> None:
         raise ValueError(f"{message}: basis-trace deviation {dev:.3e}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class MarkovOperator:
     """Trace-preserving linear map on the Hermitian n x n matrices.
 
-    ``matrix`` is real n^2 x n^2 in canonical basis coordinates.  Trace
-    preservation is validated at construction; positivity is not implied
+    ``matrix`` is real n^2 x n^2 in canonical basis coordinates.  An operator
+    built from a Kraus family (a unitary is a one-element family) keeps the
+    stack as ``kraus`` and forms ``matrix`` from it by :func:`kraus_superop`
+    on first read; for any other operator ``kraus`` is None.  Trace
+    preservation is validated at construction, of a matrix by its basis
+    traces and of a Kraus stack by completeness; positivity is not implied
     (use :func:`sampled_nonnegativity` to probe it).
     """
 
     n: int
-    matrix: np.ndarray
+    kraus: np.ndarray | None
 
-    def __post_init__(self) -> None:
-        m = self.n * self.n
-        matrix = _frozen_array(self.matrix, f"operator matrix on H_{self.n}", float, (m, m))
-        _require_trace_preserving(matrix, "operator is not trace preserving")
-        object.__setattr__(self, "matrix", matrix)
+    def __init__(self, n: int, matrix: np.ndarray | None = None, *, kraus: np.ndarray | None = None) -> None:
+        object.__setattr__(self, "n", n)
+        if kraus is not None:
+            kraus = _frozen_array(kraus, f"Kraus matrices on H_{n}", complex, (len(kraus), n, n))
+            _check_completeness(kraus)
+        else:
+            m = n * n
+            matrix = _frozen_array(matrix, f"operator matrix on H_{n}", float, (m, m))
+            _require_trace_preserving(matrix, "operator is not trace preserving")
+            object.__setattr__(self, "matrix", matrix)  # fills the cached property
+        object.__setattr__(self, "kraus", kraus)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        matrix = kraus_superop(self.kraus)
+        matrix.setflags(write=False)
+        return matrix
 
 
 def identity_operator(n: int) -> MarkovOperator:
@@ -115,24 +134,46 @@ def _check_completeness(mats: np.ndarray) -> None:
 def kraus_superop(family) -> np.ndarray:
     """Superoperator matrix of Q -> sum_a M_a Q M_a* (no completeness check).
 
-    The map is first built in the vec basis, S = sum_a M_a (x) conj(M_a) acting
-    on row-major vec(Q), at cost O(a n^4).  Its columns are then combined into
-    the images of the canonical basis elements: each element has at most two
-    nonzero entries, E_jk and E_kj with weights 1/sqrt(2) or +-i/sqrt(2), so
-    this is a column gather with 2 x 2 mixing.  :func:`coords` of those
-    images gives the columns of the result.
+    Entry (i, h) of the image of E_jk is sum_a M_a[i, j] conj(M_a[h, k]).
+    Coordinates read only the entries with i <= h, so the result is built
+    from two row blocks of the vec-basis map, each one einsum of O(a n^4):
+    the diagonal entries, whose real parts are the first n rows, and the
+    upper entries, whose real and imaginary parts times sqrt(2) are the
+    rest.  :func:`_basis_images` combines each block's columns into the
+    images of the canonical basis elements.  No temporary is larger than
+    the result.
     """
     mats = _kraus_stack(family)
     n = mats.shape[-1]
-    vec = np.einsum("aij,ahk->ihjk", mats, mats.conj()).reshape(n * n, n * n)
-    iu, ju = np.triu_indices(n, k=1)
-    upper = vec[:, iu * n + ju]
-    lower = vec[:, ju * n + iu]
-    images = np.empty_like(vec)
-    images[:, :n] = vec[:, np.arange(n) * (n + 1)]
-    images[:, n::2] = (upper + lower) / _SQRT2
-    images[:, n + 1 :: 2] = 1j * (upper - lower) / _SQRT2
-    return np.ascontiguousarray(coords(images.T.reshape(n * n, n, n)).T)
+    iu, ju = _upper_indices(n)
+    out = np.empty((n * n, n * n))
+    out[:n] = _basis_images(mats, mats, iu, ju).real
+    upper = _basis_images(mats[:, iu], mats[:, ju], iu, ju)
+    out[n::2] = upper.real
+    out[n + 1 :: 2] = upper.imag
+    out[n:] *= _SQRT2
+    return out
+
+
+def _basis_images(left: np.ndarray, right: np.ndarray, iu: np.ndarray, ju: np.ndarray) -> np.ndarray:
+    """Rows sum_a left[a, p] (x) conj(right[a, p]), combined into canonical basis images.
+
+    Row p of the vec-basis block, entry p of the image of E_jk, is
+    sum_a left[a, p, j] conj(right[a, p, k]).  Its columns become those of
+    E_jj, (E_jk + E_kj)/sqrt(2) and i(E_jk - E_kj)/sqrt(2) for j < k, in
+    canonical order: a gather with 2 x 2 mixing.
+    """
+    n = left.shape[-1]
+    vec = np.einsum("apj,apk->pjk", left, right.conj())
+    images = np.empty((len(vec), n * n), dtype=complex)
+    images[:, :n] = vec[:, np.arange(n), np.arange(n)]
+    upper, lower = vec[:, iu, ju], vec[:, ju, iu]
+    del vec
+    np.add(upper, lower, out=images[:, n::2])
+    np.subtract(upper, lower, out=images[:, n + 1 :: 2])
+    images[:, n + 1 :: 2] *= 1j
+    images[:, n:] /= _SQRT2
+    return images
 
 
 def diagonal_superop(m: np.ndarray) -> np.ndarray:
@@ -151,17 +192,16 @@ def from_kraus(family) -> MarkovOperator:
 
     The completeness condition is exactly what makes Q -> sum_a M_a Q M_a*
     trace preserving; the resulting operator also maps quantum densities to
-    quantum densities.
+    quantum densities.  It keeps the family in Kraus form.
     """
     mats = _kraus_stack(family)
-    _check_completeness(mats)
-    return MarkovOperator(n=mats.shape[-1], matrix=kraus_superop(mats))
+    return MarkovOperator(n=mats.shape[-1], kraus=mats)
 
 
 def from_unitary(u: np.ndarray) -> MarkovOperator:
-    """Markov operator of unitary conjugation Q -> UQU*."""
+    """Markov operator of unitary conjugation Q -> UQU*, kept as a one-element Kraus family."""
     u = _require_unitary(u)
-    return MarkovOperator(n=u.shape[0], matrix=kraus_superop(u[None, :, :]))
+    return MarkovOperator(n=u.shape[0], kraus=u[None, :, :])
 
 
 def from_stochastic(m: np.ndarray) -> MarkovOperator:
@@ -181,7 +221,26 @@ def apply(op: MarkovOperator, q: np.ndarray) -> np.ndarray:
     """Apply a Markov operator to a Hermitian matrix."""
     q = require_hermitian(q)
     _require_same_dim(op.n, q.shape[0], "operator", "matrix")
-    return from_coords(op.matrix @ coords(q))
+    return from_coords(_image(op, coords(q)))
+
+
+def _image(op: MarkovOperator, c: np.ndarray) -> np.ndarray:
+    """Coordinates of mu(Q) from those of Q; a Kraus-form operator applies its stack."""
+    if op.kraus is None:
+        return op.matrix @ c
+    return coords(_kraus_step(*_kraus_factors(op.kraus), from_coords(c)))
+
+
+def _kraus_factors(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hstack(M_a) and hstack(M_a*) of a Kraus stack, the factors of :func:`_kraus_step`."""
+    a, n, _ = mats.shape
+    return mats.transpose(1, 0, 2).reshape(n, a * n), mats.conj().transpose(2, 0, 1).reshape(n, a * n)
+
+
+def _kraus_step(row: np.ndarray, col: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """sum_a M_a Q M_a* as two products: Q @ hstack(M_a*), then hstack(M_a) @ its blocks stacked."""
+    n = q.shape[0]
+    return row @ (q @ col).reshape(n, -1, n).transpose(1, 0, 2).reshape(-1, n)
 
 
 def compose(outer: MarkovOperator, inner: MarkovOperator) -> MarkovOperator:

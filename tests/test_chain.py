@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import SIGMA_X, random_hermitian, random_kraus_family
+from conftest import SIGMA_X, random_hermitian, random_kraus_family, random_unitary
 from qmarkov import (
     ConvergenceError,
     MarkovChain,
@@ -26,6 +26,7 @@ from qmarkov import (
     unitary_vector_average,
 )
 from qmarkov import chain as qchain
+from qmarkov.operators import kraus_superop
 
 
 def off_diagonal_amplifier(factor: float) -> MarkovOperator:
@@ -250,6 +251,104 @@ class TestCesaroAverage:
         q = random_quantum_density(3, rng)
         result = cesaro_average(MarkovChain(operator=op, start=q))
         assert is_nonnegative(result.average, 1e-9)
+
+
+def _doubling_oracle(chain: MarkovChain, tol: float = 1e-8, max_doublings: int = 40):
+    """Cesaro averages by superoperator doubling from t = 1, with the same checks as cesaro_average."""
+    k = chain.operator.matrix
+    n = chain.operator.n
+    c0 = coords(chain.start)
+
+    partial = k @ c0
+    residual = float(np.linalg.norm(partial - c0))
+    if residual <= tol:
+        return qchain.CesaroResult(average=np.array(chain.start), iterations=0, residual=residual)
+
+    t_mat = k.copy()
+    t = 1
+    previous_tail = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_doublings + 1):
+            avg = qchain._unit_trace(partial / t, n)
+            residual = float(np.linalg.norm(k @ avg - avg))
+            if not np.isfinite(residual):
+                raise ConvergenceError(
+                    f"averages diverged after {t} steps; the chain appears unbounded"
+                )
+            if residual <= tol:
+                return qchain.CesaroResult(average=from_coords(avg), iterations=t, residual=residual)
+            shifted = t_mat @ partial
+            tail = qchain._unit_trace(shifted / t, n)
+            tail_residual = float(np.linalg.norm(k @ tail - tail))
+            if (
+                tail_residual <= tol
+                and previous_tail is not None
+                and float(np.linalg.norm(tail - previous_tail)) <= tol
+            ):
+                return qchain.CesaroResult(average=from_coords(tail), iterations=2 * t, residual=tail_residual)
+            previous_tail = tail
+            partial += shifted
+            t_mat = t_mat @ t_mat
+            t *= 2
+    raise ConvergenceError(
+        f"stationarity residual {residual:.3e} still above {tol:.1e} after "
+        f"{max_doublings} doublings (t = {t // 2}); the chain may be unbounded"
+    )
+
+
+def _jordan_trap(seed: int, n: int = 8) -> MarkovChain:
+    """A defective eigenvalue-1 block next to a mixing column-stochastic rest."""
+    rng = np.random.default_rng(seed)
+    m = np.zeros((n, n))
+    m[:2, :2] = [[2.0, 1.0], [-1.0, 0.0]]
+    rest = rng.random((n - 2, n - 2)) + 0.05
+    m[2:, 2:] = rest / rest.sum(axis=0)
+    return MarkovChain(operator=from_stochastic(m), start=np.diag(rng.dirichlet(np.ones(n))).astype(complex))
+
+
+def _agreement_chain(seed: int) -> MarkovChain:
+    """Seeded chain of one of four kinds: Kraus form, operator matrix, stochastic or unitary."""
+    rng = np.random.default_rng(5000 + seed)
+    n = int(rng.integers(2, 21))
+    kind = seed % 4
+    if kind == 0:
+        op = from_kraus(random_kraus_family(rng, n, int(rng.integers(1, 4))))
+    elif kind == 1:
+        op = MarkovOperator(n=n, matrix=kraus_superop(random_kraus_family(rng, n, int(rng.integers(1, 4)))))
+    elif kind == 2:
+        m = rng.random((n, n)) ** 4
+        op = from_stochastic(m / m.sum(axis=0))
+    else:
+        op = from_unitary(random_unitary(rng, n))
+    return MarkovChain(operator=op, start=random_quantum_density(n, rng))
+
+
+class TestSteppedPhaseAgreement:
+    """The stepped phase and its hand-off reproduce plain doubling up to the last digits."""
+
+    @staticmethod
+    def _assert_agree(chain: MarkovChain, **kwargs):
+        try:
+            expected = _doubling_oracle(chain, **kwargs)
+        except ConvergenceError as exc:
+            with pytest.raises(ConvergenceError) as raised:
+                cesaro_average(chain, **kwargs)
+            assert str(raised.value) == str(exc)
+            return
+        result = cesaro_average(chain, **kwargs)
+        assert result.iterations == expected.iterations
+        assert np.abs(result.average - expected.average).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_doubling(self, seed):
+        # every kind runs with max_doublings 12 and with values cycling through
+        # 0..12, so runs end on both sides of the hand-off at 2t > n^2
+        max_doublings = seed % 13 if (seed // 4) % 2 else 12
+        self._assert_agree(_agreement_chain(seed), tol=1e-8, max_doublings=max_doublings)
+
+    @pytest.mark.parametrize("seed", range(0, 120, 8))
+    def test_jordan_trap_error_text(self, seed):
+        self._assert_agree(_jordan_trap(seed), tol=1e-8, max_doublings=40)
 
 
 class TestStationarity:

@@ -512,6 +512,28 @@ class TestCliContract:
         assert run([*argv, "--steps", "1"]) == 2
         assert f"{bad}: malformed JSON (Expecting property name" in capsys.readouterr().err
 
+    def test_non_number_in_large_operator_reported_short(self, files, capsys):
+        # one null among the 331776 entries of an n=24 operator file
+        n = 24
+        matrix = np.eye(n * n).tolist()
+        matrix[3][17] = None
+        bad = files["tmp"] / "null_op.json"
+        bad.write_text(json.dumps({"n": n, "basis": qio.BASIS_TAG, "matrix": matrix}))
+        density = files["tmp"] / "d24.json"
+        qio.save_matrix(density, np.eye(n, dtype=complex) / n, kind="density")
+        assert run(["chain-cesaro", "--operator", str(bad), "--density", str(density)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err.encode()) < 1024
+        assert err.startswith(f"qmarkov: invalid input: {bad}: ")
+        assert "None at [3][17]" in err
+
+    def test_undecodable_graph_names_path(self, files, capsys):
+        bad = files["tmp"] / "utf16_graph.txt"
+        bad.write_bytes(b"\xff\xfe0 1\n")
+        argv = ["walk", "--graph", str(bad), "--operator", str(files["shift"]), "--density", str(files["edge0"])]
+        assert run([*argv, "--steps", "1"]) == 2
+        assert capsys.readouterr().err.startswith(f"qmarkov: invalid input: {bad}: 'utf-8' codec can't decode")
+
     def test_input_too_large_exit_two(self, files, capsys):
         # 10**17 nodes: the node values alone would need exbibytes, beyond any
         # address space, so numpy refuses the allocation before touching memory

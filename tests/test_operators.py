@@ -1,10 +1,14 @@
+import time
+
 import numpy as np
 import pytest
 
 from conftest import SIGMA_X, random_hermitian, random_kraus_family, random_unitary
 from qmarkov import (
+    MarkovChain,
     MarkovOperator,
     apply,
+    cesaro_average,
     compose,
     coords,
     from_kraus,
@@ -12,12 +16,14 @@ from qmarkov import (
     from_unitary,
     hermitian_basis,
     identity_operator,
+    is_stationary,
     is_trace_preserving,
     min_eigenvalue,
     power,
     random_quantum_density,
     sampled_nonnegativity,
 )
+from qmarkov import operators
 from qmarkov.operators import kraus_superop
 
 PROJ = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
@@ -150,6 +156,57 @@ class TestApply:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             apply(identity_operator(2), np.eye(3))
+
+
+class TestKrausForm:
+    """Kraus and unitary operators keep their stack and form the dense matrix only when it is read."""
+
+    def test_large_channel_leaves_matrix_unformed(self, monkeypatch):
+        rng = np.random.default_rng(48)
+        family = random_kraus_family(rng, 48, 2)
+        op = from_kraus(family)
+        chain = MarkovChain(operator=op, start=random_quantum_density(48, rng))
+
+        def refuse(family):
+            raise AssertionError("the dense superoperator was formed")
+
+        monkeypatch.setattr(operators, "kraus_superop", refuse)
+        results = []
+        for call in (
+            lambda: cesaro_average(chain),
+            lambda: apply(op, chain.start),
+            lambda: is_stationary(chain),
+            lambda: sampled_nonnegativity(op, trials=20),
+        ):
+            start = time.perf_counter()
+            results.append(call())
+            assert time.perf_counter() - start < 1.0
+        average, image, stationary, report = results
+        assert average.residual <= 1e-8
+        expected = sum(m @ chain.start @ m.conj().T for m in family)
+        np.testing.assert_allclose(image, expected, atol=1e-14)
+        assert not stationary and report.all_passed
+        assert "matrix" not in vars(op)
+
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    def test_matrix_formed_once_and_read_only(self, a):
+        rng = np.random.default_rng(49 + a)
+        family = random_kraus_family(rng, 4, a)
+        op = from_kraus(family)
+        assert op.matrix is op.matrix
+        assert not op.matrix.flags.writeable and not op.kraus.flags.writeable
+        np.testing.assert_array_equal(op.matrix, kraus_superop(family))
+
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    def test_apply_matches_matrix_form(self, a):
+        rng = np.random.default_rng(52 + a)
+        family = random_kraus_family(rng, 5, a)
+        dense = MarkovOperator(n=5, matrix=kraus_superop(family))
+        assert dense.kraus is None
+        q = random_hermitian(rng, 5)
+        image = apply(from_kraus(family), q)
+        np.testing.assert_allclose(image, apply(dense, q), atol=1e-14)
+        np.testing.assert_array_equal(image, image.conj().T)
 
 
 class TestComposePower:
