@@ -6,13 +6,21 @@ the sums come from stepping the chain: a Kraus-form operator steps
 P -> sum_a M_a P M_a* with two small products and never forms its
 superoperator, any other operator steps through the path kernel.  Past
 that point the routine falls back to doubling on the superoperator, so
-horizons up to ~10^12 steps cost only ~40 matrix products of size n^2.
+horizons up to ~10^12 steps cost only ~40 matrix products of size n^2.  A
+unitary (a one-element Kraus stack) whose eigenbasis V passes a check
+steps only while t <= n and then doubles in that basis: mu^k(Q) =
+V (z^k o V* Q V) V* with z_jk = lam_j conj(lam_k), so each doubling is
+elementwise and the limit is the pinching of P onto U's eigenspaces.
 Each check also tests the tail average over steps t+1..2t, which has the
 same limit and, for mixing channels, loses its transient geometrically; it
 is accepted only once it is stationary and has stopped moving, so mixing
 channels usually stop after a few hundred steps instead of ~10^7, which
 for n >= 16 lies within the stepped phase.  Stepped sums differ from
-doubled ones in the last digits only.
+doubled ones in the last digits only.  Eigenbasis doublings stop at the
+same t as superoperator ones; their averages can differ by up to ~1e-8,
+because the rounding of the superoperator's powers grows with t.  The
+residual bounds stationarity, not the distance to the limit: eigenphases
+closer than about 1/t are not yet separated at the t where it is met.
 
 Trajectories t -> mu^t(P) come from one block kernel, ``_path_blocks``.  The
 first PATH_BLOCK rows are stepped one mat-vec at a time.  A path longer than
@@ -35,6 +43,7 @@ import numpy as np
 from .hermitian import (
     CESARO_MAX_DOUBLINGS,
     CESARO_TOL,
+    EQUALITY_TOL,
     UNIT_TRACE_FLOOR,
     _frozen_array,
     _require_same_dim,
@@ -62,6 +71,9 @@ __all__ = [
 
 
 PATH_BLOCK = 32  # rows per block of _path_blocks; the power K^B is formed by squaring
+# weight c of (U - U*)/(2i) in the Hermitian matrix whose eigenbasis diagonalizes
+# a unitary U; irrational, so Re(lam) + c Im(lam) rarely collides for distinct lam
+EIGEN_MIX = 0.6180339887498949
 
 
 class ConvergenceError(RuntimeError):
@@ -251,9 +263,17 @@ def _window_sums(op: MarkovOperator, start: np.ndarray, c0: np.ndarray) -> Itera
     operator steps its stack in matrix form, any other operator runs
     :func:`_path_blocks`, which does not block at that length.  Past that
     point K^t is formed once by squaring, and each later window is
-    K^t S_t P, with S_2t = S_t + K^t S_t and K^2t = (K^t)^2.
+    K^t S_t P, with S_2t = S_t + K^t S_t and K^2t = (K^t)^2.  A one-element
+    Kraus stack, a unitary U, for which :func:`_eigenbasis` certifies an
+    eigenbasis steps only while t <= n and then doubles in that basis by
+    :func:`_eigenbasis_window_sums`.  Stepping a permutation is exact, and
+    t <= n still reaches the period of every permutation whose cycle
+    lengths are powers of two; each further step would cost an n x n
+    product where an eigenbasis doubling is elementwise.
     """
     m = c0.size
+    basis = _eigenbasis(op.kraus[0]) if op.kraus is not None and len(op.kraus) == 1 else None
+    stepped = 2 * op.n if basis else m  # rows summed by stepping
     if op.kraus is None:  # rows are coordinates already
         steps = 1 << (m.bit_length() - 1)  # rows 1..2t of the last stepped t
         rows = (row for block in _path_blocks(op.matrix, c0, steps) for row in block)
@@ -262,13 +282,16 @@ def _window_sums(op: MarkovOperator, start: np.ndarray, c0: np.ndarray) -> Itera
     else:
         rows, read = _kraus_rows(op.kraus, start), coords
     partial, t = next(rows).copy(), 1
-    while 2 * t <= m:
+    while 2 * t <= stepped:
         window = np.zeros_like(partial)
         for row in islice(rows, t):
             window += row
         yield t, read(partial), read(window)
         partial = partial + window
         t *= 2
+    if basis:
+        yield from _eigenbasis_window_sums(*basis, partial, t)  # never exhausted
+        return
     partial, power = read(partial), np.linalg.matrix_power(op.matrix, t)
     while True:
         window = power @ partial
@@ -276,6 +299,52 @@ def _window_sums(op: MarkovOperator, start: np.ndarray, c0: np.ndarray) -> Itera
         partial = partial + window
         power = power @ power
         t *= 2
+
+
+def _eigenbasis(u: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Unitary V and eigenvalues lam with U V = V diag(lam) within EQUALITY_TOL, or None.
+
+    V is the eigenbasis of the Hermitian (U + U*)/2 + c (U - U*)/(2i), c =
+    EIGEN_MIX, whose eigenvalue on the eigenvector of lam is Re(lam) +
+    c Im(lam).  Equal lam share an eigenspace, as the pinching needs; two
+    distinct lam whose values collide or nearly collide get mixed
+    eigenvectors, which the check turns into None.
+    """
+    uh = u.conj().T
+    v = np.linalg.eigh((u + uh) / 2 + EIGEN_MIX * (u - uh) / 2j)[1]
+    uv = u @ v
+    lam = np.einsum("ij,ij->j", v.conj(), uv)  # diag(V* U V)
+    if not np.linalg.norm(uv - v * lam) <= EQUALITY_TOL:
+        return None
+    return v, lam
+
+
+def _eigenbasis_window_sums(v: np.ndarray, lam: np.ndarray, partial: np.ndarray, t: int) -> Iterator[tuple]:
+    """The triples of :func:`_window_sums` from t on, given S_t P as a matrix, for U = V diag(lam) V*.
+
+    In the eigenbasis mu^k(Q) is z^k o (V* Q V) for z_jk = lam_j conj(lam_k)
+    and o the elementwise product, so the window w o S_t with w = z^t and
+    the doubling w <- w o w are elementwise.
+    """
+    vh = v.conj().T
+    s = vh @ partial @ v
+    for w in islice(_unit_squares(np.outer(lam, lam.conj())), t.bit_length() - 1, None):
+        window = w * s
+        yield (t, *coords(v @ np.stack((s, window)) @ vh))
+        s += window
+        t *= 2
+
+
+def _unit_squares(z: np.ndarray) -> Iterator[np.ndarray]:
+    """z, z^2, z^4, ... by elementwise squaring, each pinned to |z| = 1.
+
+    Without the pin, a modulus of 1 + 1 ulp raised to the power 2^26 would
+    move the diagonal sums by ~1e-8 relative.
+    """
+    while True:
+        z = z / np.abs(z)
+        yield z
+        z = z * z
 
 
 def _kraus_rows(mats: np.ndarray, q: np.ndarray) -> Iterator[np.ndarray]:

@@ -5,7 +5,8 @@ coordinates (see :mod:`qmarkov.hermitian`).  Constructors cover the three
 standard sources: Kraus families, unitary conjugation, and stochastic
 matrices extended from the diagonal subspace by annihilating off-diagonal
 coordinates.  Kraus families and unitaries stay in Kraus form: they are
-applied as Q -> sum_a M_a Q M_a*, and the matrix is formed on first read.
+applied as Q -> sum_a M_a Q M_a*, their trace preservation is checked on
+sum_a M_a* M_a, and the matrix is formed on first read.
 """
 
 from __future__ import annotations
@@ -48,12 +49,20 @@ __all__ = [
     "random_quantum_density",
 ]
 
-def trace_preservation_deviation(matrix: np.ndarray) -> float:
+def trace_preservation_deviation(matrix) -> float:
     """Largest deviation |tr(image of B_k) - tr(B_k)| over the basis elements.
 
-    In canonical coordinates tr(from_coords(c)) is the sum of the first n
+    ``matrix`` is a superoperator matrix or a :class:`MarkovOperator`.  In
+    canonical coordinates tr(from_coords(c)) is the sum of the first n
     entries of c, so the check reduces to column sums of the first n rows.
+    A Kraus-form operator is checked without its matrix: tr(mu(B_k)) -
+    tr(B_k) = tr((G - I) B_k) with G = sum_a M_a* M_a, the k-th coordinate
+    of G - I.
     """
+    if isinstance(matrix, MarkovOperator):
+        if matrix.kraus is not None:
+            return float(np.max(np.abs(coords(_completeness_gap(matrix.kraus)))))
+        matrix = matrix.matrix
     matrix = np.asarray(matrix, dtype=float)
     m = matrix.shape[0]
     n = int(round(np.sqrt(m)))
@@ -120,10 +129,14 @@ def _kraus_stack(family) -> np.ndarray:
     return mats
 
 
+def _completeness_gap(mats: np.ndarray) -> np.ndarray:
+    """sum_a M_a* M_a - I of a Kraus stack."""
+    return np.einsum("aji,ajk->ik", mats.conj(), mats) - np.eye(mats.shape[-1])
+
+
 def _check_completeness(mats: np.ndarray) -> None:
     """Raise unless the stacked Kraus matrices satisfy sum_a M_a* M_a = I."""
-    gram = np.einsum("aji,ajk->ik", mats.conj(), mats)
-    dev = float(np.linalg.norm(gram - np.eye(mats.shape[-1])))
+    dev = float(np.linalg.norm(_completeness_gap(mats)))
     if not dev <= EQUALITY_TOL:
         raise ValueError(
             f"Kraus matrices do not sum up to the identity (POVM completeness violated): "
@@ -257,9 +270,12 @@ def power(op: MarkovOperator, t: int) -> MarkovOperator:
 
 
 def is_trace_preserving(op, tol: float = EQUALITY_TOL) -> bool:
-    """Check |tr(image of B_k) - tr(B_k)| <= tol over all basis elements."""
-    matrix = op.matrix if isinstance(op, MarkovOperator) else op
-    return trace_preservation_deviation(matrix) <= tol
+    """Check |tr(image of B_k) - tr(B_k)| <= tol over all basis elements.
+
+    ``op`` is a superoperator matrix or a :class:`MarkovOperator`; a
+    Kraus-form operator does not form its matrix for the check.
+    """
+    return trace_preservation_deviation(op) <= tol
 
 
 def random_quantum_density(n: int, rng: np.random.Generator) -> np.ndarray:

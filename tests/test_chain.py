@@ -4,6 +4,7 @@ import pytest
 from conftest import SIGMA_X, random_hermitian, random_kraus_family, random_unitary
 from qmarkov import (
     ConvergenceError,
+    DirectedGraph,
     MarkovChain,
     MarkovOperator,
     apply,
@@ -20,9 +21,11 @@ from qmarkov import (
     identity_operator,
     is_nonnegative,
     is_stationary,
+    limiting_node_distribution,
     min_eigenvalue,
     pure_state,
     random_quantum_density,
+    shift_unitary,
     unitary_vector_average,
 )
 from qmarkov import chain as qchain
@@ -349,6 +352,122 @@ class TestSteppedPhaseAgreement:
     @pytest.mark.parametrize("seed", range(0, 120, 8))
     def test_jordan_trap_error_text(self, seed):
         self._assert_agree(_jordan_trap(seed), tol=1e-8, max_doublings=40)
+
+
+def _phase_unitary(rng: np.random.Generator, n: int, kind: int):
+    """(U, V) with U = V diag(exp(i phases)) V* for seeded phases.
+
+    kind 0 draws uniform phases, kind 1 phases at least pi/n apart, kind 2
+    degenerate phases of period 2, 3 or 4.
+    """
+    v = random_unitary(rng, n)
+    if kind == 0:
+        phases = rng.uniform(0.0, 2 * np.pi, n)
+    elif kind == 1:
+        phases = 2 * np.pi * (np.arange(n) + rng.uniform(0.0, 0.5, n)) / n
+    else:
+        period = int(rng.integers(2, 5))
+        phases = 2 * np.pi * rng.integers(0, period, n) / period
+    return (v * np.exp(1j * phases)) @ v.conj().T, v
+
+
+class TestUnitaryEigenbasis:
+    """A certified eigenbasis turns unitary Cesaro sums elementwise; the checks stay those of cesaro_average."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_iterations_match_doubling(self, seed):
+        rng = np.random.default_rng(9000 + seed)
+        n = int(rng.integers(2, 13))
+        u, _ = _phase_unitary(rng, n, seed % 3)
+        q = random_quantum_density(n, rng)
+        # as in TestSteppedPhaseAgreement, half the seeds cycle max_doublings
+        # through 0..12; the other half get the default horizon and converge
+        kwargs = {"tol": 1e-8, "max_doublings": seed % 13 if (seed // 4) % 2 else 40}
+        assert qchain._eigenbasis(u) is not None
+        op = from_unitary(u)
+        try:
+            expected = _doubling_oracle(MarkovChain(operator=from_unitary(u), start=q), **kwargs)
+        except ConvergenceError as exc:
+            with pytest.raises(ConvergenceError) as raised:
+                cesaro_average(MarkovChain(operator=op, start=q), **kwargs)
+            assert str(raised.value) == str(exc)
+        else:
+            result = cesaro_average(MarkovChain(operator=op, start=q), **kwargs)
+            assert result.iterations == expected.iterations
+            assert result.residual <= 1e-8
+            # both are stationary within tol; neither is closer to the limit than the spectrum allows
+            assert np.abs(result.average - expected.average).max() <= 1e-7
+        assert "matrix" not in op.__dict__
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_no_farther_from_the_pinching_than_doubling(self, seed):
+        rng = np.random.default_rng(9500 + seed)
+        n = int(rng.integers(2, 13))
+        u, v = _phase_unitary(rng, n, 1)
+        q = random_quantum_density(n, rng)
+        # distinct eigenvalues: the limit keeps the diagonal of V* P V
+        pinching = (v * np.diagonal(v.conj().T @ q @ v).real) @ v.conj().T
+        result = cesaro_average(MarkovChain(operator=from_unitary(u), start=q))
+        expected = _doubling_oracle(MarkovChain(operator=from_unitary(u), start=q))
+        assert result.iterations == expected.iterations
+        assert np.linalg.norm(result.average - pinching) <= np.linalg.norm(expected.average - pinching)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_colliding_values_fall_back(self, seed, monkeypatch):
+        # Re(lam) + c Im(lam) = sqrt(1 + c^2) cos(theta - atan(c)) takes one
+        # value at theta = atan(c) +- 1, so eigh mixes those two eigenvectors
+        rng = np.random.default_rng(9900 + seed)
+        v = random_unitary(rng, 4)
+        phases = np.arctan(qchain.EIGEN_MIX) + np.array([1.0, -1.0, 2.5, -2.2])
+        u = (v * np.exp(1j * phases)) @ v.conj().T
+        q = random_quantum_density(4, rng)
+        assert qchain._eigenbasis(u) is None
+        op = from_unitary(u)
+        result = cesaro_average(MarkovChain(operator=op, start=q))
+        assert "matrix" in op.__dict__  # the doubling fallback ran
+        expected = _doubling_oracle(MarkovChain(operator=from_unitary(u), start=q))
+        assert result.iterations == expected.iterations
+        assert np.abs(result.average - expected.average).max() <= 1e-12
+        monkeypatch.setattr(qchain, "_eigenbasis", lambda u: None)
+        unchanged = cesaro_average(MarkovChain(operator=from_unitary(u), start=q))
+        assert unchanged.iterations == result.iterations
+        np.testing.assert_array_equal(unchanged.average, result.average)
+
+    @pytest.mark.parametrize("cycles", [(2,), (2, 2), (4,), (4, 2, 1), (8,), (4, 4, 2)])
+    def test_power_of_two_permutations_stay_exact(self, cycles, monkeypatch):
+        # stepping a permutation is exact, and a period max(cycles) <= n is
+        # reached while the eigenbasis route still steps (t <= n)
+        n = sum(cycles)
+        perm = np.concatenate([np.roll(np.arange(c), 1) + sum(cycles[:i]) for i, c in enumerate(cycles)])
+        u = np.eye(n)[perm]
+        q = random_quantum_density(n, np.random.default_rng(n))
+        assert qchain._eigenbasis(u) is not None
+        result = cesaro_average(MarkovChain(operator=from_unitary(u), start=q))
+        assert result.iterations == max(cycles)
+        monkeypatch.setattr(qchain, "_eigenbasis", lambda u: None)
+        stepped = cesaro_average(MarkovChain(operator=from_unitary(u), start=q))
+        assert stepped.iterations == result.iterations
+        np.testing.assert_array_equal(result.average, stepped.average)
+
+    def test_superoperator_never_formed(self):
+        # the benchmark's unitary size, ~2^26 steps, and a one-matrix Kraus family
+        rng = np.random.default_rng(9950)
+        u, _ = _phase_unitary(rng, 16, 1)
+        for op in (from_unitary(u), from_kraus([u])):
+            result = cesaro_average(MarkovChain(operator=op, start=random_quantum_density(16, rng)))
+            assert result.iterations >= 2**20 and result.residual <= 1e-8
+            assert "matrix" not in op.__dict__
+
+    def test_walk_on_disjoint_cycles(self):
+        # the shift on two 24-cycles has every eigenvalue twice; each node
+        # of a cycle gets that cycle's block trace of P over its length
+        cycles = DirectedGraph(48, tuple((c + k, c + (k + 1) % 24) for c in (0, 24) for k in range(24)))
+        op = from_unitary(shift_unitary(cycles))
+        q = random_quantum_density(48, np.random.default_rng(9960))
+        dist = limiting_node_distribution(cycles, op, q)
+        masses = np.diagonal(q).real.reshape(2, 24).sum(axis=1) / 24
+        np.testing.assert_allclose(dist, np.repeat(masses, 24), rtol=0, atol=1e-9)
+        assert "matrix" not in op.__dict__
 
 
 class TestStationarity:

@@ -24,7 +24,7 @@ from qmarkov import (
     sampled_nonnegativity,
 )
 from qmarkov import operators
-from qmarkov.operators import kraus_superop
+from qmarkov.operators import kraus_superop, trace_preservation_deviation
 
 PROJ = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
 
@@ -273,6 +273,22 @@ class TestTracePreservation:
     def test_negative_stochastic(self):
         op = from_stochastic(np.array([[1.2, 0.3], [-0.2, 0.7]]))
         assert is_trace_preserving(op)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_kraus_form_deviation_without_matrix(self, seed):
+        # families perturbed just inside the completeness check, so the
+        # deviation is a few 1e-12 rather than rounding noise
+        rng = np.random.default_rng(45 + seed)
+        n, a = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+        mats = np.array(random_kraus_family(rng, n, a))
+        mats += 2e-12 * (rng.standard_normal(mats.shape) + 1j * rng.standard_normal(mats.shape))
+        op = from_kraus(mats)
+        dev = trace_preservation_deviation(op)
+        expected = trace_preservation_deviation(kraus_superop(mats))
+        assert abs(dev - expected) <= 1e-12
+        assert dev == pytest.approx(expected, rel=1e-3)
+        assert is_trace_preserving(op, 2 * dev) and not is_trace_preserving(op, dev / 2)
+        assert "matrix" not in op.__dict__
 
 
 class TestSampledNonnegativity:
