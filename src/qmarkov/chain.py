@@ -22,14 +22,14 @@ because the rounding of the superoperator's powers grows with t.  The
 residual bounds stationarity, not the distance to the limit: eigenphases
 closer than about 1/t are not yet separated at the t where it is met.
 
-Trajectories t -> mu^t(P) come from one block kernel, ``_path_blocks``.  The
-first PATH_BLOCK rows are stepped one mat-vec at a time.  A path longer than
-both PATH_BLOCK and n^2 steps then continues in blocks: each block of
-PATH_BLOCK rows is the previous block times (K^B)^T, one matrix product
-instead of B memory-bound mat-vecs.  Shorter paths keep stepping, because
-forming K^B costs log2(B) products of size n^2.  Blocked rows differ from a
-plain step loop in the last digits only; against an extended-precision step
-loop their error is of the same order as the plain loop's.
+Trajectories t -> mu^t(P) come from one block kernel, ``_path_blocks``, which
+steps by the operator's form.  A Kraus stack steps P -> sum_a M_a P M_a*
+and forms no superoperator.  An operator matrix K steps the first
+PATH_BLOCK rows one mat-vec at a time; a path longer than both PATH_BLOCK
+and n^2 steps then continues in blocks, each the previous block times
+(K^B)^T, one matrix product instead of B memory-bound mat-vecs.  Shorter
+paths keep stepping, because forming K^B costs log2(B) products of size
+n^2.  Both kernels differ from a plain step loop of K in the last digits.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .hermitian import (
     require_hermitian,
     require_markov_density,
 )
-from .operators import MarkovOperator, _image, _kraus_factors, _kraus_step
+from .operators import MarkovOperator, _image, _kraus_images
 
 __all__ = [
     "MarkovChain",
@@ -117,9 +117,8 @@ class BoundednessReport:
 def evolve(chain: MarkovChain, steps: int) -> np.ndarray:
     """Densities mu^t(P) for t = 0..steps, stacked along the first axis.
 
-    The densities come in blocks from :func:`_density_blocks`: for steps >
-    n^2 (and at least PATH_BLOCK) all rows past the first block are blocked
-    products and differ from a plain step loop in the last digits.
+    The densities come in blocks from :func:`_density_blocks` and differ
+    from a plain step loop of the superoperator in the last digits.
     """
     return np.concatenate(list(_density_blocks(chain, steps)))
 
@@ -130,28 +129,38 @@ def _density_blocks(chain: MarkovChain, steps: int) -> Iterator[np.ndarray]:
     Each block is one batched :func:`from_coords` call, except that row 0
     is the start density itself rather than its coordinates' round trip.
     """
-    blocks = _path_blocks(chain.operator.matrix, coords(chain.start), steps)
+    blocks = _path_blocks(chain.operator, coords(chain.start), steps)
     first = from_coords(next(blocks))
     first[0] = chain.start
     yield first
     yield from map(from_coords, blocks)
 
 
-def _path_blocks(k: np.ndarray, c0: np.ndarray, steps: int) -> Iterator[np.ndarray]:
-    """Coordinates K^t c0 for t = 0..steps as consecutive blocks of at most PATH_BLOCK rows.
+def _path_blocks(op: MarkovOperator, c0: np.ndarray, steps: int) -> Iterator[np.ndarray]:
+    """Coordinates of mu^t(Q) for t = 0..steps, c0 those of Q, in blocks of at most PATH_BLOCK rows.
 
-    A block is valid until the next one is drawn.  Rows 0..PATH_BLOCK-1 come
-    from a mat-vec loop.  When steps > len(c0) and steps >= PATH_BLOCK, each
-    later block is the previous one times (K^B)^T; otherwise the loop keeps
-    stepping.
+    A block is valid until the next one is drawn; row 0 is c0 itself.  A
+    Kraus stack steps as matrices, one batched :func:`coords` per block.  A
+    matrix K steps by mat-vecs; past PATH_BLOCK rows, if steps > len(c0) and
+    steps >= PATH_BLOCK, each block is the previous one times (K^B)^T.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    return _path_block_rows(k, c0, steps, PATH_BLOCK)
+    return _path_block_rows(op, c0, steps, PATH_BLOCK)
 
 
-def _path_block_rows(k: np.ndarray, c0: np.ndarray, steps: int, b: int) -> Iterator[np.ndarray]:
+def _path_block_rows(op: MarkovOperator, c0: np.ndarray, steps: int, b: int) -> Iterator[np.ndarray]:
     """The generator behind :func:`_path_blocks`, which checks ``steps`` eagerly."""
+    if op.kraus is not None:
+        q = from_coords(c0)
+        rows = _kraus_images(op.kraus, q)
+        first = coords(np.stack([q, *islice(rows, min(b, steps + 1) - 1)]))
+        first[0] = c0
+        yield first
+        for t in range(b, steps + 1, b):
+            yield coords(np.stack(list(islice(rows, min(b, steps + 1 - t)))))
+        return
+    k = op.matrix
     stepped = b if steps > c0.size and steps >= b else steps + 1  # rows from the loop
     prev = np.empty((min(b, stepped), c0.size))
     c = c0
@@ -180,7 +189,7 @@ def boundedness_probe(chain: MarkovChain, horizon: int, bound: float) -> Bounded
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    blocks = _path_blocks(chain.operator.matrix, coords(chain.start), horizon)
+    blocks = _path_blocks(chain.operator, coords(chain.start), horizon)
     values = np.concatenate([np.einsum("ij,ij->i", b, b) for b in blocks])
     exceeded = np.flatnonzero(values > bound)
     return BoundednessReport(
@@ -276,11 +285,11 @@ def _window_sums(op: MarkovOperator, start: np.ndarray, c0: np.ndarray) -> Itera
     stepped = 2 * op.n if basis else m  # rows summed by stepping
     if op.kraus is None:  # rows are coordinates already
         steps = 1 << (m.bit_length() - 1)  # rows 1..2t of the last stepped t
-        rows = (row for block in _path_blocks(op.matrix, c0, steps) for row in block)
+        rows = (row for block in _path_blocks(op, c0, steps) for row in block)
         read = np.asarray
         next(rows)  # row 0 is P itself
     else:
-        rows, read = _kraus_rows(op.kraus, start), coords
+        rows, read = _kraus_images(op.kraus, start), coords
     partial, t = next(rows).copy(), 1
     while 2 * t <= stepped:
         window = np.zeros_like(partial)
@@ -327,8 +336,9 @@ def _eigenbasis_window_sums(v: np.ndarray, lam: np.ndarray, partial: np.ndarray,
     the doubling w <- w o w are elementwise.
     """
     vh = v.conj().T
-    s = vh @ partial @ v
-    for w in islice(_unit_squares(np.outer(lam, lam.conj())), t.bit_length() - 1, None):
+    s, z = vh @ partial @ v, np.outer(lam, lam.conj())
+    np.fill_diagonal(z, 1)  # |lam_j|^2 = 1 exactly; rounding in its phase would double with every squaring
+    for w in islice(_unit_squares(z), t.bit_length() - 1, None):
         window = w * s
         yield (t, *coords(v @ np.stack((s, window)) @ vh))
         s += window
@@ -345,14 +355,6 @@ def _unit_squares(z: np.ndarray) -> Iterator[np.ndarray]:
         z = z / np.abs(z)
         yield z
         z = z * z
-
-
-def _kraus_rows(mats: np.ndarray, q: np.ndarray) -> Iterator[np.ndarray]:
-    """mu^t(Q) for t = 1, 2, ... under the Kraus stack ``mats``, as matrices."""
-    row, col = _kraus_factors(mats)
-    while True:
-        q = _kraus_step(row, col, q)
-        yield q
 
 
 def _unit_trace(c: np.ndarray, n: int) -> np.ndarray:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import re
 import sys
 from contextlib import nullcontext
 from itertools import chain, islice, product
@@ -131,7 +132,7 @@ def _cmd_chain_evolve(args) -> None:
         )
         _emit(args, _json(items))
     else:
-        blocks = _path_blocks(operator.matrix, coords(markov_chain.start), args.steps)
+        blocks = _path_blocks(operator, coords(markov_chain.start), args.steps)
         _emit(args, _csv("t,coordinate_index,value", _step_lines(blocks)))
 
 
@@ -239,8 +240,16 @@ def _add_output_options(p, formats=("csv", "json")) -> None:
     p.add_argument("--output", help="output path (default: standard output)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser (and subparser class) reading -7.9e-05 and -1e5 as numbers, as it reads -0.5."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d*\.?\d+(?:[eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qmarkov",
         description="Markov-density toolkit: measurements, chains, walks, Bell tables, OOMs.",
     )

@@ -5,12 +5,14 @@ coordinates (see :mod:`qmarkov.hermitian`).  Constructors cover the three
 standard sources: Kraus families, unitary conjugation, and stochastic
 matrices extended from the diagonal subspace by annihilating off-diagonal
 coordinates.  Kraus families and unitaries stay in Kraus form: they are
-applied as Q -> sum_a M_a Q M_a*, their trace preservation is checked on
-sum_a M_a* M_a, and the matrix is formed on first read.
+applied and stepped as Q -> sum_a M_a Q M_a* by one generator, their trace
+preservation is checked on sum_a M_a* M_a, and the matrix is formed on
+first read (by :func:`compose`, :func:`power`, saving or a Cesaro fallback).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -241,19 +243,16 @@ def _image(op: MarkovOperator, c: np.ndarray) -> np.ndarray:
     """Coordinates of mu(Q) from those of Q; a Kraus-form operator applies its stack."""
     if op.kraus is None:
         return op.matrix @ c
-    return coords(_kraus_step(*_kraus_factors(op.kraus), from_coords(c)))
+    return coords(next(_kraus_images(op.kraus, from_coords(c))))
 
 
-def _kraus_factors(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """hstack(M_a) and hstack(M_a*) of a Kraus stack, the factors of :func:`_kraus_step`."""
+def _kraus_images(mats: np.ndarray, q: np.ndarray) -> Iterator[np.ndarray]:
+    """mu^t(Q), t = 1, 2, ..., under the Kraus stack ``mats``: Q @ hstack(M_a*), then hstack(M_a) @ blocks."""
     a, n, _ = mats.shape
-    return mats.transpose(1, 0, 2).reshape(n, a * n), mats.conj().transpose(2, 0, 1).reshape(n, a * n)
-
-
-def _kraus_step(row: np.ndarray, col: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """sum_a M_a Q M_a* as two products: Q @ hstack(M_a*), then hstack(M_a) @ its blocks stacked."""
-    n = q.shape[0]
-    return row @ (q @ col).reshape(n, -1, n).transpose(1, 0, 2).reshape(-1, n)
+    row, col = mats.transpose(1, 0, 2).reshape(n, a * n), mats.conj().transpose(2, 0, 1).reshape(n, a * n)
+    while True:
+        q = row @ (q @ col).reshape(n, a, n).transpose(1, 0, 2).reshape(a * n, n)
+        yield q
 
 
 def compose(outer: MarkovOperator, inner: MarkovOperator) -> MarkovOperator:

@@ -101,7 +101,7 @@ def _path(graph: DirectedGraph, operator: MarkovOperator, start: np.ndarray, ste
     """
     _require_same_dim(operator.n, graph.edge_count, "operator", "graph edges")
     chain = MarkovChain(operator=operator, start=start)
-    return _path_blocks(operator.matrix, coords(chain.start), steps)
+    return _path_blocks(operator, coords(chain.start), steps)
 
 
 def _read_nodes(block: np.ndarray, sources: np.ndarray, out: np.ndarray) -> np.ndarray:

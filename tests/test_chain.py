@@ -1,3 +1,5 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from qmarkov import (
     random_quantum_density,
     shift_unitary,
     unitary_vector_average,
+    walk,
 )
 from qmarkov import chain as qchain
 from qmarkov.operators import kraus_superop
@@ -64,16 +67,19 @@ class TestEvolve:
 
 
     def test_matches_stepwise_reference(self):
+        # a Kraus-form operator steps its stack: the reference is sum_a M_a Q M_a*
         rng = np.random.default_rng(74)
-        op = from_kraus(random_kraus_family(rng, 3, 2))
+        mats = random_kraus_family(rng, 3, 2)
+        op = from_kraus(mats)
         q = random_quantum_density(3, rng)
         densities = evolve(MarkovChain(operator=op, start=q), 20)
         assert densities.shape == (21, 3, 3)
         np.testing.assert_array_equal(densities[0], q)
-        c = coords(q)
+        reference = q
         for d in densities[1:]:
-            c = op.matrix @ c
-            np.testing.assert_array_equal(d, from_coords(c))
+            reference = sum(m @ reference @ m.conj().T for m in mats)
+            np.testing.assert_allclose(d, reference, rtol=0, atol=1e-14)
+        assert "matrix" not in op.__dict__
 
 class TestBoundednessProbe:
     def test_unitary_constant_purity(self):
@@ -469,6 +475,53 @@ class TestUnitaryEigenbasis:
         np.testing.assert_allclose(dist, np.repeat(masses, 24), rtol=0, atol=1e-9)
         assert "matrix" not in op.__dict__
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_sum_trace_exact_after_many_doublings(self, seed):
+        # the diagonal of z = lam lam* is exactly 1, so the diagonal of S_t in
+        # the eigenbasis only doubles and tr(S_t P) / t stays 1 at t = 2^40
+        rng = np.random.default_rng(9970 + seed)
+        u, _ = _phase_unitary(rng, 3, 1)
+        q = random_quantum_density(3, rng)
+        sums = qchain._eigenbasis_window_sums(*qchain._eigenbasis(u), u @ q @ u.conj().T, 1)
+        ((t, partial, _),) = islice(sums, 40, 41)
+        assert t == 2**40
+        assert abs(partial[:3].sum() / t - 1) <= 1e-14
+
+
+class TestKrausTrajectories:
+    """Trajectories of a Kraus-form operator step its stack and never form the superoperator."""
+
+    GRAPH = DirectedGraph(node_count=3, edges=((0, 1), (1, 2), (2, 0)))
+
+    @pytest.mark.parametrize("steps", [5, 9, 10, 40])  # n^2 = 9; the dense path blocks from 10 on
+    @pytest.mark.parametrize("seed", range(3))
+    def test_agrees_with_dense_operator(self, seed, steps):
+        rng = np.random.default_rng([120, seed])
+        mats = random_kraus_family(rng, 3, 2 + seed)
+        op, dense = from_kraus(mats), MarkovOperator(n=3, matrix=kraus_superop(mats))
+        q = random_quantum_density(3, rng)
+        chain, dense_chain = MarkovChain(operator=op, start=q), MarkovChain(operator=dense, start=q)
+        densities = evolve(chain, steps)
+        np.testing.assert_allclose(densities, evolve(dense_chain, steps), rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(densities[0], q)
+        purities = np.sort([np.trace(d @ d).real for d in densities])
+        gap = int(np.argmax(np.diff(purities)))
+        bound = float(purities[gap : gap + 2].mean())  # between two purities, far from both
+        report, expected = boundedness_probe(chain, steps, bound), boundedness_probe(dense_chain, steps, bound)
+        assert report.max_value == pytest.approx(expected.max_value, rel=0, abs=1e-12)
+        assert report.first_exceeded == expected.first_exceeded
+        probabilities = walk(self.GRAPH, op, q, steps).node_probabilities
+        np.testing.assert_allclose(probabilities, walk(self.GRAPH, dense, q, steps).node_probabilities, atol=1e-12)
+        assert "matrix" not in op.__dict__
+
+    @pytest.mark.parametrize("form", ["kraus", "unitary", "dense"])
+    def test_first_step_is_apply(self, form):
+        rng = np.random.default_rng(121)
+        mats = [random_unitary(rng, 4)] if form == "unitary" else random_kraus_family(rng, 4, 3)
+        op = MarkovOperator(n=4, matrix=kraus_superop(mats)) if form == "dense" else from_kraus(mats)
+        q = random_quantum_density(4, rng)
+        np.testing.assert_array_equal(evolve(MarkovChain(operator=op, start=q), 1)[1], apply(op, q))
+
 
 class TestStationarity:
     def test_identity(self):
@@ -587,11 +640,11 @@ class TestPathBlocks:
     def test_matches_step_loop(self, monkeypatch, block, n):
         monkeypatch.setattr(qchain, "PATH_BLOCK", block)
         rng = np.random.default_rng([80, n, block])
-        op = from_kraus(random_kraus_family(rng, n, 2))
+        op = MarkovOperator(n=n, matrix=kraus_superop(random_kraus_family(rng, n, 2)))
         q = random_quantum_density(n, rng)
         for steps in (n * n, n * n + 1, 3 * block + 5):
             expected = _step_loop(op.matrix, coords(q), steps)
-            blocks = [b.copy() for b in qchain._path_blocks(op.matrix, coords(q), steps)]
+            blocks = [b.copy() for b in qchain._path_blocks(op, coords(q), steps)]
             assert all(1 <= len(b) <= block for b in blocks)
             path = np.concatenate(blocks)
             densities = evolve(MarkovChain(operator=op, start=q), steps)

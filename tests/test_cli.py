@@ -21,6 +21,7 @@ from qmarkov import (
     from_kraus,
     identity_operator,
     pure_state,
+    random_quantum_density,
     shift_unitary,
     walk,
     word_distribution,
@@ -29,6 +30,7 @@ from qmarkov import io as qio
 from qmarkov import chain as qchain
 from qmarkov import cli
 from qmarkov import measurement as qmeasurement
+from qmarkov import operators as qoperators
 from qmarkov.chain import _path_blocks
 from qmarkov.hermitian import coords
 from qmarkov.cli import run
@@ -139,6 +141,21 @@ class TestFeynman:
         assert run(["feynman", "--sx", "0.3", "--sy", "0.1", "--sz", "0.5"]) == 2
         err = capsys.readouterr().err
         assert "1.2" in err
+
+    @pytest.mark.parametrize("value", ["-7.930237318254374e-05", "-1e5", "-1E+3", "-0.5", "-.5", "-3"])
+    def test_negative_numbers_read_as_values(self, capsys, value):
+        # "--sy=value" never reads as an option; the separate form must give the same table
+        assert run(["feynman", "--sx", "0.1", f"--sy={value}", f"--sz={value}"]) == 0
+        want = capsys.readouterr().out
+        assert run(["feynman", "--sx", "0.1", "--sy", value, "--sz", value]) == 0
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("value", ["-x", "-e5", "--sz"])
+    def test_option_like_values_stay_usage_errors(self, capsys, value):
+        with pytest.raises(SystemExit) as exited:
+            run(["feynman", "--sx", "0.1", "--sy", value, "--sz", "0.2"])
+        assert exited.value.code == 2
+        assert "--sy: expected one argument" in capsys.readouterr().err
 
 
 class TestChainCommands:
@@ -650,8 +667,9 @@ class TestOutputBytes:
         paths["graph"] = tmp_path / "g.txt"
         paths["graph"].write_text("0 1\n1 2\n2 0\n")
         graph = qio.load_graph(paths["graph"])
+        op = qio.load_channel(paths["op"])  # the saved operator is a dense file, stepped as the CLI steps it
         densities = evolve(MarkovChain(operator=op, start=rho), 5)
-        path = np.concatenate([block.copy() for block in _path_blocks(op.matrix, coords(rho), 5)])
+        path = np.concatenate([block.copy() for block in _path_blocks(op, coords(rho), 5)])
         probabilities = walk(graph, op, rho, 5).node_probabilities
         meas = KrausMeasurement(scale=Scale(tuple(symbols)), kraus=tuple(kraus))
         measure = {t: _measure_expected(word_distribution(meas, rho, t), symbols, t) for t in (0, 1, 3)}
@@ -754,10 +772,10 @@ class TestStreamedOutput:
 
     def test_evolve_csv_rows_are_path_blocks(self, chain_files, capsys, monkeypatch):
         monkeypatch.setattr(qchain, "PATH_BLOCK", 4)
-        paths, op = chain_files
+        paths, _ = chain_files
         steps = 25  # > n^2 = 16, so rows past the first block are blocked products; the last block is partial
-        rho = qio.load_density(paths["rho"])
-        path = np.concatenate([b.copy() for b in _path_blocks(op.matrix, coords(rho), steps)])
+        op, rho = qio.load_channel(paths["op"]), qio.load_density(paths["rho"])  # a dense operator file
+        path = np.concatenate([b.copy() for b in _path_blocks(op, coords(rho), steps)])
         assert len(path) == steps + 1
         argv = ["chain-evolve", "--operator", str(paths["op"]), "--density", str(paths["rho"])]
         assert run([*argv, "--steps", str(steps)]) == 0
@@ -928,3 +946,51 @@ class TestParserReuse:
         assert "qmarkov" in parser.format_help()
         for name, sub in action.choices.items():
             assert sub.format_help().startswith(f"usage: qmarkov {name}")
+
+
+def _numbers(value) -> list:
+    """Every number in a parsed JSON value, in document order."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for item in value for x in _numbers(item)]
+    return [value] if isinstance(value, (int, float)) else []
+
+
+class TestKrausTrajectories:
+    """chain-evolve and walk --steps step a Kraus file's stack and agree with the same channel's dense file."""
+
+    @pytest.fixture
+    def channel_files(self, tmp_path):
+        rng = np.random.default_rng(116)
+        mats = random_kraus_family(rng, 3, 2)
+        paths = {name: tmp_path / f"{name}.json" for name in ("kraus", "dense", "rho")}
+        paths["kraus"].write_text(json.dumps({"n": 3, "kraus": [qio.matrix_to_dict(m) for m in mats]}))
+        qio.save_operator(paths["dense"], from_kraus(mats))
+        qio.save_matrix(paths["rho"], random_quantum_density(3, rng), kind="density")
+        paths["graph"] = tmp_path / "g.txt"
+        paths["graph"].write_text("0 1\n1 2\n2 0\n")
+        return paths
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("steps", [5, 40])  # n^2 = 9: the dense path steps, then multiplies blocks
+    @pytest.mark.parametrize("command", ["chain-evolve", "walk"])
+    def test_agrees_with_dense_file(self, channel_files, capsys, monkeypatch, command, steps, fmt):
+        paths = channel_files
+        graph = ["--graph", str(paths["graph"])] if command == "walk" else []
+
+        def table(op):
+            argv = [command, *graph, "--operator", str(paths[op]), "--density", str(paths["rho"])]
+            assert run([*argv, "--steps", str(steps), "--format", fmt]) == 0
+            text = capsys.readouterr().out
+            if fmt == "json":
+                return text[:1], np.array(_numbers(json.loads(text)))
+            header, *lines = text.splitlines()
+            return header, np.array([float(x) for line in lines for x in line.split(",")])
+
+        dense_header, dense = table("dense")
+        monkeypatch.setattr(qoperators, "kraus_superop", lambda family: pytest.fail("superoperator formed"))
+        kraus_header, kraus = table("kraus")
+        assert kraus_header == dense_header
+        assert kraus.shape == dense.shape
+        np.testing.assert_allclose(kraus, dense, rtol=0, atol=1e-12)

@@ -8,6 +8,7 @@ from conftest import random_kraus_family, random_unitary
 from qmarkov import (
     DirectedGraph,
     MarkovChain,
+    MarkovOperator,
     evolve,
     from_kraus,
     from_unitary,
@@ -243,3 +244,22 @@ class TestBlockedWalk:
         assert trace.node_probabilities.shape == (steps + 1, 4)
         np.testing.assert_allclose(trace.node_probabilities.sum(axis=1), 1.0, atol=1e-10)
         assert peak < (steps + 1) * 16**2 * 8 / 2
+
+
+class TestKrausWalk:
+    """A Kraus-form walk operator steps its stack, whatever the number of steps."""
+
+    # two disjoint 6-cycles: node u's one out-edge is edge u, and the shift moves it along its cycle
+    CYCLES = DirectedGraph(12, tuple((c + k, c + (k + 1) % 6) for c in (0, 6) for k in range(6)))
+
+    @pytest.mark.parametrize("steps", [100, 144, 145, 200])  # n^2 = 144
+    def test_shift_walk_rotates_each_cycle(self, steps):
+        op = from_unitary(shift_unitary(self.CYCLES))
+        start = random_quantum_density(12, np.random.default_rng(92))
+        trace = walk(self.CYCLES, op, start, steps)
+        diag = np.diagonal(start).real.reshape(2, 6)
+        rotated = [np.roll(diag, t, axis=1).reshape(-1) for t in range(steps + 1)]
+        np.testing.assert_array_equal(trace.node_probabilities, rotated)  # permuting is exact
+        assert "matrix" not in op.__dict__
+        dense = MarkovOperator(n=12, matrix=op.matrix)
+        np.testing.assert_allclose(walk(self.CYCLES, dense, start, steps).node_probabilities, rotated, atol=1e-12)
