@@ -2,11 +2,9 @@
 
 The Cesaro average of a bounded chain exists and is stationary.  It is
 checked at t = 1, 2, 4, ... from window sums of mu^k(P).  While 2t <= n^2
-the sums come from stepping the chain: a Kraus-form operator steps
-P -> sum_a M_a P M_a* with two small products and never forms its
-superoperator, any other operator steps through the path kernel.  Past
-that point the routine falls back to doubling on the superoperator, so
-horizons up to ~10^12 steps cost only ~40 matrix products of size n^2.  A
+the sums add up stepped states, so a Kraus stack forms no superoperator.
+Past that point the routine falls back to doubling on the superoperator,
+so horizons up to ~10^12 steps cost only ~40 matrix products of size n^2.  A
 unitary (a one-element Kraus stack) whose eigenbasis V passes a check
 steps only while t <= n and then doubles in that basis: mu^k(Q) =
 V (z^k o V* Q V) V* with z_jk = lam_j conj(lam_k), so each doubling is
@@ -22,14 +20,14 @@ because the rounding of the superoperator's powers grows with t.  The
 residual bounds stationarity, not the distance to the limit: eigenphases
 closer than about 1/t are not yet separated at the t where it is met.
 
-Trajectories t -> mu^t(P) come from one block kernel, ``_path_blocks``, which
-steps by the operator's form.  A Kraus stack steps P -> sum_a M_a P M_a*
-and forms no superoperator.  An operator matrix K steps the first
-PATH_BLOCK rows one mat-vec at a time; a path longer than both PATH_BLOCK
-and n^2 steps then continues in blocks, each the previous block times
-(K^B)^T, one matrix product instead of B memory-bound mat-vecs.  Shorter
-paths keep stepping, because forming K^B costs log2(B) products of size
-n^2.  Both kernels differ from a plain step loop of K in the last digits.
+Every state mu^t(P) comes from ``operators._orbit`` in the operator's own
+form, so a Kraus stack never forms its superoperator to step.  Trajectories
+come in blocks of up to PATH_BLOCK states from ``_path_blocks``.  For a
+matrix K, a path longer than both PATH_BLOCK and n^2 continues in blocks,
+each the previous block times (K^B)^T, one matrix product instead of B
+memory-bound mat-vecs; shorter paths keep stepping, because forming K^B
+costs log2(B) products of size n^2.  Both kernels differ from a plain step
+loop of K in the last digits.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ from .hermitian import (
     require_hermitian,
     require_markov_density,
 )
-from .operators import MarkovOperator, _image, _kraus_images
+from .operators import MarkovOperator, _image, _orbit, _powers
 
 __all__ = [
     "MarkovChain",
@@ -139,10 +137,10 @@ def _density_blocks(chain: MarkovChain, steps: int) -> Iterator[np.ndarray]:
 def _path_blocks(op: MarkovOperator, c0: np.ndarray, steps: int) -> Iterator[np.ndarray]:
     """Coordinates of mu^t(Q) for t = 0..steps, c0 those of Q, in blocks of at most PATH_BLOCK rows.
 
-    A block is valid until the next one is drawn; row 0 is c0 itself.  A
-    Kraus stack steps as matrices, one batched :func:`coords` per block.  A
-    matrix K steps by mat-vecs; past PATH_BLOCK rows, if steps > len(c0) and
-    steps >= PATH_BLOCK, each block is the previous one times (K^B)^T.
+    A block is valid until the next one is drawn; row 0 is c0 itself.
+    Blocks stack and read the states of :func:`_orbit`; for a matrix K, past
+    PATH_BLOCK rows, if steps > len(c0) and steps >= PATH_BLOCK, each block
+    is the previous one times (K^B)^T.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -151,29 +149,17 @@ def _path_blocks(op: MarkovOperator, c0: np.ndarray, steps: int) -> Iterator[np.
 
 def _path_block_rows(op: MarkovOperator, c0: np.ndarray, steps: int, b: int) -> Iterator[np.ndarray]:
     """The generator behind :func:`_path_blocks`, which checks ``steps`` eagerly."""
-    if op.kraus is not None:
-        q = from_coords(c0)
-        rows = _kraus_images(op.kraus, q)
-        first = coords(np.stack([q, *islice(rows, min(b, steps + 1) - 1)]))
-        first[0] = c0
-        yield first
-        for t in range(b, steps + 1, b):
-            yield coords(np.stack(list(islice(rows, min(b, steps + 1 - t)))))
-        return
-    k = op.matrix
-    stepped = b if steps > c0.size and steps >= b else steps + 1  # rows from the loop
-    prev = np.empty((min(b, stepped), c0.size))
-    c = c0
-    for t in range(stepped):
-        if t:
-            c = k @ c
-        prev[t % b] = c
-        if t % b == b - 1 or t == stepped - 1:
-            yield prev[: t % b + 1]
+    states, read = _orbit(op, c0)
+    stepped = b if op.kraus is None and steps > c0.size and steps >= b else steps + 1  # rows from the orbit
+    for t in range(0, stepped, b):
+        block = read(np.stack(list(islice(states, min(b, stepped - t)))))
+        if not t:
+            block[0] = c0
+        yield block
     if stepped > steps:
         return
-    kbt = np.linalg.matrix_power(k, b).T
-    cur = np.empty_like(prev)
+    kbt = np.linalg.matrix_power(op.matrix, b).T
+    prev, cur = block, np.empty_like(block)
     for t in range(b, steps + 1, b):
         rows = min(b, steps + 1 - t)
         np.matmul(prev[:rows], kbt, out=cur[:rows])
@@ -241,7 +227,7 @@ def cesaro_average(
     # overflow along the way is a legitimate signal of an unbounded chain,
     # not a numerical accident worth warning about
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, partial, shifted in islice(_window_sums(op, chain.start, c0), max_doublings + 1):
+        for t, partial, shifted in islice(_window_sums(op, c0), max_doublings + 1):
             avg = _unit_trace(partial / t, n)
             residual = float(np.linalg.norm(_image(op, avg) - avg))
             if not np.isfinite(residual):
@@ -265,36 +251,29 @@ def cesaro_average(
     )
 
 
-def _window_sums(op: MarkovOperator, start: np.ndarray, c0: np.ndarray) -> Iterator[tuple]:
+def _window_sums(op: MarkovOperator, c0: np.ndarray) -> Iterator[tuple]:
     """Coordinates (t, S_t P, S_2t P - S_t P) for t = 1, 2, 4, ..., where S_t P = sum_{k=1..t} mu^k(P).
 
-    While 2t <= n^2 the sums add up stepped rows mu^k(P): a Kraus-form
-    operator steps its stack in matrix form, any other operator runs
-    :func:`_path_blocks`, which does not block at that length.  Past that
-    point K^t is formed once by squaring, and each later window is
-    K^t S_t P, with S_2t = S_t + K^t S_t and K^2t = (K^t)^2.  A one-element
-    Kraus stack, a unitary U, for which :func:`_eigenbasis` certifies an
-    eigenbasis steps only while t <= n and then doubles in that basis by
+    While 2t <= n^2 the sums add up the states mu^k(P) of :func:`_orbit`
+    in the operator's form and read them at each check.  Past that point
+    K^t is formed once by squaring, and each later window is K^t S_t P,
+    with S_2t = S_t + K^t S_t and K^2t = (K^t)^2.  A one-element Kraus
+    stack, a unitary U, for which :func:`_eigenbasis` certifies an eigenbasis
+    steps only while t <= n and then doubles in that basis by
     :func:`_eigenbasis_window_sums`.  Stepping a permutation is exact, and
     t <= n still reaches the period of every permutation whose cycle
     lengths are powers of two; each further step would cost an n x n
     product where an eigenbasis doubling is elementwise.
     """
-    m = c0.size
     basis = _eigenbasis(op.kraus[0]) if op.kraus is not None and len(op.kraus) == 1 else None
-    stepped = 2 * op.n if basis else m  # rows summed by stepping
-    if op.kraus is None:  # rows are coordinates already
-        steps = 1 << (m.bit_length() - 1)  # rows 1..2t of the last stepped t
-        rows = (row for block in _path_blocks(op, c0, steps) for row in block)
-        read = np.asarray
-        next(rows)  # row 0 is P itself
-    else:
-        rows, read = _kraus_images(op.kraus, start), coords
-    partial, t = next(rows).copy(), 1
+    stepped = 2 * op.n if basis else c0.size  # rows summed by stepping
+    states, read = _orbit(op, c0)
+    next(states)  # mu^0(P) = P
+    partial, t = next(states), 1
     while 2 * t <= stepped:
         window = np.zeros_like(partial)
-        for row in islice(rows, t):
-            window += row
+        for state in islice(states, t):
+            window += state
         yield t, read(partial), read(window)
         partial = partial + window
         t *= 2
@@ -399,9 +378,4 @@ def unitary_vector_average(u: np.ndarray, v: np.ndarray, steps: int) -> np.ndarr
     _require_same_dim(u.shape[0], v.shape[0], "unitary", "vector")
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    acc = np.zeros_like(v)
-    w = v
-    for _ in range(steps):
-        w = u @ w
-        acc += w
-    return acc / steps
+    return sum(islice(_powers(u, v), 1, steps + 1), np.zeros_like(v)) / steps

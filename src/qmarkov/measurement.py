@@ -89,14 +89,21 @@ def iter_words(scale: Scale, length: int) -> Iterator[tuple]:
     return itertools.product(scale.symbols, repeat=length)
 
 
-def _check_word_count(count: int) -> None:
-    """Raise when an enumeration of ``count`` words would exceed the cap."""
-    limit = enumeration_cap()
-    if count > limit:
-        raise ValueError(
-            f"word enumeration cap exceeded: {count} words > {limit} "
-            f"(raise QMARKOV_ENUM_CAP to override)"
-        )
+def _check_word_count(base: int, lengths: range, times: int = 1) -> None:
+    """Raise when ``times`` enumerations of the words of the given lengths would exceed the cap.
+
+    A base^l > 1 whose l passes the cap's bit length by 64 passes the cap: it is named, never formed.
+    """
+    limit, longest = enumeration_cap(), lengths[-1]
+    count = f"at least {base}^{longest}"
+    if base < 2 or not times or longest <= limit.bit_length() + 64:
+        count = times * (sum(base**l for l in lengths) if base > 1 else len(lengths))
+        if count <= limit:
+            return
+    raise ValueError(
+        f"word enumeration cap exceeded: {count} words > {limit} "
+        f"(raise QMARKOV_ENUM_CAP to override)"
+    )
 
 
 def _word_levels(start: np.ndarray, step: np.ndarray, depth: int) -> Iterator[np.ndarray]:
@@ -333,7 +340,7 @@ def _word_values(meas, density: np.ndarray, t: int) -> Iterator[np.ndarray]:
         raise ValueError("word length must be nonnegative")
     density = require_markov_density(density)
     _require_same_dim(meas.n, density.shape[0], "measurement", "density")
-    _check_word_count(len(meas.scale) ** t)
+    _check_word_count(len(meas.scale), range(t, t + 1))
     meas = _as_markov(meas)
     trace = np.zeros(meas.operators[0].shape[0])
     trace[: meas.n] = 1.0

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
@@ -35,7 +36,7 @@ from .measurement import (
     _word_blocks,
     iter_words,
 )
-from .operators import diagonal_superop
+from .operators import _powers, diagonal_superop
 
 __all__ = [
     "ObservableOperatorModel",
@@ -163,7 +164,7 @@ def validate(
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    _check_word_count(horizon * len(model.scale) ** horizon)
+    _check_word_count(len(model.scale), range(horizon, horizon + 1), times=horizon)
     # the model passed both checks at construction, so they return the errors
     col_err = _require_column_sums(model.transition_sum, "operator sum must have column sums 1")
     pi_err = _require_unit_sum(model.pi, "pi")
@@ -219,9 +220,7 @@ def prediction_matrix(
         raise ValueError("max_length must be nonnegative")
     if not rank_tol > 0:
         raise ValueError("rank_tol must be positive")
-    base = len(model.scale)
-    total = (base ** (max_length + 1) - 1) // (base - 1) if base > 1 else max_length + 1
-    _check_word_count(total)
+    _check_word_count(len(model.scale), range(max_length + 1))
 
     words: list[tuple] = [()]
     for length in range(1, max_length + 1):
@@ -325,10 +324,7 @@ def step_distribution(lift: HiddenStateLift, t: int) -> OutcomeDistribution:
     """Distribution of the symbol read off at time t from the lifted state."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    vec = lift.pi
-    total = lift.transition_sum
-    for _ in range(t):
-        vec = total @ vec
+    vec = next(islice(_powers(lift.transition_sum, lift.pi), t, None))
     sums = vec.reshape(len(lift.scale), lift.base_dim).sum(axis=1)
     return OutcomeDistribution(scale=lift.scale, values=sums)
 
@@ -349,7 +345,7 @@ def entropy_rate(
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
-    _check_word_count(len(model.scale) ** t_max)
+    _check_word_count(len(model.scale), range(t_max, t_max + 1))
     rows: list[tuple[int, float, float]] = []
     h_prev = 0.0
     xs, ys = _levels(model, t_max)

@@ -4,15 +4,16 @@ A Markov operator is a real n^2 x n^2 matrix acting on canonical basis
 coordinates (see :mod:`qmarkov.hermitian`).  Constructors cover the three
 standard sources: Kraus families, unitary conjugation, and stochastic
 matrices extended from the diagonal subspace by annihilating off-diagonal
-coordinates.  Kraus families and unitaries stay in Kraus form: they are
-applied and stepped as Q -> sum_a M_a Q M_a* by one generator, their trace
+coordinates.  Kraus families and unitaries stay in Kraus form: their trace
 preservation is checked on sum_a M_a* M_a, and the matrix is formed on
 first read (by :func:`compose`, :func:`power`, saving or a Cesaro fallback).
+Every step goes through :func:`_orbit`: a matrix steps coordinates, a Kraus
+stack steps matrices Q -> sum_a M_a Q M_a*.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -240,19 +241,38 @@ def apply(op: MarkovOperator, q: np.ndarray) -> np.ndarray:
 
 
 def _image(op: MarkovOperator, c: np.ndarray) -> np.ndarray:
-    """Coordinates of mu(Q) from those of Q; a Kraus-form operator applies its stack."""
+    """Coordinates of mu(Q) from those of Q: row 1 of :func:`_orbit`."""
+    states, read = _orbit(op, c)
+    next(states)
+    return read(next(states))
+
+
+def _orbit(op: MarkovOperator, c: np.ndarray) -> tuple[Iterator[np.ndarray], Callable]:
+    """States mu^t(Q), t = 0, 1, 2, ..., c the coordinates of Q, and the reader of a stack of them.
+
+    The one place that says how each form steps: a matrix K yields K^t c,
+    read as is; a Kraus stack yields matrices from ``from_coords(c)`` on,
+    read by one batched :func:`coords`.
+    """
     if op.kraus is None:
-        return op.matrix @ c
-    return coords(next(_kraus_images(op.kraus, from_coords(c))))
+        return _powers(op.matrix, c), np.asarray
+    return _kraus_orbit(op.kraus, from_coords(c)), coords
 
 
-def _kraus_images(mats: np.ndarray, q: np.ndarray) -> Iterator[np.ndarray]:
-    """mu^t(Q), t = 1, 2, ..., under the Kraus stack ``mats``: Q @ hstack(M_a*), then hstack(M_a) @ blocks."""
+def _powers(k: np.ndarray, c: np.ndarray) -> Iterator[np.ndarray]:
+    """K^t c for t = 0, 1, 2, ..., one mat-vec per step; the first is c itself."""
+    while True:
+        yield c
+        c = k @ c
+
+
+def _kraus_orbit(mats: np.ndarray, q: np.ndarray) -> Iterator[np.ndarray]:
+    """mu^t(Q), t = 0, 1, 2, ..., under the Kraus stack ``mats``: Q @ hstack(M_a*), then hstack(M_a) @ blocks."""
     a, n, _ = mats.shape
     row, col = mats.transpose(1, 0, 2).reshape(n, a * n), mats.conj().transpose(2, 0, 1).reshape(n, a * n)
     while True:
-        q = row @ (q @ col).reshape(n, a, n).transpose(1, 0, 2).reshape(a * n, n)
         yield q
+        q = row @ (q @ col).reshape(n, a, n).transpose(1, 0, 2).reshape(a * n, n)
 
 
 def compose(outer: MarkovOperator, inner: MarkovOperator) -> MarkovOperator:

@@ -39,6 +39,8 @@ class DirectedGraph:
     def __post_init__(self) -> None:
         if self.node_count < 1:
             raise ValueError("graph needs at least one node")
+        if self.node_count > np.iinfo(np.intp).max:  # no array of node values could be indexed
+            raise OverflowError(f"Python int too large for numpy's index type: {self.node_count} nodes")
         edges = tuple((int(u), int(v)) for u, v in self.edges)
         for u, v in edges:
             if not (0 <= u < self.node_count and 0 <= v < self.node_count):
@@ -148,11 +150,11 @@ def limiting_node_distribution(
     tol: float = CESARO_TOL,
     max_doublings: int = CESARO_MAX_DOUBLINGS,
 ) -> np.ndarray:
-    """Long-run average node distribution tr(X_v times Cesaro average)."""
+    """Long-run average node distribution tr(X_v times Cesaro average), read like one row of :func:`walk`."""
     _require_same_dim(operator.n, graph.edge_count, "operator", "graph edges")
     result = cesaro_average(MarkovChain(operator=operator, start=start), tol=tol, max_doublings=max_doublings)
-    diagonal = np.diagonal(result.average).real
-    return np.bincount(_endpoints(graph)[0], weights=diagonal, minlength=graph.node_count)
+    diagonal = np.diagonal(result.average).real[None, :]
+    return _read_nodes(diagonal, _endpoints(graph)[0], np.zeros((1, graph.node_count)))[0]
 
 
 def shift_unitary(graph: DirectedGraph) -> np.ndarray:

@@ -32,7 +32,7 @@ from qmarkov import (
     walk,
 )
 from qmarkov import chain as qchain
-from qmarkov.operators import kraus_superop
+from qmarkov.operators import _image, kraus_superop
 
 
 def off_diagonal_amplifier(factor: float) -> MarkovOperator:
@@ -523,6 +523,23 @@ class TestKrausTrajectories:
         np.testing.assert_array_equal(evolve(MarkovChain(operator=op, start=q), 1)[1], apply(op, q))
 
 
+class TestSharedOrbit:
+    """Images, paths and Cesaro sums step through one generator, so their first steps agree to the bit."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("form", ["dense", "kraus", "unitary"])
+    def test_first_step_agrees_to_the_bit(self, form, seed):
+        rng = np.random.default_rng([122, seed])
+        mats = [random_unitary(rng, 4)] if form == "unitary" else random_kraus_family(rng, 4, 2)
+        op = MarkovOperator(n=4, matrix=kraus_superop(mats)) if form == "dense" else from_kraus(mats)
+        c0 = coords(random_quantum_density(4, rng))
+        image = _image(op, c0)
+        np.testing.assert_array_equal(next(qchain._path_blocks(op, c0, 1))[1], image)
+        t, partial, _ = next(qchain._window_sums(op, c0))
+        assert t == 1
+        np.testing.assert_array_equal(partial, image)
+
+
 class TestStationarity:
     def test_identity(self):
         rng = np.random.default_rng(66)
@@ -598,6 +615,24 @@ class TestUnitaryVectorAverage:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="not unitary"):
             unitary_vector_average(np.diag([1.0, 2.0]), np.ones(2), 10)
+
+    @pytest.mark.parametrize("steps", [1, 2, 7, 100])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_step_loop(self, seed, steps):
+        rng = np.random.default_rng([123, seed])
+        u = random_unitary(rng, 5)
+        v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        np.testing.assert_array_equal(unitary_vector_average(u, v, steps), _vector_average_loop(u, v, steps))
+
+
+def _vector_average_loop(u, v, steps):
+    """Former unitary_vector_average: one mat-vec and one addition per step."""
+    acc = np.zeros_like(v)
+    w = v
+    for _ in range(steps):
+        w = u @ w
+        acc += w
+    return acc / steps
 
 
 class TestContrast:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -399,6 +400,37 @@ class TestOomCommands:
             _, avg, inc = line.split(",")
             assert float(avg) == pytest.approx(1.0)
             assert float(inc) == pytest.approx(1.0)
+
+
+class TestWordCapRefusal:
+    """Word lengths whose count has billions of digits are refused by the cap, not by formatting the count."""
+
+    @pytest.fixture
+    def word_files(self, files):
+        rng = np.random.default_rng(126)
+        path = files["tmp"] / "meas3.json"
+        kraus = random_kraus_family(rng, 2, 3)
+        path.write_text(
+            json.dumps({"n": 2, "scale": list("xyz"), "kraus": {s: qio.matrix_to_dict(k) for s, k in zip("xyz", kraus)}})
+        )
+        return {"meas": path, "density": files["density"], "oom": files["oom"]}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["measure", "--measurement", "{meas}", "--density", "{density}", "--steps"],
+            ["oom-entropy", "--oom", "{oom}", "--t-max"],
+            ["oom-rank", "--oom", "{oom}", "--max-length"],
+        ],
+        ids=["measure", "oom-entropy", "oom-rank"],
+    )
+    def test_huge_length_exits_two_with_cap_message(self, word_files, capsys, argv):
+        argv = [a.format(**word_files) for a in argv] + [str(10**9)]
+        start = time.process_time()
+        assert run(argv) == 2
+        assert time.process_time() - start < 1.0
+        err = capsys.readouterr().err
+        assert "word enumeration cap exceeded" in err and "QMARKOV_ENUM_CAP" in err
 
 
 class TestCliContract:

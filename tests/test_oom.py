@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -487,6 +488,21 @@ class TestStepDistribution:
             )
             assert dist.values[i] == pytest.approx(marginal, abs=1e-12)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_step_loop(self, seed):
+        lift = lift_hidden_states(random_oom(np.random.default_rng([124, seed]), 3, ("a", "b", "c")))
+        for t in range(8):
+            np.testing.assert_array_equal(step_distribution(lift, t).values, _step_loop(lift, t))
+
+
+def _step_loop(lift, t):
+    """Former step_distribution: one mat-vec of the transition sum per step."""
+    vec = lift.pi
+    total = lift.transition_sum
+    for _ in range(t):
+        vec = total @ vec
+    return vec.reshape(len(lift.scale), lift.base_dim).sum(axis=1)
+
 
 class TestEntropyRate:
     def test_iid_uniform_one_bit(self):
@@ -545,6 +561,23 @@ class TestEnumerationCap:
         monkeypatch.setenv("QMARKOV_ENUM_CAP", str(count - 1))
         with pytest.raises(ValueError, match="cap exceeded.*QMARKOV_ENUM_CAP"):
             call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda model: validate(model, 10**9),
+            lambda model: prediction_matrix(model, 10**9),
+            lambda model: entropy_rate(model, 10**9),
+        ],
+        ids=["validate", "prediction", "entropy"],
+    )
+    @pytest.mark.parametrize("symbols", [("a", "b"), ("a", "b", "c")])
+    def test_huge_lengths_refused_without_forming_the_count(self, call, symbols):
+        model = random_oom(np.random.default_rng(125), 2, symbols)
+        start = time.process_time()
+        with pytest.raises(ValueError, match="word enumeration cap exceeded.*QMARKOV_ENUM_CAP"):
+            call(model)
+        assert time.process_time() - start < 1.0
 
 
 class TestMeasurementBridge:

@@ -9,6 +9,7 @@ from qmarkov import (
     DirectedGraph,
     MarkovChain,
     MarkovOperator,
+    cesaro_average,
     evolve,
     from_kraus,
     from_unitary,
@@ -45,6 +46,12 @@ class TestDirectedGraph:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             DirectedGraph(node_count=2, edges=((0, 5),))
+
+    def test_node_count_beyond_numpy_index_type(self):
+        # every walk would fail allocating its node values; the graph says why up front
+        DirectedGraph(node_count=np.iinfo(np.intp).max, edges=((0, 1),))
+        with pytest.raises(OverflowError, match="Python int too large"):
+            DirectedGraph(node_count=np.iinfo(np.intp).max + 1, edges=((0, 1),))
 
 
 class TestNodePOVM:
@@ -150,6 +157,24 @@ class TestLimitingDistribution:
         trace = walk(THREE_CYCLE, coin, start, 10_000)
         running = trace.node_probabilities[:-1].mean(axis=0)
         np.testing.assert_allclose(dist, running, atol=1e-3)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_bincount_of_the_average(self, seed):
+        # the former readout: one weighted bincount over edge sources, in edge order
+        rng = np.random.default_rng([93, seed])
+        nodes = int(rng.integers(1, 6))
+        pairs = [(u, v) for u in range(nodes) for v in range(nodes)]
+        picks = rng.choice(len(pairs), size=int(rng.integers(1, len(pairs) + 1)), replace=False)
+        graph = DirectedGraph(node_count=nodes, edges=tuple(pairs[i] for i in picks))
+        m = graph.edge_count
+        op = from_kraus(random_kraus_family(rng, m, 2))
+        start = random_quantum_density(m, rng)
+        dist = limiting_node_distribution(graph, op, start)
+        average = cesaro_average(MarkovChain(operator=op, start=start)).average
+        sources = np.array([u for u, _ in graph.edges])
+        expected = np.bincount(sources, weights=np.diagonal(average).real, minlength=nodes)
+        np.testing.assert_array_equal(dist, expected)
+        np.testing.assert_array_equal(np.signbit(dist), np.signbit(expected))
 
 
 class TestShiftUnitary:
