@@ -7,193 +7,31 @@ top of that sit Cesaro limits of Markov chains, quantum walks on directed
 graphs, hidden-state tables with a Bell inequality check, and observable
 operator models with an explicit hidden-state lift.
 
-The package attribute ``walk`` is the function, bound over the submodule of
-the same name, so ``from qmarkov import walk`` and ``import qmarkov.walk as
-m`` both give the function; the module is ``sys.modules["qmarkov.walk"]``.
+The package re-exports every name in its modules' ``__all__``, so each
+public name is declared once, in the module that defines it.  The package
+attribute ``walk`` is the function, bound over the submodule of the same
+name, so ``from qmarkov import walk`` and ``import qmarkov.walk as m`` both
+give the function; the module is ``sys.modules["qmarkov.walk"]``.
 """
 
-from .hermitian import (
-    SpectralDecomposition,
-    adjoint,
-    coords,
-    from_coords,
-    hermitian_basis,
-    hs_inner,
-    hs_norm,
-    is_hermitian,
-    is_nonnegative,
-    is_unitary,
-    min_eigenvalue,
-    pure_state,
-    require_hermitian,
-    require_markov_density,
-    spectral_decompose,
-)
-from .operators import (
-    MarkovOperator,
-    NonnegativityReport,
-    apply,
-    compose,
-    from_kraus,
-    from_stochastic,
-    from_unitary,
-    identity_operator,
-    is_trace_preserving,
-    power,
-    random_quantum_density,
-    sampled_nonnegativity,
-)
-from .measurement import (
-    KrausMeasurement,
-    MarkovMeasurement,
-    OutcomeDistribution,
-    Scale,
-    as_markov_measurement,
-    is_observable,
-    is_t_observable,
-    outcome_distribution,
-    posterior,
-    word_distribution,
-    word_operator,
-)
-from .chain import (
-    BoundednessReport,
-    CesaroResult,
-    ConvergenceError,
-    MarkovChain,
-    boundedness_probe,
-    cesaro_average,
-    evolve,
-    functional_average,
-    is_stationary,
-    unitary_vector_average,
-)
-from .walk import (
-    DirectedGraph,
-    NodePOVM,
-    WalkTrace,
-    limiting_node_distribution,
-    node_povm,
-    shift_unitary,
-    walk,
-)
-from .hidden import (
-    BellCheckResult,
-    FiveStateExample,
-    HiddenStateSpace,
-    InformationFunction,
-    MarkovState,
-    RawMoment,
-    bell_check,
-    diagonal_povm,
-    expectation,
-    feynman_state,
-    five_state_example,
-    is_jointly_observable,
-    joint,
-    observe_distribution,
-    product_expectation,
-    raw_moment,
-)
-from .oom import (
-    HiddenStateLift,
-    ObservableOperatorModel,
-    OomValidationReport,
-    PredictionMatrix,
-    conditional,
-    entropy_rate,
-    hmm_to_oom,
-    lift_hidden_states,
-    prediction_matrix,
-    step_distribution,
-    to_markov_measurement,
-    word_probability,
-)
+from . import chain, hermitian, hidden, measurement, oom, operators
+from . import walk as _walk
+from .hermitian import *
+from .operators import *
+from .measurement import *
+from .chain import *
+from .walk import *
+from .hidden import *
+from .oom import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "SpectralDecomposition",
-    "adjoint",
-    "coords",
-    "from_coords",
-    "hermitian_basis",
-    "hs_inner",
-    "hs_norm",
-    "is_hermitian",
-    "is_nonnegative",
-    "is_unitary",
-    "min_eigenvalue",
-    "pure_state",
-    "require_hermitian",
-    "require_markov_density",
-    "spectral_decompose",
-    "MarkovOperator",
-    "NonnegativityReport",
-    "apply",
-    "compose",
-    "from_kraus",
-    "from_stochastic",
-    "from_unitary",
-    "identity_operator",
-    "is_trace_preserving",
-    "power",
-    "random_quantum_density",
-    "sampled_nonnegativity",
-    "KrausMeasurement",
-    "MarkovMeasurement",
-    "OutcomeDistribution",
-    "Scale",
-    "as_markov_measurement",
-    "is_observable",
-    "is_t_observable",
-    "outcome_distribution",
-    "posterior",
-    "word_distribution",
-    "word_operator",
-    "BoundednessReport",
-    "CesaroResult",
-    "ConvergenceError",
-    "MarkovChain",
-    "boundedness_probe",
-    "cesaro_average",
-    "evolve",
-    "functional_average",
-    "is_stationary",
-    "unitary_vector_average",
-    "DirectedGraph",
-    "NodePOVM",
-    "WalkTrace",
-    "limiting_node_distribution",
-    "node_povm",
-    "shift_unitary",
-    "walk",
-    "BellCheckResult",
-    "FiveStateExample",
-    "HiddenStateSpace",
-    "InformationFunction",
-    "MarkovState",
-    "RawMoment",
-    "bell_check",
-    "diagonal_povm",
-    "expectation",
-    "feynman_state",
-    "five_state_example",
-    "is_jointly_observable",
-    "joint",
-    "observe_distribution",
-    "product_expectation",
-    "raw_moment",
-    "HiddenStateLift",
-    "ObservableOperatorModel",
-    "OomValidationReport",
-    "PredictionMatrix",
-    "conditional",
-    "entropy_rate",
-    "hmm_to_oom",
-    "lift_hidden_states",
-    "prediction_matrix",
-    "step_distribution",
-    "to_markov_measurement",
-    "word_probability",
+    *hermitian.__all__,
+    *operators.__all__,
+    *measurement.__all__,
+    *chain.__all__,
+    *_walk.__all__,
+    *hidden.__all__,
+    *oom.__all__,
 ]

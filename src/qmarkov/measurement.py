@@ -49,9 +49,17 @@ WORD_BLOCK = 2**15  # word values per block of _word_blocks
 
 
 def enumeration_cap() -> int:
-    """Word-enumeration cap: QMARKOV_ENUM_CAP, else 10^6."""
+    """Word-enumeration cap: QMARKOV_ENUM_CAP, else 10^6; anything but a positive integer raises."""
     env = os.environ.get("QMARKOV_ENUM_CAP")
-    return int(env) if env else DEFAULT_ENUMERATION_CAP
+    if not env:
+        return DEFAULT_ENUMERATION_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"QMARKOV_ENUM_CAP must be a positive integer, got {env!r}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -93,11 +101,13 @@ def _check_word_count(base: int, lengths: range, times: int = 1) -> None:
     """Raise when ``times`` enumerations of the words of the given lengths would exceed the cap.
 
     A base^l > 1 whose l passes the cap's bit length by 64 passes the cap: it is named, never formed.
+    A one-symbol scale has one word per length, but the kernels still build
+    one level per length, so it counts at least the longest length.
     """
     limit, longest = enumeration_cap(), lengths[-1]
     count = f"at least {base}^{longest}"
     if base < 2 or not times or longest <= limit.bit_length() + 64:
-        count = times * (sum(base**l for l in lengths) if base > 1 else len(lengths))
+        count = max(longest, times * len(lengths)) if base < 2 else times * sum(base**l for l in lengths)
         if count <= limit:
             return
     raise ValueError(

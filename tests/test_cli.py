@@ -432,6 +432,21 @@ class TestWordCapRefusal:
         err = capsys.readouterr().err
         assert "word enumeration cap exceeded" in err and "QMARKOV_ENUM_CAP" in err
 
+    def test_one_symbol_length_past_the_cap_exits_two(self, files, capsys, monkeypatch):
+        monkeypatch.setenv("QMARKOV_ENUM_CAP", "100")
+        path = files["tmp"] / "one_symbol.json"
+        path.write_text(json.dumps({"dim": 1, "scale": ["a"], "operators": {"a": [[1.0]]}, "pi": [1.0]}))
+        assert run(["oom-entropy", "--oom", str(path), "--t-max", "101"]) == 2
+        assert "word enumeration cap exceeded: 101 words > 100" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "1e6", "0", "-5"])
+    def test_invalid_cap_setting_exits_two_naming_it(self, files, capsys, monkeypatch, value):
+        monkeypatch.setenv("QMARKOV_ENUM_CAP", value)
+        argv = ["measure", "--measurement", str(files["zmeas"]), "--density", str(files["density"]), "--steps", "2"]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"qmarkov: invalid input: QMARKOV_ENUM_CAP must be a positive integer, got '{value}'\n"
+
 
 class TestCliContract:
     def test_malformed_file_exit_two(self, files, capsys):

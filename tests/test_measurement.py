@@ -17,6 +17,7 @@ from qmarkov import (
     apply,
     as_markov_measurement,
     compose,
+    entropy_rate,
     from_unitary,
     identity_operator,
     is_observable,
@@ -375,6 +376,27 @@ class TestTObservability:
             word_distribution(Z_PAIR, np.diag([0.5, 0.5]), 3)
         monkeypatch.delenv("QMARKOV_ENUM_CAP")
         assert enumeration_cap() == 10**6
+
+
+class TestEnumerationCapSetting:
+    @pytest.mark.parametrize("value", ["abc", "1e6", "0", "-5"])
+    def test_not_a_positive_integer_names_the_variable(self, monkeypatch, value):
+        monkeypatch.setenv("QMARKOV_ENUM_CAP", value)
+        with pytest.raises(ValueError, match=f"QMARKOV_ENUM_CAP must be a positive integer, got '{value}'"):
+            enumeration_cap()
+
+    def test_one_symbol_scale_counts_one_level_per_length(self, monkeypatch):
+        # one word per length, but the kernels build one level per length
+        monkeypatch.setenv("QMARKOV_ENUM_CAP", "100")
+        meas = KrausMeasurement(scale=Scale(("a",)), kraus=(np.eye(2, dtype=complex),))
+        model = ObservableOperatorModel(scale=Scale(("a",)), operators=(np.eye(1),), pi=np.ones(1))
+        rho = np.diag([0.5, 0.5])
+        assert word_distribution(meas, rho, 100) == {("a",) * 100: pytest.approx(1.0)}
+        assert len(entropy_rate(model, 100)) == 100
+        with pytest.raises(ValueError, match="cap exceeded: 101 words > 100"):
+            word_distribution(meas, rho, 101)
+        with pytest.raises(ValueError, match="cap exceeded: 101 words > 100"):
+            entropy_rate(model, 101)
 
 
 class TestMarkovMeasurementValidation:
