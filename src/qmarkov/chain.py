@@ -140,15 +140,12 @@ def _path_blocks(op: MarkovOperator, c0: np.ndarray, steps: int) -> Iterator[np.
     A block is valid until the next one is drawn; row 0 is c0 itself.
     Blocks stack and read the states of :func:`_orbit`; for a matrix K, past
     PATH_BLOCK rows, if steps > len(c0) and steps >= PATH_BLOCK, each block
-    is the previous one times (K^B)^T.
+    is the previous one times (K^B)^T.  A negative ``steps`` raises when the
+    first block is drawn.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    return _path_block_rows(op, c0, steps, PATH_BLOCK)
-
-
-def _path_block_rows(op: MarkovOperator, c0: np.ndarray, steps: int, b: int) -> Iterator[np.ndarray]:
-    """The generator behind :func:`_path_blocks`, which checks ``steps`` eagerly."""
+    b = PATH_BLOCK
     states, read = _orbit(op, c0)
     stepped = b if op.kraus is None and steps > c0.size and steps >= b else steps + 1  # rows from the orbit
     for t in range(0, stepped, b):

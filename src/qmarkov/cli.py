@@ -80,21 +80,31 @@ def _step_lines(blocks):
     )
 
 
+def _concatenated(texts) -> bool:
+    """The word rule: a word is its symbol texts concatenated when each is one character, else comma-joined."""
+    return all(len(text) == 1 for text in texts)
+
+
+def _word_cells(texts: list[str]):
+    """Map from a word, as symbol texts, to its CSV cell, which :func:`_parse_word` reads back."""
+    return "".join if _concatenated(texts) else lambda word: _csv_cell(",".join(word))
+
+
+def _csv_cell(text: str) -> str:
+    """``text`` quoted as CSV quotes a cell: when it holds a comma, a quote or a line break."""
+    return '"%s"' % text.replace('"', '""') if re.search('[",\r\n]', text) else text
+
+
 def _parse_word(scale, text: str) -> tuple:
     """Parse a word argument into scale symbols, each named by its text ``str(symbol)``.
 
     Parts are comma-separated, or one character each when every symbol's
-    text is one character.
+    text is one character and the argument has no comma.
     """
     if text == "":
         return ()
     names = {str(s): s for s in scale}
-    if "," in text:
-        parts = text.split(",")
-    elif all(len(name) == 1 for name in names):
-        parts = list(text)
-    else:
-        parts = [text]
+    parts = list(text) if _concatenated(names) and "," not in text else text.split(",")
     return tuple(names.get(p, p) for p in parts)  # an unknown part fails in word_probability
 
 
@@ -116,7 +126,7 @@ def _cmd_measure(args) -> None:
         }
         _emit(args, _json(payload))
     else:
-        texts = map("".join, words)
+        texts = map(_word_cells(symbols), words)
         lines = (map("%s,%.17g".__mod__, zip(islice(texts, len(b)), b.tolist())) for b in blocks)
         _emit(args, _csv("word,probability", lines))
 
@@ -201,7 +211,8 @@ def _cmd_oom_prob(args) -> None:
     if args.format == "json":
         _emit(args, _json([{"word": t, "probability": p} for t, p in zip(texts, probabilities)]))
     else:
-        lines = map("%s,%.17g".__mod__, zip(map("".join, texts), probabilities))
+        cells = map(_word_cells([str(s) for s in model.scale]), texts)
+        lines = map("%s,%.17g".__mod__, zip(cells, probabilities))
         _emit(args, _csv("word,probability", [lines]))
 
 

@@ -17,7 +17,7 @@ from typing import Hashable, NamedTuple, Sequence
 import numpy as np
 
 from .hermitian import BELL_TOL, SIGN_TOL, _frozen_array, _require_unit_sum
-from .measurement import KrausMeasurement, OutcomeDistribution, Scale, _diagonal_projectors
+from .measurement import KrausMeasurement, OutcomeDistribution, Scale, _diagonal_projectors, _label_sums
 
 __all__ = [
     "HiddenStateSpace",
@@ -144,20 +144,18 @@ def _labels(func: InformationFunction) -> np.ndarray:
 def observe_distribution(func: InformationFunction, state: MarkovState) -> OutcomeDistribution:
     """Aggregate the state components by outcome: p(a) = sum over X(w) = a of q_w.
 
-    Each sum runs in state order.
+    Each sum runs in state order: this is the readout of :func:`diagonal_povm`.
     """
     _require_same_space([func], state)
-    values = np.bincount(_labels(func), weights=state.values, minlength=len(func.scale))
+    values = _label_sums(state.values, _labels(func), np.zeros(len(func.scale)))
     return OutcomeDistribution(scale=func.scale, values=values)
 
 
 def _numeric_values(func: InformationFunction, name: str) -> np.ndarray:
-    out = []
     for v in func.values:
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ValueError(f"{name} must be real-valued, got value {v!r}")
-        out.append(float(v))
-    return np.array(out)
+    return np.array(func.values, dtype=float)
 
 
 def expectation(func: InformationFunction, state: MarkovState, tol: float = SIGN_TOL) -> float:
@@ -167,13 +165,13 @@ def expectation(func: InformationFunction, state: MarkovState, tol: float = SIGN
     statistical meaning and an error is raised (use :func:`raw_moment` for
     the algebraic value).
     """
-    values = _numeric_values(func, "information function")
-    if not observe_distribution(func, state).is_observable(tol):
+    moment = raw_moment(func, state, tol)
+    if not moment.observable:
         raise ValueError(
             "information function is not statistically observable in this state; "
             "its expectation is undefined"
         )
-    return float(values @ state.values)
+    return moment.value
 
 
 def raw_moment(func: InformationFunction, state: MarkovState, tol: float = SIGN_TOL) -> RawMoment:
@@ -200,7 +198,6 @@ def is_jointly_observable(
     tol: float = SIGN_TOL,
 ) -> bool:
     """True when the composite function is observable in the state."""
-    _require_same_space(list(funcs), state)
     return observe_distribution(joint(funcs), state).is_observable(tol)
 
 
@@ -219,17 +216,10 @@ def product_expectation(
 
 
 def _pm_one_values(func: InformationFunction, name: str) -> np.ndarray:
-    out = []
     for v in func.values:
-        if isinstance(v, bool):
+        if isinstance(v, bool) or v not in ((-1, 1) if isinstance(v, (int, float)) else ("-1", "+1")):
             raise ValueError(f"{name} must have scale {{-1, +1}}, got value {v!r}")
-        if isinstance(v, (int, float)) and v in (-1, 1):
-            out.append(float(v))
-        elif isinstance(v, str) and v in ("-1", "+1"):
-            out.append(float(v))
-        else:
-            raise ValueError(f"{name} must have scale {{-1, +1}}, got value {v!r}")
-    return np.array(out)
+    return np.array(func.values, dtype=float)
 
 
 def bell_check(

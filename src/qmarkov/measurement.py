@@ -5,6 +5,9 @@ sum_a M_a* M_a = I; outcome values are tr(M_a Q M_a*).  A Markov measurement
 attaches one unconstrained linear operator per symbol whose sum is trace
 preserving; outcome values are tr(mu_a(Q)).  Outcome values of a Markov
 density may be negative, and "observable" means exactly that they are not.
+Word values tr(mu_w(Q)) have one kernel, and a Markov measurement's outcome
+values are its length-1 word values; a Kraus measurement forms no
+superoperator for its own.  A diagonal 0/1 POVM has one readout.
 """
 
 from __future__ import annotations
@@ -184,6 +187,12 @@ def _diagonal_projectors(labels: np.ndarray, count: int) -> tuple[np.ndarray, ..
     return projectors
 
 
+def _label_sums(values: np.ndarray, labels: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The POVM readout of :func:`_diagonal_projectors`: out[..., labels[i]] += values[..., i], i in order."""
+    np.add.at(out, (..., labels), values[..., : len(labels)])
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class KrausMeasurement:
     """Quantum measurement: one Kraus matrix per symbol, sum_a M_a* M_a = I."""
@@ -258,28 +267,17 @@ class OutcomeDistribution:
         return self.min_value() >= -tol
 
 
-def _kraus_outcome_values(meas: KrausMeasurement, density: np.ndarray) -> np.ndarray:
-    return np.array(
-        [np.einsum("ij,jk,ik->", m, density, m.conj()).real for m in meas.kraus]
-    )
-
-
-def _markov_outcome_values(meas: MarkovMeasurement, density: np.ndarray) -> np.ndarray:
-    n = meas.n
-    c = coords(density)
-    return np.array([float((op @ c)[:n].sum()) for op in meas.operators])
-
-
 def outcome_distribution(meas, density: np.ndarray) -> OutcomeDistribution:
-    """Distribution of single-outcome values for a Markov density."""
-    density = require_markov_density(density)
-    _require_same_dim(meas.n, density.shape[0], "measurement", "density")
+    """Distribution of single-outcome values for a Markov density.
+
+    A Markov measurement's are its length-1 word values; a Kraus measurement forms no superoperator.
+    """
     if isinstance(meas, KrausMeasurement):
-        values = _kraus_outcome_values(meas, density)
-    elif isinstance(meas, MarkovMeasurement):
-        values = _markov_outcome_values(meas, density)
+        density = require_markov_density(density)
+        _require_same_dim(meas.n, density.shape[0], "measurement", "density")
+        values = np.array([np.einsum("ij,jk,ik->", m, density, m.conj()).real for m in meas.kraus])
     else:
-        raise TypeError(f"expected a measurement, got {type(meas).__name__}")
+        values = np.concatenate(list(_word_values(meas, density, 1)))
     return OutcomeDistribution(scale=meas.scale, values=values)
 
 
@@ -313,12 +311,14 @@ def as_markov_measurement(meas: KrausMeasurement) -> MarkovMeasurement:
     return MarkovMeasurement(scale=meas.scale, operators=ops)
 
 
+def _require_measurement(meas):
+    if not isinstance(meas, (KrausMeasurement, MarkovMeasurement)):
+        raise TypeError(f"expected a measurement, got {type(meas).__name__}")
+    return meas
+
+
 def _as_markov(meas) -> MarkovMeasurement:
-    if isinstance(meas, KrausMeasurement):
-        return as_markov_measurement(meas)
-    if isinstance(meas, MarkovMeasurement):
-        return meas
-    raise TypeError(f"expected a measurement, got {type(meas).__name__}")
+    return as_markov_measurement(meas) if isinstance(_require_measurement(meas), KrausMeasurement) else meas
 
 
 def word_operator(meas, word: Sequence) -> np.ndarray:
@@ -349,7 +349,7 @@ def _word_values(meas, density: np.ndarray, t: int) -> Iterator[np.ndarray]:
     if t < 0:
         raise ValueError("word length must be nonnegative")
     density = require_markov_density(density)
-    _require_same_dim(meas.n, density.shape[0], "measurement", "density")
+    _require_same_dim(_require_measurement(meas).n, density.shape[0], "measurement", "density")
     _check_word_count(len(meas.scale), range(t, t + 1))
     meas = _as_markov(meas)
     trace = np.zeros(meas.operators[0].shape[0])

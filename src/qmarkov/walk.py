@@ -15,7 +15,7 @@ import numpy as np
 
 from .chain import MarkovChain, _path_blocks, cesaro_average
 from .hermitian import CESARO_MAX_DOUBLINGS, CESARO_TOL, _require_same_dim, coords
-from .measurement import _diagonal_projectors
+from .measurement import _diagonal_projectors, _label_sums
 from .operators import MarkovOperator
 
 __all__ = [
@@ -99,26 +99,18 @@ def node_povm(graph: DirectedGraph) -> NodePOVM:
 def _path(graph: DirectedGraph, operator: MarkovOperator, start: np.ndarray, steps: int):
     """The walk's coordinate path in the blocks of :func:`~qmarkov.chain._path_blocks`.
 
-    The arguments are checked here, before the first block is drawn.
+    The graph, operator and start are checked here, ``steps`` at the first block.
     """
     _require_same_dim(operator.n, graph.edge_count, "operator", "graph edges")
     chain = MarkovChain(operator=operator, start=start)
     return _path_blocks(operator, coords(chain.start), steps)
 
 
-def _read_nodes(block: np.ndarray, sources: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Add the node values of a block of path coordinates into ``out`` (one row per step)."""
-    # the first n coordinates of a Hermitian matrix are its diagonal entries;
-    # each node sums the diagonal entries of its out-edges in edge order
-    for e, u in enumerate(sources):
-        out[:, u] += block[:, e]
-    return out
-
-
 def _node_blocks(graph: DirectedGraph, operator: MarkovOperator, start: np.ndarray, steps: int):
     """Node values for t = 0..steps as (rows, nodes) arrays, one per block of :func:`_path`."""
+    # the first n coordinates of a Hermitian matrix are its diagonal entries
     blocks, sources = _path(graph, operator, start, steps), _endpoints(graph)[0]
-    return (_read_nodes(block, sources, np.zeros((len(block), graph.node_count))) for block in blocks)
+    return (_label_sums(block, sources, np.zeros((len(block), graph.node_count))) for block in blocks)
 
 
 def walk(
@@ -135,10 +127,10 @@ def walk(
     kernel behind :func:`~qmarkov.chain.evolve` and are never held whole.
     """
     blocks, sources = _path(graph, operator, start, steps), _endpoints(graph)[0]
-    probabilities = np.zeros((steps + 1, graph.node_count))
+    probabilities = np.zeros((max(steps + 1, 0), graph.node_count))  # negative steps fail at the first block
     t = 0
     for block in blocks:
-        _read_nodes(block, sources, probabilities[t : t + len(block)])
+        _label_sums(block, sources, probabilities[t : t + len(block)])
         t += len(block)
     return WalkTrace(graph=graph, node_probabilities=probabilities)
 
@@ -153,8 +145,7 @@ def limiting_node_distribution(
     """Long-run average node distribution tr(X_v times Cesaro average), read like one row of :func:`walk`."""
     _require_same_dim(operator.n, graph.edge_count, "operator", "graph edges")
     result = cesaro_average(MarkovChain(operator=operator, start=start), tol=tol, max_doublings=max_doublings)
-    diagonal = np.diagonal(result.average).real[None, :]
-    return _read_nodes(diagonal, _endpoints(graph)[0], np.zeros((1, graph.node_count)))[0]
+    return _label_sums(np.diagonal(result.average).real, _endpoints(graph)[0], np.zeros(graph.node_count))
 
 
 def shift_unitary(graph: DirectedGraph) -> np.ndarray:

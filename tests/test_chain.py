@@ -698,6 +698,11 @@ class TestPathBlocks:
         with pytest.raises(ValueError, match="nonnegative"):
             evolve(MarkovChain(operator=identity_operator(2), start=np.eye(2) / 2), -3)
 
+    def test_negative_steps_raise_at_the_first_block(self):
+        blocks = qchain._path_blocks(identity_operator(2), coords(np.eye(2) / 2), -1)
+        with pytest.raises(ValueError, match="steps must be nonnegative"):
+            next(blocks)
+
     def test_probe_reads_squared_norms_of_the_path(self):
         # horizon 60 > n^2 = 4 and >= PATH_BLOCK: the probe reads blocked rows
         chain = MarkovChain(

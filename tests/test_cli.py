@@ -1,4 +1,7 @@
+import csv
 import gc
+import io
+import itertools
 import json
 import os
 import subprocess
@@ -402,6 +405,51 @@ class TestOomCommands:
             assert float(inc) == pytest.approx(1.0)
 
 
+class TestWordCells:
+    """A CSV word cell names its word alone and is read back by ``--word``, whatever the symbol texts."""
+
+    SCALE = ("a", "ab", "b", 'q"')
+
+    def _rows(self, out):
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["word", "probability"]
+        return rows[1:]
+
+    def test_oom_prob_cells_round_trip(self, tmp_path, capsys):
+        path = tmp_path / "oom.json"
+        ops = tuple(np.array([[p]]) for p in (0.4, 0.3, 0.2, 0.1))
+        qio.save_oom(path, ObservableOperatorModel(scale=Scale(self.SCALE), operators=ops, pi=np.array([1.0])))
+        words = [("ab", "b"), ("a", "b", "b"), ("ab",), ('q"', "a"), ()]
+        argv = ["oom-prob", "--oom", str(path), "--format", "csv"]
+        for word in words:
+            argv += ["--word", ",".join(word)]
+        assert run(argv) == 0
+        rows = self._rows(capsys.readouterr().out)
+        assert [cli._parse_word(Scale(self.SCALE), cell) for cell, _ in rows] == words
+        assert len({cell for cell, _ in rows}) == len(words)
+        for cell, value in rows:
+            assert run(["oom-prob", "--oom", str(path), "--word", cell]) == 0
+            assert self._rows(capsys.readouterr().out) == [[cell, value]]
+
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    def test_measure_cells_round_trip(self, tmp_path, capsys, steps):
+        path, rho = tmp_path / "meas.json", tmp_path / "rho.json"
+        kraus = random_kraus_family(np.random.default_rng(2007), 2, len(self.SCALE))
+        mats = {s: qio.matrix_to_dict(k) for s, k in zip(self.SCALE, kraus)}
+        path.write_text(json.dumps({"n": 2, "scale": list(self.SCALE), "kraus": mats}))
+        qio.save_matrix(rho, np.diag([0.3, 0.7]), kind="density")
+        assert run(["measure", "--measurement", str(path), "--density", str(rho), "--steps", str(steps)]) == 0
+        rows = self._rows(capsys.readouterr().out)
+        words = list(itertools.product(self.SCALE, repeat=steps))
+        assert [cli._parse_word(Scale(self.SCALE), cell) for cell, _ in rows] == words
+
+    def test_one_character_texts_concatenate(self):
+        assert cli._word_cells(["a", "b"])(("a", "b", "b")) == "abb"
+        assert cli._word_cells(["a", "ab"])(("ab", "a")) == '"ab,a"'
+        assert cli._word_cells(["a", "ab"])(("ab",)) == "ab"
+        assert cli._word_cells(["a", 'q"'])(('q"',)) == '"q"""'
+
+
 class TestWordCapRefusal:
     """Word lengths whose count has billions of digits are refused by the cap, not by formatting the count."""
 
@@ -676,10 +724,21 @@ def _g17(x):
     return f"{float(x):.17g}"
 
 
+def _csv_word_cell(word, symbols):
+    """A word's CSV cell: the symbol texts concatenated when every text of the scale is one
+    character, else the texts joined by commas, as csv.writer writes that cell."""
+    texts = [str(s) for s in word]
+    if all(len(str(s)) == 1 for s in symbols):
+        return "".join(texts)
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow([",".join(texts), ""])
+    return out.getvalue()[: -len(",\n")]
+
+
 def _measure_expected(dist, symbols, steps):
     """Expected ``measure`` CSV text and JSON payload, one word of ``dist`` at a time."""
     return {
-        "csv": _old_csv("word,probability", [("".join(str(s) for s in w), _g17(p)) for w, p in dist.items()]),
+        "csv": _old_csv("word,probability", [(_csv_word_cell(w, symbols), _g17(p)) for w, p in dist.items()]),
         "json": {
             "steps": steps,
             "scale": [str(s) for s in symbols],

@@ -161,6 +161,17 @@ class TestJointObservability:
                     for subset in itertools.combinations(funcs, r):
                         assert is_jointly_observable(list(subset), state)
 
+    def test_any_iterable_of_functions(self):
+        # the functions are read once, by joint; an empty collection is refused there
+        ex = five_state_example()
+        assert is_jointly_observable((f for f in (ex.x, ex.y)), ex.state)
+        assert not is_jointly_observable(iter([ex.x, ex.y, ex.z]), ex.state)
+        with pytest.raises(ValueError, match="at least one information function"):
+            is_jointly_observable([], ex.state)
+        other = MarkovState(space=HiddenStateSpace(states=("a",)), values=np.array([1.0]))
+        with pytest.raises(ValueError, match="different hidden-state space"):
+            is_jointly_observable([ex.x, ex.y], other)
+
 
 class TestProductExpectation:
     def test_five_state_values(self):
@@ -337,3 +348,24 @@ class TestLabelReadout:
             assert len(kraus) == len(func.scale)
             for got, expected in zip(kraus, _diagonal_povm_loop(func)):
                 np.testing.assert_array_equal(got, expected)
+
+
+class TestExpectationIsRawMoment:
+    def test_equals_raw_moment_value(self):
+        rng = np.random.default_rng(2006)
+        checked = 0
+        for _ in range(60):
+            n = int(rng.integers(1, 10))
+            space = HiddenStateSpace(states=tuple(range(n)))
+            func = _random_function(rng, space, "int")
+            q = rng.random(n) - 0.1
+            q[-1] = 1.0 - q[:-1].sum()
+            state = MarkovState(space=space, values=q)
+            moment = raw_moment(func, state)
+            if moment.observable:
+                assert expectation(func, state) == moment.value
+                checked += 1
+            else:
+                with pytest.raises(ValueError, match="not statistically observable"):
+                    expectation(func, state)
+        assert 10 <= checked <= 50

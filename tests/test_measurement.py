@@ -410,3 +410,116 @@ class TestMarkovMeasurementValidation:
         mm = MarkovMeasurement(scale=Scale(("a", "b")), operators=ops)
         assert mm.n == 2
         assert compose(mm.sum_operator, mm.sum_operator).n == 2
+
+
+def random_markov_measurement(rng, n, k) -> MarkovMeasurement:
+    """k unconstrained operators whose sum is a random Kraus channel's superoperator."""
+    total = as_markov_measurement(random_kraus_measurement(rng, n, 2)).sum_operator.matrix
+    splits = [rng.standard_normal((n * n, n * n)) * 0.5 for _ in range(k - 1)]
+    return MarkovMeasurement(scale=Scale(tuple("abc"[:k])), operators=(*splits, total - sum(splits)))
+
+
+def random_markov_density(rng, n) -> np.ndarray:
+    """A Hermitian matrix of unit trace, generally with negative eigenvalues."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = (g + g.conj().T) / 2
+    return h + (1.0 - np.trace(h).real) / n * np.eye(n)
+
+
+def _old_kraus_outcome_values(meas, density):
+    """Former Kraus outcome values: one einsum tr(M_a Q M_a*) per symbol."""
+    return np.array([np.einsum("ij,jk,ik->", m, density, m.conj()).real for m in meas.kraus])
+
+
+class TestOutcomeValuesFromWordKernel:
+    """Single outcomes are length-1 words for Markov measurements; Kraus ones keep their einsum."""
+
+    def test_markov_values_are_length_one_word_values(self):
+        rng = np.random.default_rng(2001)
+        for _ in range(60):
+            n, k = int(rng.integers(2, 7)), int(rng.integers(2, 4))
+            meas = random_markov_measurement(rng, n, k)
+            q = random_markov_density(rng, n)
+            words = word_distribution(meas, q, 1)
+            expected = np.array([words[(s,)] for s in meas.scale])
+            np.testing.assert_array_equal(outcome_distribution(meas, q).values, expected)
+
+    def test_kraus_values_equal_the_einsum(self, monkeypatch):
+        monkeypatch.setattr(qmeasurement, "kraus_superop", None)  # no superoperator is formed
+        rng = np.random.default_rng(2002)
+        for _ in range(30):
+            n, k = int(rng.integers(2, 7)), int(rng.integers(2, 4))
+            meas = random_kraus_measurement(rng, n, k)
+            q = random_markov_density(rng, n)
+            np.testing.assert_array_equal(outcome_distribution(meas, q).values, _old_kraus_outcome_values(meas, q))
+
+    def test_cap_below_symbol_count_refuses_markov_values_only(self, monkeypatch):
+        rng = np.random.default_rng(2003)
+        markov, kraus = random_markov_measurement(rng, 2, 3), random_kraus_measurement(rng, 2, 3)
+        q = random_quantum_density(2, rng)
+        monkeypatch.setenv("QMARKOV_ENUM_CAP", "2")
+        with pytest.raises(ValueError, match="cap exceeded: 3 words > 2"):
+            outcome_distribution(markov, q)
+        assert outcome_distribution(kraus, q).values.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+class TestNotAMeasurement:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m, q: outcome_distribution(m, q),
+            lambda m, q: word_distribution(m, q, 2),
+            lambda m, q: is_t_observable(m, q, 2),
+            lambda m, q: word_operator(m, ("0",)),
+        ],
+        ids=["outcome_distribution", "word_distribution", "is_t_observable", "word_operator"],
+    )
+    def test_type_error_before_any_attribute(self, monkeypatch, call):
+        monkeypatch.setenv("QMARKOV_ENUM_CAP", "1")  # the type is checked before the cap
+        with pytest.raises(TypeError, match="expected a measurement, got str"):
+            call("Z", np.diag([0.5, 0.5]))
+
+
+def _edge_loop(block, sources, out):
+    """Former walk node readout: one column addition per edge, in edge order."""
+    for e, u in enumerate(sources):
+        out[:, u] += block[:, e]
+    return out
+
+
+def _same_bits(got, expected):
+    np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+
+
+class TestLabelSums:
+    """The one diagonal-POVM readout against the two it replaced, bit for bit."""
+
+    def _values(self, rng, shape):
+        values = rng.standard_normal(shape)
+        values[rng.random(shape) < 0.2] = 0.0
+        values[rng.random(shape) < 0.2] = -0.0
+        return values
+
+    def test_equals_edge_loop_on_blocks(self):
+        rng = np.random.default_rng(2004)
+        for _ in range(40):
+            edges, nodes, rows = int(rng.integers(1, 25)), int(rng.integers(1, 8)), int(rng.integers(1, 33))
+            sources = rng.integers(0, nodes, size=edges)
+            block = self._values(rng, (rows, edges * edges))  # coordinates: diagonal entries first
+            got = qmeasurement._label_sums(block, sources, np.zeros((rows, nodes)))
+            _same_bits(got, _edge_loop(block, sources, np.zeros((rows, nodes))))
+
+    def test_equals_bincount_on_vectors(self):
+        rng = np.random.default_rng(2005)
+        for _ in range(40):
+            size, count = int(rng.integers(1, 30)), int(rng.integers(1, 8))
+            labels = rng.integers(0, count, size=size)
+            values = self._values(rng, size)
+            got = qmeasurement._label_sums(values, labels, np.zeros(count))
+            _same_bits(got, np.bincount(labels, weights=values, minlength=count))
+
+    def test_writes_into_a_view(self):
+        out = np.zeros((4, 2))
+        qmeasurement._label_sums(np.array([[1.0, 2.0, 3.0]]), np.array([1, 0, 1]), out[2:3])
+        np.testing.assert_array_equal(out, [[0, 0], [0, 0], [2, 4], [0, 0]])

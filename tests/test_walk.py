@@ -128,6 +128,11 @@ class TestWalk:
         with pytest.raises(ValueError, match="dimension mismatch"):
             walk(THREE_CYCLE, identity_operator(2), np.diag([0.5, 0.5]), 1)
 
+    @pytest.mark.parametrize("steps", [-1, -2, -50])
+    def test_negative_steps_refused_by_the_path_kernel(self, steps):
+        with pytest.raises(ValueError, match="steps must be nonnegative"):
+            walk(THREE_CYCLE, identity_operator(3), np.eye(3) / 3, steps)
+
 
 class TestLimitingDistribution:
     def test_cycle_orbit_average(self):
