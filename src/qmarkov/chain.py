@@ -44,7 +44,9 @@ from .hermitian import (
     EQUALITY_TOL,
     UNIT_TRACE_FLOOR,
     _frozen_array,
+    _require_count,
     _require_same_dim,
+    _require_tol,
     _require_unitary,
     coords,
     from_coords,
@@ -140,11 +142,10 @@ def _path_blocks(op: MarkovOperator, c0: np.ndarray, steps: int) -> Iterator[np.
     A block is valid until the next one is drawn; row 0 is c0 itself.
     Blocks stack and read the states of :func:`_orbit`; for a matrix K, past
     PATH_BLOCK rows, if steps > len(c0) and steps >= PATH_BLOCK, each block
-    is the previous one times (K^B)^T.  A negative ``steps`` raises when the
-    first block is drawn.
+    is the previous one times (K^B)^T.  A ``steps`` that is not a count
+    raises when the first block is drawn.
     """
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
+    steps = _require_count(steps, "steps")
     b = PATH_BLOCK
     states, read = _orbit(op, c0)
     stepped = b if op.kraus is None and steps > c0.size and steps >= b else steps + 1  # rows from the orbit
@@ -170,8 +171,7 @@ def boundedness_probe(chain: MarkovChain, horizon: int, bound: float) -> Bounded
     tr(Q^2) equals the squared coordinate norm, so the probe reads it per
     block off the same path kernel as :func:`evolve`.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+    horizon = _require_count(horizon, "horizon", least=1)
     blocks = _path_blocks(chain.operator, coords(chain.start), horizon)
     values = np.concatenate([np.einsum("ij,ij->i", b, b) for b in blocks])
     exceeded = np.flatnonzero(values > bound)
@@ -207,13 +207,11 @@ def cesaro_average(
     ``iterations`` is the step count the returned average spans: t for the
     plain average, 2t for the tail.  Raises ConvergenceError when neither
     average gets within tol, which signals an unbounded chain or extremely
-    slow mixing, and ValueError for arguments that can never succeed: a tol
-    that is not positive (NaN included) or a negative max_doublings.
+    slow mixing; arguments that can never succeed, a tol that is not positive
+    and finite or a max_doublings that is not a count, raise on entry.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if max_doublings < 0:
-        raise ValueError("max_doublings must be nonnegative")
+    tol = _require_tol(tol, positive=True)
+    max_doublings = _require_count(max_doublings, "max_doublings")
     op, n = chain.operator, chain.operator.n
     c0 = coords(chain.start)
     residual = float(np.linalg.norm(_image(op, c0) - c0))
@@ -344,7 +342,7 @@ def _unit_trace(c: np.ndarray, n: int) -> np.ndarray:
 def is_stationary(chain: MarkovChain, tol: float = CESARO_TOL) -> bool:
     """True when ||mu(P) - P|| <= tol."""
     c = coords(chain.start)
-    return bool(np.linalg.norm(_image(chain.operator, c) - c) <= tol)
+    return bool(np.linalg.norm(_image(chain.operator, c) - c) <= _require_tol(tol))
 
 
 def functional_average(
@@ -373,6 +371,5 @@ def unitary_vector_average(u: np.ndarray, v: np.ndarray, steps: int) -> np.ndarr
     u = _require_unitary(u)
     v = np.asarray(v, dtype=complex).reshape(-1)
     _require_same_dim(u.shape[0], v.shape[0], "unitary", "vector")
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
+    steps = _require_count(steps, "steps", least=1)
     return sum(islice(_powers(u, v), 1, steps + 1), np.zeros_like(v)) / steps

@@ -20,7 +20,7 @@ from itertools import chain, islice, product
 
 from . import io as qio
 from .chain import ConvergenceError, MarkovChain, _density_blocks, _path_blocks, cesaro_average
-from .hermitian import BELL_TOL, CESARO_MAX_DOUBLINGS, CESARO_TOL, RANK_TOL, SIGN_TOL, coords
+from .hermitian import BELL_TOL, CESARO_MAX_DOUBLINGS, CESARO_TOL, RANK_TOL, SIGN_TOL, _require_tol, coords
 from .hidden import bell_check, feynman_state, five_state_example
 from .measurement import _word_values
 from .oom import (
@@ -118,7 +118,7 @@ def _cmd_measure(args) -> None:
         payload = {
             "steps": args.steps,
             "scale": symbols,
-            "observable": all(b.min() >= -args.tol for b in blocks),
+            "observable": all(b.min() >= -_require_tol(args.tol) for b in blocks),
             "distribution": (
                 [{"word": list(w), "probability": p} for w, p in zip(islice(words, len(b)), b.tolist())]
                 for b in blocks
@@ -252,11 +252,11 @@ def _add_output_options(p, formats=("csv", "json")) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argparse parser (and subparser class) reading -7.9e-05 and -1e5 as numbers, as it reads -0.5."""
+    """An argparse parser (and subparser class) reading -7.9e-05, -1e5, -inf and -nan as numbers, like -0.5."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d*\.?\d+(?:[eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(r"^-(?:\d*\.?\d+(?:[eE][-+]?\d+)?|(?i:inf(?:inity)?|nan))$")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,8 +9,8 @@ superoperators are represented (see :func:`hermitian_basis`,
 
 This module is the root of the import graph, so it also holds the
 package's tolerance table and the one check of each shared invariant
-(finite read-only arrays, unit sums, unit column sums, unitarity,
-matching dimensions).
+(finite read-only arrays, unit sums, unit column sums, unitarity, matching
+dimensions) and of each argument kind (counts, tolerances, label sets).
 """
 
 from __future__ import annotations
@@ -97,8 +97,8 @@ def hs_norm(c: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(c, dtype=complex)))
 
 
-def _as_square(q: np.ndarray, name: str) -> np.ndarray:
-    q = np.asarray(q, dtype=complex)
+def _as_square(q: np.ndarray, name: str, dtype=complex) -> np.ndarray:
+    q = np.asarray(q, dtype=dtype)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {q.shape}")
     if not np.all(np.isfinite(q.view(float))):
@@ -109,16 +109,14 @@ def _as_square(q: np.ndarray, name: str) -> np.ndarray:
 def is_hermitian(q: np.ndarray, atol: float | None = None) -> bool:
     """True when ||Q - Q*|| is within the construction tolerance."""
     q = _as_square(q, "matrix")
-    if atol is None:
-        atol = hermitian_atol(q.shape[0])
+    atol = hermitian_atol(q.shape[0]) if atol is None else _require_tol(atol, "atol")
     return bool(np.linalg.norm(q - q.conj().T) <= atol)
 
 
 def require_hermitian(q: np.ndarray, atol: float | None = None, name: str = "matrix") -> np.ndarray:
     """Validate Hermiticity and return the matrix as a complex array."""
     q = _as_square(q, name)
-    if atol is None:
-        atol = hermitian_atol(q.shape[0])
+    atol = hermitian_atol(q.shape[0]) if atol is None else _require_tol(atol, "atol")
     dev = float(np.linalg.norm(q - q.conj().T))
     if dev > atol:
         raise ValueError(f"{name} is not Hermitian: ||Q - Q*|| = {dev:.3e} exceeds {atol:.1e}")
@@ -189,7 +187,7 @@ def min_eigenvalue(q: np.ndarray) -> float:
 
 def is_nonnegative(q: np.ndarray, tol: float = SIGN_TOL) -> bool:
     """True when every eigenvalue is >= -tol."""
-    return min_eigenvalue(q) >= -tol
+    return min_eigenvalue(q) >= -_require_tol(tol)
 
 
 def pure_state(v: np.ndarray) -> np.ndarray:
@@ -205,7 +203,7 @@ def is_unitary(u: np.ndarray, tol: float = EQUALITY_TOL) -> bool:
     """True when ||UU* - I|| <= tol."""
     u = _as_square(u, "matrix")
     n = u.shape[0]
-    return bool(np.linalg.norm(u @ u.conj().T - np.eye(n)) <= tol)
+    return bool(np.linalg.norm(u @ u.conj().T - np.eye(n)) <= _require_tol(tol))
 
 
 def _require_unitary(u: np.ndarray) -> np.ndarray:
@@ -251,6 +249,32 @@ def _require_column_sums(m: np.ndarray, message: str) -> float:
     return dev
 
 
+def _require_count(value, name: str, least: int = 0) -> int:
+    """``value`` as an int: an integer, not a bool, from ``least`` up to numpy's largest index."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {bound}, got {value!r}: counts are nonnegative integers, not bools or floats")
+    if value > np.iinfo(np.intp).max:  # the error numpy raises for a size past its index type
+        raise OverflowError(f"Python int too large for numpy's index type: {name} = {value}")
+    return int(value)
+
+
+def _require_tol(value, name: str = "tol", positive: bool = False) -> float:
+    """``value`` as a float, finite and >= 0, or > 0 when ``positive``: a NaN or inf would decide every test alone."""
+    tol = float(value)
+    if not (np.isfinite(tol) and (tol > 0 if positive else tol >= 0)):
+        raise ValueError(f"{name} must be {'positive' if positive else 'nonnegative'} and finite, got {value!r}")
+    return tol
+
+
+def _require_labels(labels, name: str, item: str) -> tuple:
+    """``labels`` as a tuple, raising unless it holds at least one ``item`` and no label twice."""
+    labels = tuple(labels)
+    if not labels or len(set(labels)) != len(labels):
+        raise ValueError(f"{name} must hold at least one {item}, all distinct, got {labels!r}")
+    return labels
+
+
 def _require_same_dim(n: int, m: int, left: str, right: str) -> None:
     """Raise unless ``left`` on H_n and ``right`` on H_m share one dimension."""
     if n != m:
@@ -266,8 +290,7 @@ def hermitian_basis(n: int) -> np.ndarray:
     the coordinate order used by :func:`coords` and by every superoperator
     matrix in the package ("canonical-hermitian-v1").
     """
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
+    n = _require_count(n, "dimension", least=1)
     return from_coords(np.eye(n * n))
 
 

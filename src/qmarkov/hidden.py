@@ -16,7 +16,7 @@ from typing import Hashable, NamedTuple, Sequence
 
 import numpy as np
 
-from .hermitian import BELL_TOL, SIGN_TOL, _frozen_array, _require_unit_sum
+from .hermitian import BELL_TOL, SIGN_TOL, _frozen_array, _require_labels, _require_tol, _require_unit_sum
 from .measurement import KrausMeasurement, OutcomeDistribution, Scale, _diagonal_projectors, _label_sums
 
 __all__ = [
@@ -45,12 +45,7 @@ class HiddenStateSpace:
     states: tuple[Hashable, ...]
 
     def __post_init__(self) -> None:
-        states = tuple(self.states)
-        if not states:
-            raise ValueError("hidden-state space must be non-empty")
-        if len(set(states)) != len(states):
-            raise ValueError("hidden-state labels must be distinct")
-        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "states", _require_labels(self.states, "hidden-state space", "state"))
 
     def __len__(self) -> int:
         return len(self.states)
@@ -251,7 +246,7 @@ def bell_check(
     return BellCheckResult(
         lhs=lhs,
         rhs=rhs,
-        satisfied=bool(lhs <= rhs + tol),
+        satisfied=bool(lhs <= rhs + _require_tol(tol)),
         pairwise_observable=True,
         jointly_observable=is_jointly_observable([x, y, z], state),
         e_xy=e_xy,

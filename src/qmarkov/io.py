@@ -200,6 +200,14 @@ def _symbols(value, field: str, items: str) -> tuple:
     return tuple(value)
 
 
+def _scale(d: Mapping) -> Scale:
+    """The 'scale' field; no symbol text may hold a comma, on which ``--word`` and CSV word cells split."""
+    scale = Scale(_symbols(d["scale"], "'scale'", "scale symbols"))
+    for s in scale:
+        _expect("," not in str(s), f"scale symbol {s!r} holds a comma, on which --word and CSV cells split")
+    return scale
+
+
 def _float_array(value, name: str, shape: tuple | None = None) -> np.ndarray:
     """A nested JSON list of numbers as a float array, of ``shape`` when given.
 
@@ -351,7 +359,7 @@ def load_measurement(path):
     with _within(path):
         d = _read_json(path)
         _fields(d, "scale")
-        scale = Scale(_symbols(d["scale"], "'scale'", "scale symbols"))
+        scale = _scale(d)
         if "kraus" in d:
             entries = _by_symbol(d, "kraus", scale, "Kraus matrix")
             mats = _kraus_matrices(d, ((f"kraus[{s!r}]", e) for s, e in entries))
@@ -412,7 +420,7 @@ def oom_to_dict(model: ObservableOperatorModel) -> dict:
 def oom_from_dict(d: Mapping) -> ObservableOperatorModel:
     _fields(d, "dim", "scale", "operators", "pi")
     m = _positive_int(d, "dim")
-    scale = Scale(_symbols(d["scale"], "'scale'", "scale symbols"))
+    scale = _scale(d)
     entries = _by_symbol(d, "operators", scale, "operator")
     ops = tuple(_float_array(e, f"operator for {s!r}", (m, m)) for s, e in entries)
     return ObservableOperatorModel(scale=scale, operators=ops, pi=_float_array(d["pi"], "'pi'"))

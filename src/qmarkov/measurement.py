@@ -23,7 +23,10 @@ from .hermitian import (
     PROBABILITY_FLOOR,
     SIGN_TOL,
     _frozen_array,
+    _require_count,
+    _require_labels,
     _require_same_dim,
+    _require_tol,
     _require_unit_sum,
     coords,
     require_markov_density,
@@ -72,12 +75,7 @@ class Scale:
     symbols: tuple[Hashable, ...]
 
     def __post_init__(self) -> None:
-        symbols = tuple(self.symbols)
-        if not symbols:
-            raise ValueError("scale must contain at least one symbol")
-        if len(set(symbols)) != len(symbols):
-            raise ValueError(f"scale symbols must be distinct, got {symbols!r}")
-        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "symbols", _require_labels(self.symbols, "scale", "symbol"))
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -264,7 +262,7 @@ class OutcomeDistribution:
         return float(self.values.min())
 
     def is_observable(self, tol: float = SIGN_TOL) -> bool:
-        return self.min_value() >= -tol
+        return self.min_value() >= -_require_tol(tol)
 
 
 def outcome_distribution(meas, density: np.ndarray) -> OutcomeDistribution:
@@ -346,8 +344,7 @@ def _word_values(meas, density: np.ndarray, t: int) -> Iterator[np.ndarray]:
     from :func:`_word_blocks`, so the levels built hold O(|scale|^ceil(t/2))
     rows rather than |scale|^t.
     """
-    if t < 0:
-        raise ValueError("word length must be nonnegative")
+    t = _require_count(t, "word length")
     density = require_markov_density(density)
     _require_same_dim(_require_measurement(meas).n, density.shape[0], "measurement", "density")
     _check_word_count(len(meas.scale), range(t, t + 1))
@@ -369,4 +366,5 @@ def is_t_observable(meas, density: np.ndarray, t: int, tol: float = SIGN_TOL) ->
 
     Stops at the first block of word values that holds one below -tol.
     """
+    tol = _require_tol(tol)
     return all(block.min() >= -tol for block in _word_values(meas, density, t))

@@ -21,8 +21,11 @@ from .hermitian import (
     PROBABILITY_FLOOR,
     RANK_TOL,
     SIGN_TOL,
+    _as_square,
     _frozen_array,
     _require_column_sums,
+    _require_count,
+    _require_tol,
     _require_unit_sum,
 )
 from .hidden import HiddenStateSpace, InformationFunction
@@ -162,8 +165,8 @@ def validate(
     attains it.  Word probabilities come in blocks from prefix states times
     suffix covectors, so memory is O(|scale|^ceil(horizon/2) * m + block).
     """
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+    horizon = _require_count(horizon, "horizon")
+    tol = _require_tol(tol)
     _check_word_count(len(model.scale), range(horizon, horizon + 1), times=horizon)
     # the model passed both checks at construction, so they return the errors
     col_err = _require_column_sums(model.transition_sum, "operator sum must have column sums 1")
@@ -216,10 +219,8 @@ def prediction_matrix(
     O(words * m^2) time and O(words * m) memory.  The returned matrix forms
     ``values`` only when it is read.
     """
-    if max_length < 0:
-        raise ValueError("max_length must be nonnegative")
-    if not rank_tol > 0:
-        raise ValueError("rank_tol must be positive")
+    max_length = _require_count(max_length, "max_length")
+    rank_tol = _require_tol(rank_tol, "rank_tol", positive=True)
     _check_word_count(len(model.scale), range(max_length + 1))
 
     words: list[tuple] = [()]
@@ -264,19 +265,11 @@ def hmm_to_oom(
     the next state given state j), ``emissions`` maps each symbol to its
     per-state probabilities, and ``initial`` is a classical distribution.
     """
-    t = np.asarray(transition, dtype=float)
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise ValueError(f"transition must be square, got shape {t.shape}")
+    t = _as_square(transition, "transition", float)
     m = t.shape[0]
     scale = Scale(tuple(emissions.keys()))
-    emission_rows = np.array([np.asarray(emissions[s], dtype=float) for s in scale])
-    if emission_rows.shape != (len(scale), m):
-        raise ValueError(
-            f"emissions must give one probability per symbol and state, got {emission_rows.shape}"
-        )
-    pi = np.asarray(initial, dtype=float)
-    if pi.shape != (m,):
-        raise ValueError(f"initial distribution must have shape ({m},), got {pi.shape}")
+    emission_rows = _frozen_array([emissions[s] for s in scale], "emission probabilities", float, (len(scale), m))
+    pi = _frozen_array(initial, "initial distribution", float, (m,))
     named = (("transition matrix", t), ("emission probabilities", emission_rows), ("initial distribution", pi))
     for name, probs in named:
         if np.any(probs < -SIGN_TOL):
@@ -322,8 +315,7 @@ def lift_hidden_states(model: ObservableOperatorModel) -> HiddenStateLift:
 
 def step_distribution(lift: HiddenStateLift, t: int) -> OutcomeDistribution:
     """Distribution of the symbol read off at time t from the lifted state."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    t = _require_count(t, "t")
     vec = next(islice(_powers(lift.transition_sum, lift.pi), t, None))
     sums = vec.reshape(len(lift.scale), lift.base_dim).sum(axis=1)
     return OutcomeDistribution(scale=lift.scale, values=sums)
@@ -343,8 +335,8 @@ def entropy_rate(
     probabilities come in blocks of prefix states times suffix covectors, so
     memory is O(|scale|^ceil(t_max/2) * m + block).
     """
-    if t_max < 1:
-        raise ValueError("t_max must be at least 1")
+    t_max = _require_count(t_max, "t_max", least=1)
+    tol = _require_tol(tol)
     _check_word_count(len(model.scale), range(t_max, t_max + 1))
     rows: list[tuple[int, float, float]] = []
     h_prev = 0.0

@@ -23,9 +23,12 @@ from .hermitian import (
     _SQRT2,
     EQUALITY_TOL,
     SAMPLED_SIGN_TOL,
+    _as_square,
     _frozen_array,
     _require_column_sums,
+    _require_count,
     _require_same_dim,
+    _require_tol,
     _require_unitary,
     _upper_indices,
     coords,
@@ -66,12 +69,11 @@ def trace_preservation_deviation(matrix) -> float:
         if matrix.kraus is not None:
             return float(np.max(np.abs(coords(_completeness_gap(matrix.kraus)))))
         matrix = matrix.matrix
-    matrix = np.asarray(matrix, dtype=float)
-    m = matrix.shape[0]
-    n = int(round(np.sqrt(m)))
-    if matrix.ndim != 2 or matrix.shape != (m, m) or n * n != m:
-        raise ValueError(f"superoperator matrix must be square of size n^2, got {matrix.shape}")
-    target = np.zeros(m)
+    matrix = _as_square(matrix, "superoperator matrix", float)
+    n = int(round(np.sqrt(len(matrix))))
+    if n * n != len(matrix):
+        raise ValueError(f"superoperator matrix must be of size n^2, got {matrix.shape}")
+    target = np.zeros(len(matrix))
     target[:n] = 1.0
     return float(np.max(np.abs(matrix[:n, :].sum(axis=0) - target)))
 
@@ -194,9 +196,7 @@ def _basis_images(left: np.ndarray, right: np.ndarray, iu: np.ndarray, ju: np.nd
 
 def diagonal_superop(m: np.ndarray) -> np.ndarray:
     """Superoperator acting as diag(x) -> diag(Mx), annihilating off-diagonal coordinates."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square real matrix, got shape {m.shape}")
+    m = _as_square(m, "matrix", float)
     n = m.shape[0]
     out = np.zeros((n * n, n * n))
     out[:n, :n] = m
@@ -283,9 +283,8 @@ def compose(outer: MarkovOperator, inner: MarkovOperator) -> MarkovOperator:
 
 def power(op: MarkovOperator, t: int) -> MarkovOperator:
     """t-fold composition via repeated squaring; power(op, 0) is the identity."""
-    if t != int(t) or t < 0:
-        raise ValueError(f"exponent must be a nonnegative integer, got {t!r}")
-    return MarkovOperator(n=op.n, matrix=np.linalg.matrix_power(op.matrix, int(t)))
+    t = _require_count(t, "exponent")
+    return MarkovOperator(n=op.n, matrix=np.linalg.matrix_power(op.matrix, t))
 
 
 def is_trace_preserving(op, tol: float = EQUALITY_TOL) -> bool:
@@ -294,7 +293,7 @@ def is_trace_preserving(op, tol: float = EQUALITY_TOL) -> bool:
     ``op`` is a superoperator matrix or a :class:`MarkovOperator`; a
     Kraus-form operator does not form its matrix for the check.
     """
-    return trace_preservation_deviation(op) <= tol
+    return trace_preservation_deviation(op) <= _require_tol(tol)
 
 
 def random_quantum_density(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -330,8 +329,8 @@ def sampled_nonnegativity(
     image has an eigenvalue below -tol.  A pass is evidence, not a proof:
     exact positivity certification is out of scope.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    trials = _require_count(trials, "trials", least=1)
+    tol = _require_tol(tol)
     rng = np.random.default_rng(seed)
     passed = 0
     for _ in range(trials):

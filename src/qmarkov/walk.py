@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import MarkovChain, _path_blocks, cesaro_average
-from .hermitian import CESARO_MAX_DOUBLINGS, CESARO_TOL, _require_same_dim, coords
+from .hermitian import CESARO_MAX_DOUBLINGS, CESARO_TOL, _require_count, _require_same_dim, coords
 from .measurement import _diagonal_projectors, _label_sums
 from .operators import MarkovOperator
 
@@ -37,10 +37,7 @@ class DirectedGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.node_count < 1:
-            raise ValueError("graph needs at least one node")
-        if self.node_count > np.iinfo(np.intp).max:  # no array of node values could be indexed
-            raise OverflowError(f"Python int too large for numpy's index type: {self.node_count} nodes")
+        _require_count(self.node_count, "node count", least=1)  # past numpy's index type no node values fit
         edges = tuple((int(u), int(v)) for u, v in self.edges)
         for u, v in edges:
             if not (0 <= u < self.node_count and 0 <= v < self.node_count):
@@ -127,7 +124,7 @@ def walk(
     kernel behind :func:`~qmarkov.chain.evolve` and are never held whole.
     """
     blocks, sources = _path(graph, operator, start, steps), _endpoints(graph)[0]
-    probabilities = np.zeros((max(steps + 1, 0), graph.node_count))  # negative steps fail at the first block
+    probabilities = np.zeros((_require_count(steps, "steps") + 1, graph.node_count))
     t = 0
     for block in blocks:
         _label_sums(block, sources, probabilities[t : t + len(block)])

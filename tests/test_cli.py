@@ -161,6 +161,24 @@ class TestFeynman:
         assert exited.value.code == 2
         assert "--sy: expected one argument" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["-inf", "-Infinity", "-INF", "-nan", "-NaN"])
+    def test_negative_inf_and_nan_read_as_values(self, files, capsys, value):
+        # they reach the library, whose message names the value's fault, not argparse's usage error
+        assert run(["feynman", "--sx", value, "--sy", "0", "--sz", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "qmarkov: invalid input: spin-average table must sum to 1, got non-finite entries" in captured.err
+        cesaro = ["chain-cesaro", "--operator", str(files["swap"]), "--density", str(files["density"])]
+        assert run([*cesaro, "--tol", value]) == 2
+        assert "qmarkov: invalid input: tol must be positive and finite, got " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-infx", "-in", "-nana", "-inf1"])
+    def test_words_near_inf_and_nan_stay_usage_errors(self, capsys, value):
+        with pytest.raises(SystemExit) as exited:
+            run(["feynman", "--sx", "0.1", "--sy", value, "--sz", "0.2"])
+        assert exited.value.code == 2
+        assert "--sy: expected one argument" in capsys.readouterr().err
+
 
 class TestChainCommands:
     def test_cesaro_identity(self, files, capsys):
@@ -582,6 +600,49 @@ class TestCliContract:
             assert captured.out == ""
             assert "qmarkov: invalid input: " in captured.err
             assert "must be" in captured.err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize(
+        "command, options, message",
+        [
+            pytest.param(
+                "bell", ["--tol", "nan"], "qmarkov: invalid input: tol must be nonnegative and finite, got nan", id="bell-tol"
+            ),
+            pytest.param(
+                "measure", ["--format", "json", "--tol", "nan"], "qmarkov: invalid input: tol must be nonnegative", id="measure-tol"
+            ),
+            pytest.param(
+                "chain-cesaro", ["--tol", "inf"], "qmarkov: invalid input: tol must be positive and finite", id="cesaro-tol"
+            ),
+            pytest.param(
+                "chain-cesaro", ["--max-doublings", str(10**21)], f"max_doublings = {10**21}", id="cesaro-doublings"
+            ),
+            pytest.param("chain-evolve", ["--steps", str(10**21)], f"steps = {10**21}", id="evolve-steps"),
+        ],
+    )
+    def test_values_that_reversed_an_answer_exit_two(self, files, capsys, command, options, message):
+        # each default run answers (Bell satisfied, outcomes observable, an average); the drawn
+        # value once turned that answer around or ran without end, with exit 0
+        table = files["tmp"] / "satisfied.json"
+        table.write_text(json.dumps({"states": ["u", "v"], "functions": {k: [1, -1] for k in "XYZ"}, "q": [0.5, 0.5]}))
+        density = ["--density", str(files["density"])]
+        argv = {
+            "bell": ["bell", "--table", str(table)],
+            "measure": ["measure", "--measurement", str(files["zmeas"]), *density, "--format", "json"],
+            "chain-cesaro": ["chain-cesaro", "--operator", str(files["swap"]), *density],
+            "chain-evolve": ["chain-evolve", "--operator", str(files["swap"]), *density, "--steps", "2"],
+        }[command]
+        assert run(argv) == 0
+        out = capsys.readouterr().out
+        if command != "chain-evolve":
+            assert json.loads(out).get({"bell": "satisfied", "measure": "observable"}.get(command), True) is True
+        out_path = files["tmp"] / "never.txt"
+        for output in ([], ["--output", str(out_path)]):
+            assert run([*argv, *options, *output]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert message in captured.err
+            assert "Traceback" not in captured.err and "islice" not in captured.err
         assert not out_path.exists()
 
     def test_malformed_oom_and_operator_fields_exit_two(self, files, capsys):

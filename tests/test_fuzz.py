@@ -1,9 +1,14 @@
-"""Property-based fuzzing of the file loaders through the CLI: every input ends in exit 0, 2 or 3.
+"""Property-based fuzzing of the file loaders and the options through the CLI: every input ends in exit 0, 2 or 3.
 
 Each loader gets files whose fields are dropped, keep a valid value or take a
-drawn JSON value; the top level may also be an array or a scalar.
+drawn JSON value; the top level may also be an array or a scalar.  Option
+values are drawn from strategies read off the parser's own actions, so an
+option added later is fuzzed as well.
 """
 
+import argparse
+import contextlib
+import io
 import json
 
 import numpy as np
@@ -11,6 +16,7 @@ import pytest
 
 from qmarkov import from_kraus
 from qmarkov import io as qio
+from qmarkov import cli
 from qmarkov.cli import run
 
 pytest.importorskip("hypothesis")
@@ -247,3 +253,111 @@ def test_valid_table_exits_zero(tmp_path):
     path.write_text(json.dumps(VALID_TABLE))
     assert run(["bell", "--table", str(path), "--output", str(tmp_path / "out.json")]) == 0
     assert json.loads((tmp_path / "out.json").read_text())["satisfied"] is True
+
+
+# -- option values: strategies from the parser's table -------------------------
+
+ODD_VALUES = ["0", "-1", "-0.0", "nan", "inf", "-inf", str(10**21), "abc"]
+MAX_COUNT = 10**4  # streamed output is not budgeted, so drawn counts stay small unless odd
+VALID_VALUES = {int: "2", float: "0.5", None: "ab"}  # the last is a word of VALID_OOM
+
+
+@pytest.fixture
+def option_files(tmp_path):
+    """A valid input on H_2 for each file option, by dest, and the one --output path."""
+    payloads = {
+        "operator": VALID_CHANNELS["kraus"],
+        "density": VALID_DENSITY,
+        "measurement": VALID_MEASUREMENTS["kraus"],
+        "table": VALID_TABLE,
+        "oom": VALID_OOM,
+    }
+    files = {dest: tmp_path / f"{dest}.json" for dest in payloads}
+    for dest, payload in payloads.items():
+        files[dest].write_text(json.dumps(payload))
+    files["graph"] = tmp_path / "graph.txt"
+    files["graph"].write_text("0 1\n1 0\n")  # two edges, one per dimension of H_2
+    files["output"] = tmp_path / "out.txt"
+    return {dest: str(path) for dest, path in files.items()}
+
+
+def _subcommands() -> dict:
+    (action,) = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _value(action, files):
+    """Strategy for the text of one option value, from the action's type and choices.
+
+    Input files and --output are fixed; any other value is odd in one draw of four.
+    """
+    if action.dest in files:
+        return st.just(files[action.dest])
+    if action.choices:
+        usual = st.sampled_from(sorted(action.choices))
+    elif action.type is int:
+        usual = (st.integers(-2, 8) | st.integers(-2, MAX_COUNT)).map(str)
+    elif action.type is float:
+        usual = st.floats(-2, 2).map(repr) | st.sampled_from(["1e-12", "1e-08", "0.5"])
+    else:
+        usual = st.text(alphabet="ab,01", max_size=4)
+    return st.integers(0, 3).flatmap(lambda k: usual if k else st.sampled_from(ODD_VALUES))
+
+
+def _included(sub, draw) -> set:
+    """The actions of a subparser to pass: required ones, one per required exclusive group, any others."""
+    grouped = {a for g in sub._mutually_exclusive_groups if g.required for a in g._group_actions}
+    chosen = {draw(st.sampled_from(g._group_actions)) for g in sub._mutually_exclusive_groups if g.required}
+    optional = [a for a in sub._actions if not (a.required or a in grouped or isinstance(a, argparse._HelpAction))]
+    return chosen | {a for a in sub._actions if a.required} | {a for a in optional if draw(st.booleans())}
+
+
+def _argv(draw, files) -> list[str]:
+    """One drawn argv: a subcommand and its included options, in the parser's order."""
+    name = draw(st.sampled_from(sorted(_subcommands())))
+    sub = _subcommands()[name]
+    argv = [name]
+    for action in sorted(_included(sub, draw), key=sub._actions.index):
+        flag = action.option_strings[-1:]  # none for a positional
+        repeats = draw(st.integers(1, 2)) if isinstance(action, argparse._AppendAction) else 1
+        for _ in range(repeats):
+            argv += flag if action.nargs == 0 else [*flag, draw(_value(action, files))]
+    return argv
+
+
+def _outcome(argv):
+    """Exit code and stderr of one run; an argparse usage error counts as exit 2."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_drawn_options_exit_codes(option_files, data):
+    argv = _argv(data.draw, option_files)
+    code, err = _outcome(argv)
+    assert code in (0, 2, 3), (argv, err)
+    assert "Traceback" not in err, argv
+
+
+def _valid(action, files) -> str:
+    """A valid value for an option: its first choice, its input file, or the valid text of its type."""
+    if action.choices:
+        return sorted(action.choices)[0]
+    return files.get(action.dest, VALID_VALUES[action.type])
+
+
+def test_required_options_alone_exit_zero(option_files):
+    # valid values for the required options run every subcommand, so drawn runs reach the commands
+    for name, sub in _subcommands().items():
+        chosen = {g._group_actions[0] for g in sub._mutually_exclusive_groups if g.required}
+        argv = [name]
+        for action in sub._actions:
+            if action.required or action in chosen:
+                argv += [*action.option_strings[-1:], _valid(action, option_files)]
+        assert _outcome(argv) == (0, ""), argv

@@ -333,3 +333,27 @@ def test_constructor_violation_names_file(tmp_path, load, payload, message):
     with pytest.raises(ValueError, match=message) as caught:
         load(path)
     assert str(caught.value).startswith(f"{path}: ")
+
+
+
+ROOT_HALF = qio.matrix_to_dict(np.array([[0.5**0.5]]))  # two of them make a complete Kraus pair on H_1
+
+
+@pytest.mark.parametrize(
+    "load, payload, symbol",
+    [
+        (qio.load_measurement, {"scale": ["a", "b,c"], "operators": {"a": [[0.5]], "b,c": [[0.5]]}}, "b,c"),
+        (qio.load_measurement, {"n": 1, "scale": ["a", "b,c"], "kraus": {"a": ROOT_HALF, "b,c": ROOT_HALF}}, "b,c"),
+        (qio.load_oom, {"dim": 1, "scale": ["a", "b,c"], "operators": {"a": [[0.5]], "b,c": [[0.5]]}, "pi": [1.0]}, "b,c"),
+        (qio.load_oom, {"dim": 1, "scale": [",", "a"], "operators": {",": [[0.5]], "a": [[0.5]]}, "pi": [1.0]}, ","),
+    ],
+    ids=["markov-measurement", "kraus-measurement", "oom", "oom-bare-comma"],
+)
+def test_symbol_text_with_a_comma_not_loaded(tmp_path, load, payload, symbol):
+    # --word and CSV word cells split on commas, so no word over such a symbol could be named
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: scale symbol {symbol!r} holds a comma")):
+        load(path)
+    path.write_text(json.dumps(payload).replace(json.dumps(symbol), '"x"'))
+    load(path)  # the same model under a comma-free text loads

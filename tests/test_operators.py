@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -250,6 +251,13 @@ class TestComposePower:
     def test_power_rejects_negative(self):
         with pytest.raises(ValueError, match="nonnegative integer"):
             power(identity_operator(2), -1)
+
+    @pytest.mark.parametrize("t", [2.0, 2.5, True, np.float64(2)])
+    def test_power_rejects_exponents_that_are_no_integers(self, t):
+        # an integral float was the one count that used to pass; every count now reads as one kind
+        with pytest.raises(ValueError, match=re.escape(f"exponent must be nonnegative, got {t!r}: counts are nonnegative integers")):
+            power(identity_operator(2), t)
+        assert power(identity_operator(2), np.int64(2)).n == 2
 
 
 class TestTracePreservation:

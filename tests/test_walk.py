@@ -128,6 +128,10 @@ class TestWalk:
         with pytest.raises(ValueError, match="dimension mismatch"):
             walk(THREE_CYCLE, identity_operator(2), np.diag([0.5, 0.5]), 1)
 
+    def test_steps_past_the_index_type_named_before_allocating(self):
+        with pytest.raises(OverflowError, match=f"numpy's index type: steps = {10**21}$"):
+            walk(THREE_CYCLE, identity_operator(3), np.eye(3) / 3, 10**21)
+
     @pytest.mark.parametrize("steps", [-1, -2, -50])
     def test_negative_steps_refused_by_the_path_kernel(self, steps):
         with pytest.raises(ValueError, match="steps must be nonnegative"):
