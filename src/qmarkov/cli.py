@@ -20,7 +20,8 @@ from itertools import chain, islice, product
 
 from . import io as qio
 from .chain import ConvergenceError, MarkovChain, _density_blocks, _path_blocks, cesaro_average
-from .hermitian import BELL_TOL, CESARO_MAX_DOUBLINGS, CESARO_TOL, RANK_TOL, SIGN_TOL, _require_tol, coords
+from .hermitian import BELL_TOL, CESARO_MAX_DOUBLINGS, CESARO_TOL, RANK_TOL, SIGN_TOL
+from .hermitian import _require_count, _require_tol, coords
 from .hidden import bell_check, feynman_state, five_state_example
 from .measurement import _word_values
 from .oom import (
@@ -109,6 +110,7 @@ def _parse_word(scale, text: str) -> tuple:
 
 
 def _cmd_measure(args) -> None:
+    tol = _require_tol(args.tol)  # read by the JSON output only, checked for both
     meas = qio.load_measurement(args.measurement)
     density = qio.load_density(args.density)
     blocks = list(_word_values(meas, density, args.steps))
@@ -118,7 +120,7 @@ def _cmd_measure(args) -> None:
         payload = {
             "steps": args.steps,
             "scale": symbols,
-            "observable": all(b.min() >= -_require_tol(args.tol) for b in blocks),
+            "observable": all(b.min() >= -tol for b in blocks),
             "distribution": (
                 [{"word": list(w), "probability": p} for w, p in zip(islice(words, len(b)), b.tolist())]
                 for b in blocks
@@ -173,6 +175,7 @@ def _cmd_walk(args) -> None:
         else:
             _emit(args, _csv("node,probability", [map("%d,%.17g".__mod__, enumerate(dist.tolist()))]))
         return
+    _require_tol(args.tol)  # read with --limiting only, checked in every mode
     blocks = _node_blocks(graph, operator, density, args.steps)
     if args.format == "json":
         items = (
@@ -260,6 +263,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser; every ``type=int`` option is a count, which :func:`run` checks."""
     parser = _Parser(
         prog="qmarkov",
         description="Markov-density toolkit: measurements, chains, walks, Bell tables, OOMs.",
@@ -353,9 +357,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    """Parse arguments and run one command, returning the exit code."""
+    """Parse arguments and run one command, returning the exit code; count options are checked first."""
     args = _parser().parse_args(argv)
     try:
+        for dest, value in vars(args).items():
+            if type(value) is int:  # the count options; a flag is a bool
+                _require_count(value, dest)
         args.func(args)
     except ConvergenceError as exc:
         print(f"qmarkov: analysis failed: {exc}", file=sys.stderr)

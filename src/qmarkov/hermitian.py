@@ -250,9 +250,9 @@ def _require_column_sums(m: np.ndarray, message: str) -> float:
 
 
 def _require_count(value, name: str, least: int = 0) -> int:
-    """``value`` as an int: an integer, not a bool, from ``least`` up to numpy's largest index."""
+    """``value`` as an int: an integer, not a bool, from ``least`` (0 or 1) up to numpy's largest index."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        bound = "nonnegative" if least == 0 else f"at least {least}"
+        bound = "a positive integer" if least else "nonnegative"
         raise ValueError(f"{name} must be {bound}, got {value!r}: counts are nonnegative integers, not bools or floats")
     if value > np.iinfo(np.intp).max:  # the error numpy raises for a size past its index type
         raise OverflowError(f"Python int too large for numpy's index type: {name} = {value}")

@@ -20,7 +20,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .hermitian import require_hermitian, require_markov_density
+from .hermitian import _require_count, require_hermitian, require_markov_density
 from .measurement import KrausMeasurement, MarkovMeasurement, Scale
 from .oom import HiddenStateLift, ObservableOperatorModel
 from .hidden import HiddenStateSpace, InformationFunction, MarkovState
@@ -185,13 +185,6 @@ def _fields(d, *keys: str) -> None:
         _expect(key in d, f"missing field {key!r}")
 
 
-def _positive_int(d: Mapping, key: str) -> int:
-    """A field that must be a JSON integer >= 1 (booleans and floats rejected)."""
-    value = d[key]
-    _expect(_is_int(value) and value >= 1, f"{key!r} must be a positive integer, got {value!r}")
-    return value
-
-
 def _symbols(value, field: str, items: str) -> tuple:
     """A non-empty JSON list of strings or integers (booleans rejected), as a tuple."""
     _expect(isinstance(value, list) and value, f"{field} must be a non-empty list")
@@ -253,7 +246,8 @@ def matrix_to_dict(m: np.ndarray, kind: str | None = None) -> dict:
 def matrix_from_dict(d: Mapping) -> np.ndarray:
     """Parse a matrix dict, validating any declared kind (hermitian/density)."""
     _fields(d, "rows", "cols", "entries")
-    rows, cols = _positive_int(d, "rows"), _positive_int(d, "cols")
+    rows = _require_count(d["rows"], "'rows'", least=1)
+    cols = _require_count(d["cols"], "'cols'", least=1)
     entries = _float_array(d["entries"], "'entries' ([re, im] pairs)", (rows * cols, 2))
     # a view keeps the sign of -0.0 real parts, which re + 1j * im would not
     m = entries.view(complex).reshape(rows, cols)
@@ -293,7 +287,7 @@ def operator_to_dict(op: MarkovOperator) -> dict:
 def operator_from_dict(d: Mapping) -> MarkovOperator:
     _fields(d, "n", "basis", "matrix")
     _expect(d["basis"] == BASIS_TAG, f"unsupported basis {d['basis']!r} (expected {BASIS_TAG!r})")
-    return MarkovOperator(n=_positive_int(d, "n"), matrix=_float_array(d["matrix"], "'matrix'"))
+    return MarkovOperator(n=_require_count(d["n"], "'n'", least=1), matrix=_float_array(d["matrix"], "'matrix'"))
 
 
 def save_operator(path, op: MarkovOperator) -> None:
@@ -307,7 +301,7 @@ def load_operator(path) -> MarkovOperator:
 
 def _kraus_matrices(d: Mapping, labelled) -> list[np.ndarray]:
     """Parse (label, matrix dict) pairs, each matrix checked against the file's 'n' if given."""
-    n = _positive_int(d, "n") if "n" in d else None
+    n = _require_count(d["n"], "'n'", least=1) if "n" in d else None
     out = []
     for label, entry in labelled:
         with _within(label):
@@ -383,7 +377,7 @@ def load_graph(path) -> DirectedGraph:
         with _within(path):
             d = _read_json(path, text)
             _expect("nodes" in d and "edges" in d, "graph JSON needs 'nodes' and 'edges'")
-            node_count = _positive_int(d, "nodes")
+            node_count = _require_count(d["nodes"], "'nodes'", least=1)
             edges = d["edges"]
             _expect(
                 isinstance(edges, list)
@@ -419,7 +413,7 @@ def oom_to_dict(model: ObservableOperatorModel) -> dict:
 
 def oom_from_dict(d: Mapping) -> ObservableOperatorModel:
     _fields(d, "dim", "scale", "operators", "pi")
-    m = _positive_int(d, "dim")
+    m = _require_count(d["dim"], "'dim'", least=1)
     scale = _scale(d)
     entries = _by_symbol(d, "operators", scale, "operator")
     ops = tuple(_float_array(e, f"operator for {s!r}", (m, m)) for s, e in entries)

@@ -292,6 +292,7 @@ def posterior(meas: KrausMeasurement, density: np.ndarray, symbol) -> tuple[floa
     and an error is raised.
     """
     density = require_markov_density(density)
+    _require_same_dim(meas.n, density.shape[0], "measurement", "density")
     m = meas.matrix(symbol)
     raw = m @ density @ m.conj().T
     p = float(np.trace(raw).real)

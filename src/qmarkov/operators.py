@@ -102,6 +102,7 @@ class MarkovOperator:
     kraus: np.ndarray | None
 
     def __init__(self, n: int, matrix: np.ndarray | None = None, *, kraus: np.ndarray | None = None) -> None:
+        n = _require_count(n, "n", least=1)
         object.__setattr__(self, "n", n)
         if kraus is not None:
             kraus = _frozen_array(kraus, f"Kraus matrices on H_{n}", complex, (len(kraus), n, n))

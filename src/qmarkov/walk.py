@@ -37,15 +37,16 @@ class DirectedGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        _require_count(self.node_count, "node count", least=1)  # past numpy's index type no node values fit
-        edges = tuple((int(u), int(v)) for u, v in self.edges)
+        count = _require_count(self.node_count, "node count", least=1)  # past numpy's index type no node values fit
+        edges = tuple((_require_count(u, "edge endpoint"), _require_count(v, "edge endpoint")) for u, v in self.edges)
         for u, v in edges:
-            if not (0 <= u < self.node_count and 0 <= v < self.node_count):
+            if not (u < count and v < count):
                 raise ValueError(
-                    f"edge ({u}, {v}) out of range for {self.node_count} nodes"
+                    f"edge ({u}, {v}) out of range for {count} nodes"
                 )
         if len(set(edges)) != len(edges):
             raise ValueError("duplicate edges are not allowed")
+        object.__setattr__(self, "node_count", count)
         object.__setattr__(self, "edges", edges)
 
     @property

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import gc
 import io
@@ -514,6 +515,30 @@ class TestWordCapRefusal:
         assert err == f"qmarkov: invalid input: QMARKOV_ENUM_CAP must be a positive integer, got '{value}'\n"
 
 
+def _subparsers() -> dict:
+    """The subparsers of the parser :func:`run` uses, by command name."""
+    (action,) = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _checked_option_cases():
+    """(command, flag, dest, value): each count option at -1 and 10**21, each --tol at nan, -1 and inf."""
+    for name, sub in _subparsers().items():
+        for action in sub._actions:
+            if action.type is int or action.dest == "tol":
+                flag = action.option_strings[-1]
+                for value in ["-1", str(10**21)] if action.type is int else ["nan", "-1", "inf"]:
+                    yield pytest.param(name, flag, action.dest, value, id=f"{name}{flag}={value}")
+
+
+def _modes(command) -> list[list[str]]:
+    """Every mode of a subcommand: each --format choice, with and without each flag."""
+    actions = _subparsers()[command]._actions
+    formats = [[["--format", f] for f in a.choices] for a in actions if a.dest == "format"]
+    flags = [[[], a.option_strings] for a in actions if isinstance(a, argparse._StoreTrueAction)]
+    return [list(itertools.chain.from_iterable(parts)) for parts in itertools.product(*formats, *flags)]
+
+
 class TestCliContract:
     def test_malformed_file_exit_two(self, files, capsys):
         bad = files["tmp"] / "broken.json"
@@ -644,6 +669,32 @@ class TestCliContract:
             assert message in captured.err
             assert "Traceback" not in captured.err and "islice" not in captured.err
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("command, flag, dest, value", list(_checked_option_cases()))
+    def test_options_the_mode_does_not_read_are_checked(self, files, capsys, command, flag, dest, value):
+        # an option the chosen mode does not read is checked all the same: walk --tol without
+        # --limiting, walk --steps with it and measure --tol with CSV output
+        density = ["--density", str(files["density"])]
+        argv = {
+            "measure": ["measure", "--measurement", str(files["zmeas"]), *density],
+            "chain-evolve": ["chain-evolve", "--operator", str(files["swap"]), *density, "--steps", "2"],
+            "chain-cesaro": ["chain-cesaro", "--operator", str(files["swap"]), *density],
+            "walk": ["walk", "--graph", str(files["graph"]), "--operator", str(files["shift"])]
+            + ["--density", str(files["edge0"]), "--steps", "2"],
+            "bell": ["bell", "--builtin", "five-state"],
+            "oom-rank": ["oom-rank", "--oom", str(files["oom"]), "--max-length", "2"],
+            "oom-entropy": ["oom-entropy", "--oom", str(files["oom"]), "--t-max", "2"],
+        }[command]
+        out_path = files["tmp"] / "never.txt"
+        for mode in _modes(command):
+            assert run([*argv, *mode]) == 0, mode
+            capsys.readouterr()
+            for output in ([], ["--output", str(out_path)]):
+                assert run([*argv, *mode, flag, value, *output]) == 2, (mode, output)
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert dest in captured.err and "Traceback" not in captured.err
+                assert not out_path.exists()
 
     def test_malformed_oom_and_operator_fields_exit_two(self, files, capsys):
         oom = {"dim": 1, "scale": ["a"], "operators": {"a": [[1.0]]}, "pi": [1.0]}

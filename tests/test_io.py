@@ -8,6 +8,7 @@ from conftest import random_hermitian, random_kraus_family
 from qmarkov import (
     KrausMeasurement,
     MarkovMeasurement,
+    MarkovOperator,
     ObservableOperatorModel,
     Scale,
     from_kraus,
@@ -86,6 +87,16 @@ class TestOperatorRoundTrip:
         loaded = qio.load_operator(path)
         np.testing.assert_array_equal(loaded.matrix, op.matrix)
         assert loaded.n == op.n
+
+    def test_numpy_integer_n_round_trip(self, tmp_path):
+        # the size is stored as a Python int, which JSON can write and np.int64 is not
+        op = MarkovOperator(n=np.int64(1), matrix=[[1.0]])
+        assert type(op.n) is int and op.n == 1
+        path = tmp_path / "op.json"
+        qio.save_operator(path, op)
+        loaded = qio.load_operator(path)
+        assert loaded.n == 1
+        np.testing.assert_array_equal(loaded.matrix, [[1.0]])
 
     def test_basis_tag_checked(self, tmp_path):
         path = tmp_path / "op.json"
@@ -213,6 +224,15 @@ class TestGraphLoading:
         path = tmp_path / "g.json"
         qio.save_graph(path, g)
         assert qio.load_graph(path) == g
+
+    def test_numpy_integer_node_count_round_trip(self, tmp_path):
+        from qmarkov import DirectedGraph
+
+        g = DirectedGraph(node_count=np.int64(3), edges=((np.int64(0), np.int64(1)), (1, np.int32(2))))
+        assert {type(x) for x in (g.node_count, *g.edges[0], *g.edges[1])} == {int}
+        path = tmp_path / "g.json"
+        qio.save_graph(path, g)
+        assert qio.load_graph(path) == DirectedGraph(node_count=3, edges=((0, 1), (1, 2)))
 
 
 class TestOomRoundTrip:

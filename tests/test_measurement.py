@@ -212,6 +212,11 @@ class TestPosterior:
         with pytest.raises(ValueError, match="posterior undefined"):
             posterior(Z_PAIR, np.diag([1.0, 0.0]), "1")
 
+    def test_dimension_mismatch_named(self):
+        # a density on H_3 against a measurement on H_2: the same message as outcome_distribution
+        with pytest.raises(ValueError, match=r"^dimension mismatch: measurement on H_2, density on H_3$"):
+            posterior(Z_PAIR, np.eye(3) / 3, "0")
+
 
 class TestAsMarkovMeasurement:
     def test_unary_unitary(self):

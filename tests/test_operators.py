@@ -30,6 +30,14 @@ from qmarkov.operators import kraus_superop, trace_preservation_deviation
 PROJ = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
 
 
+class TestOperatorSize:
+    @pytest.mark.parametrize("n", [True, 2.0, 0])
+    def test_n_must_be_a_positive_integer(self, n):
+        # the size is checked before the matrix: True is not 1, 2.0 is not 2
+        with pytest.raises(ValueError, match=re.escape(f"n must be a positive integer, got {n!r}")):
+            MarkovOperator(n=n, matrix=np.eye(1))
+
+
 class TestFromKraus:
     def test_identity_family(self):
         op = from_kraus([np.eye(2)])

@@ -1,3 +1,4 @@
+import re
 import sys
 import tracemalloc
 
@@ -46,6 +47,12 @@ class TestDirectedGraph:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             DirectedGraph(node_count=2, edges=((0, 5),))
+
+    @pytest.mark.parametrize("end", [1.7, True, np.float64(1), -1])
+    def test_endpoint_must_be_a_nonnegative_integer(self, end):
+        # an endpoint is a node index, so 1.7, True and np.float64(1) do not name node 1
+        with pytest.raises(ValueError, match=re.escape(f"edge endpoint must be nonnegative, got {end!r}")):
+            DirectedGraph(node_count=3, edges=((0, end),))
 
     def test_node_count_beyond_numpy_index_type(self):
         # every walk would fail allocating its node values; the graph says why up front
