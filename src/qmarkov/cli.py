@@ -28,7 +28,7 @@ from .oom import (
     entropy_rate,
     lift_hidden_states,
     prediction_matrix,
-    word_probability,
+    word_probabilities,
 )
 from .walk import _node_blocks, limiting_node_distribution
 
@@ -96,17 +96,27 @@ def _csv_cell(text: str) -> str:
     return '"%s"' % text.replace('"', '""') if re.search('[",\r\n]', text) else text
 
 
-def _parse_word(scale, text: str) -> tuple:
-    """Parse a word argument into scale symbols, each named by its text ``str(symbol)``.
+def _parse_words(scale, texts) -> list[tuple]:
+    """Parse word arguments into scale symbols, each named by its text ``str(symbol)``.
 
     Parts are comma-separated, or one character each when every symbol's
     text is one character and the argument has no comma.
     """
-    if text == "":
-        return ()
     names = {str(s): s for s in scale}
-    parts = list(text) if _concatenated(names) and "," not in text else text.split(",")
-    return tuple(names.get(p, p) for p in parts)  # an unknown part fails in word_probability
+    concatenated = _concatenated(names)
+
+    def parse(text: str) -> tuple:
+        if text == "":
+            return ()
+        parts = list(text) if concatenated and "," not in text else text.split(",")
+        return tuple(names.get(p, p) for p in parts)  # an unknown part fails in word_probabilities
+
+    return list(map(parse, texts))
+
+
+def _parse_word(scale, text: str) -> tuple:
+    """One word argument parsed as :func:`_parse_words` parses a list."""
+    return _parse_words(scale, [text])[0]
 
 
 def _cmd_measure(args) -> None:
@@ -208,8 +218,8 @@ def _cmd_feynman(args) -> None:
 
 def _cmd_oom_prob(args) -> None:
     model = qio.load_oom(args.oom)
-    words = [_parse_word(model.scale, w) for w in args.word]
-    probabilities = [word_probability(model, w) for w in words]
+    words = _parse_words(model.scale, args.word)
+    probabilities = word_probabilities(model, words).tolist()
     texts = [list(map(str, w)) for w in words]
     if args.format == "json":
         _emit(args, _json([{"word": t, "probability": p} for t, p in zip(texts, probabilities)]))

@@ -253,7 +253,8 @@ def _require_count(value, name: str, least: int = 0) -> int:
     """``value`` as an int: an integer, not a bool, from ``least`` (0 or 1) up to numpy's largest index."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         bound = "a positive integer" if least else "nonnegative"
-        raise ValueError(f"{name} must be {bound}, got {value!r}: counts are nonnegative integers, not bools or floats")
+        kind = "such counts are positive" if least else "counts are nonnegative"
+        raise ValueError(f"{name} must be {bound}, got {value!r}: {kind} integers, not bools or floats")
     if value > np.iinfo(np.intp).max:  # the error numpy raises for a size past its index type
         raise OverflowError(f"Python int too large for numpy's index type: {name} = {value}")
     return int(value)

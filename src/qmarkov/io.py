@@ -55,11 +55,17 @@ BASIS_TAG = "canonical-hermitian-v1"
 
 @contextmanager
 def _within(where) -> Iterator[None]:
-    """Prefix ``where`` (a file, or a part of one) to a ValueError raised inside."""
+    """Name ``where`` (a file, or a part of one) in a ValueError or OverflowError raised inside.
+
+    A ValueError gets it as a prefix.  An OverflowError gets it at the end,
+    so its text keeps the start "Python int too large" that numpy gives it.
+    """
     try:
         yield
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from exc
+    except OverflowError as exc:
+        raise OverflowError(f"{exc} (in {where})") from exc
 
 
 def _read_json(path, text: str | None = None) -> Any:
@@ -393,10 +399,10 @@ def load_graph(path) -> DirectedGraph:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"{path}:{lineno}: expected 'u v', got {line!r}")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: node ids must be integers, got {line!r}") from None
+        # ASCII digits after an optional "-": int() would also take 1_0, +1 and non-ASCII digits
+        if not all(p.isascii() and p.removeprefix("-").isdigit() for p in parts):
+            raise ValueError(f"{path}:{lineno}: node ids must be integers, got {line!r}")
+        edges.append((int(parts[0]), int(parts[1])))
     with _within(path):
         _expect(bool(edges), "graph file contains no edges")
         return DirectedGraph(node_count=max(max(u, v) for u, v in edges) + 1, edges=tuple(edges))

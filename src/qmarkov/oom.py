@@ -2,7 +2,11 @@
 
 An OOM is a family of real m x m matrices {M_a} whose sum has column sums 1,
 together with a Markov state pi (entries may be negative).  Word
-probabilities are the component sums of M_{a_t} ... M_{a_1} pi.  The model
+probabilities are the component sums of M_{a_t} ... M_{a_1} pi.  Two kernels
+compute them: :func:`word_probabilities` steps a list of given words
+together, one stacked product per symbol position, and the level kernel
+behind :func:`validate`, :func:`prediction_matrix` and :func:`entropy_rate`
+covers all words up to a length.  The model
 is equivalent to a diagonal Markov measurement, and lifts to an OOM on
 |scale| * m explicit hidden states, read off by an information function,
 with the same word probabilities.
@@ -47,6 +51,7 @@ __all__ = [
     "HiddenStateLift",
     "OomValidationReport",
     "word_probability",
+    "word_probabilities",
     "validate",
     "conditional",
     "prediction_matrix",
@@ -140,11 +145,47 @@ class HiddenStateLift(ObservableOperatorModel):
 
 
 def word_probability(model: ObservableOperatorModel, word: Sequence) -> float:
-    """p(w) as the component sum of M_{a_t} ... M_{a_1} pi; the empty word has p = 1."""
-    x = model.pi
-    for symbol in word:
-        x = model.operator(symbol) @ x
-    return float(x.sum())
+    """p(w) as the component sum of M_{a_t} ... M_{a_1} pi; the empty word has p = 1.
+
+    This is :func:`word_probabilities` of a one-word list.  A caller that
+    loops over words should pass the whole list to that function instead:
+    one call per word pays its set-up once per word.
+    """
+    return float(word_probabilities(model, [word])[0])
+
+
+def word_probabilities(model: ObservableOperatorModel, words: Sequence[Sequence]) -> np.ndarray:
+    """p(w) of every word in the list, in order, as :func:`word_probability` defines it.
+
+    Every symbol is mapped to its scale index first, so an unknown symbol
+    anywhere in the list raises before any arithmetic.  The words are then
+    stepped together, longest first: position t takes one stacked product
+    of the operators of the words longer than t with their states.  Each
+    row of that product is the matrix-vector product of a per-word loop
+    ``x = M_a @ x``, and a shorter word stops at its own length (an identity
+    pad would turn an inf entry into NaN and -0.0 into 0.0), so each value
+    equals that loop's bit for bit, whichever words share the list.
+    """
+    words = [tuple(w) for w in words]
+    index = {s: i for i, s in enumerate(model.scale)}
+    try:
+        codes = [index[s] for w in words for s in w]
+    except (KeyError, TypeError):  # Scale.index names the first unknown symbol, or matches by ==
+        codes = [model.scale.index(s) for w in words for s in w]
+    lengths = np.array([len(w) for w in words], dtype=np.intp)
+    steps = np.zeros((len(words), lengths.max(initial=0)), dtype=np.intp)
+    steps[np.arange(steps.shape[1]) < lengths[:, None]] = codes
+    order = np.argsort(-lengths, kind="stable")
+    steps, lengths = steps[order], lengths[order]
+    ops = np.stack(model.operators)
+    x = np.tile(model.pi, (len(words), 1))
+    # the words longer than t lead the order: k of them at each position t
+    running = np.searchsorted(-lengths, -np.arange(steps.shape[1])).tolist()
+    for k, column in zip(running, steps.T):
+        x[:k] = (ops[column[:k]] @ x[:k, :, None])[..., 0]
+    out = np.empty(len(words))
+    out[order] = x.sum(axis=1)
+    return out
 
 
 def _levels(model: ObservableOperatorModel, depth: int):
@@ -197,12 +238,13 @@ def validate(
 
 def conditional(model: ObservableOperatorModel, future: Sequence, past: Sequence) -> float:
     """Prediction probability p(future | past) = p(past + future) / p(past)."""
-    p_past = word_probability(model, past)
+    past = tuple(past)
+    p_past, p_joint = word_probabilities(model, [past, past + tuple(future)]).tolist()
     if p_past <= PROBABILITY_FLOOR:
         raise ValueError(
             f"cannot condition on a word with probability {p_past!r} <= {PROBABILITY_FLOOR}"
         )
-    return word_probability(model, tuple(past) + tuple(future)) / p_past
+    return p_joint / p_past
 
 
 def prediction_matrix(

@@ -294,6 +294,16 @@ class TestWalkCommand:
         values = [float(l.split(",")[1]) for l in lines[1:]]
         np.testing.assert_allclose(values, np.full(3, 1 / 3), atol=1e-8)
 
+    @pytest.mark.parametrize("node", ["1_0", "+1", "\u0661"])
+    def test_node_ids_are_ascii_digits(self, files, capsys, node):
+        graph = files["tmp"] / "ids.txt"
+        graph.write_text(f"0 1\n1 {node}\n2 0\n", encoding="utf-8")
+        argv = ["walk", "--graph", str(graph), "--operator", str(files["shift"]), "--density", str(files["edge0"])]
+        assert run([*argv, "--steps", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"qmarkov: invalid input: {graph}:2: node ids must be integers, got {'1 ' + node!r}\n"
+
 
 class TestMeasureCommand:
     def test_csv_output(self, files, capsys):
@@ -358,6 +368,18 @@ class TestOomCommands:
     def test_prob_unknown_symbol(self, files, capsys):
         assert run(["oom-prob", "--oom", str(files["oom"]), "--word", "xy"]) == 2
         assert "unknown symbol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_prob_unknown_last_word_writes_nothing(self, files, capsys, fmt):
+        # every word is mapped to scale indices before any value is formatted
+        out = files["tmp"] / "prob.out"
+        argv = ["oom-prob", "--oom", str(files["oom"]), "--format", fmt, "--word", "ab", "--word", "", "--word", "abz"]
+        assert run([*argv, "--output", str(out)]) == 2
+        assert not out.exists()
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("qmarkov: invalid input: unknown symbol 'z', scale is ('a', 'b')\n") == 2
 
     def test_prob_integer_symbols(self, files, capsys):
         path = files["tmp"] / "int_oom.json"
@@ -771,6 +793,14 @@ class TestCliContract:
         huge.write_text(json.dumps({"nodes": 10**30, "edges": [[0, 1], [1, 2], [2, 0]]}))
         assert run([*argv, "--limiting"]) == 2
         assert "qmarkov: input too large: Python int too large" in capsys.readouterr().err
+
+    def test_count_field_past_index_type_names_the_file(self, files, capsys):
+        big = files["tmp"] / "bign.json"
+        big.write_text(json.dumps({"n": 2**63, "basis": qio.BASIS_TAG, "matrix": [[1.0]]}))
+        assert run(["chain-cesaro", "--operator", str(big), "--density", str(files["density"])]) == 2
+        assert capsys.readouterr().err == (
+            f"qmarkov: input too large: Python int too large for numpy's index type: 'n' = {2**63} (in {big})\n"
+        )
 
     def test_deterministic_output(self, files, capsys):
         rng = np.random.default_rng(113)

@@ -234,6 +234,44 @@ class TestGraphLoading:
         qio.save_graph(path, g)
         assert qio.load_graph(path) == DirectedGraph(node_count=3, edges=((0, 1), (1, 2)))
 
+    @pytest.mark.parametrize("node", ["1_0", "+1", "\u0661", "\uff11"])
+    def test_node_ids_are_ascii_digits(self, tmp_path, node):
+        # int() reads 1_0 as 10, +1 as 1 and Arabic-Indic or fullwidth digits as numbers
+        path = tmp_path / "g.txt"
+        path.write_text(f"0 {node}\n{node} 0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1: node ids must be integers, got {'0 ' + node!r}")):
+            qio.load_graph(path)
+
+    def test_negative_node_id_reaches_the_graph_check(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("0 -1\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: edge endpoint must be nonnegative, got -1")):
+            qio.load_graph(path)
+
+
+BIG = 2**63  # one past numpy's largest index
+
+
+class TestCountFieldOverflow:
+    @pytest.mark.parametrize(
+        "field, load, payload",
+        [
+            ("n", qio.load_operator, {"n": BIG, "basis": qio.BASIS_TAG, "matrix": [[1.0]]}),
+            ("n", qio.load_channel, {"n": BIG, "kraus": [{"rows": 1, "cols": 1, "entries": [[1.0, 0.0]]}]}),
+            ("rows", qio.load_matrix, {"rows": BIG, "cols": 1, "entries": [[1.0, 0.0]]}),
+            ("cols", qio.load_matrix, {"rows": 1, "cols": BIG, "entries": [[1.0, 0.0]]}),
+            ("nodes", qio.load_graph, {"nodes": BIG, "edges": [[0, 1]]}),
+            ("dim", qio.load_oom, {"dim": BIG, "scale": ["a"], "operators": {"a": [[1.0]]}, "pi": [1.0]}),
+        ],
+    )
+    def test_message_names_the_file(self, tmp_path, field, load, payload):
+        # the message keeps numpy's start, which the CLI's too-large report shows first
+        path = tmp_path / "bign.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(OverflowError) as info:
+            load(path)
+        assert str(info.value) == f"Python int too large for numpy's index type: {field!r} = {BIG} (in {path})"
+
 
 class TestOomRoundTrip:
     def test_round_trip(self, tmp_path):

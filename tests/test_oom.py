@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 import tracemalloc
 
@@ -19,6 +20,7 @@ from qmarkov import (
     step_distribution,
     to_markov_measurement,
     word_distribution,
+    word_probabilities,
     word_probability,
 )
 from qmarkov import measurement as qmeasurement
@@ -90,6 +92,64 @@ class TestWordProbability:
         for w in [(), ("a",), ("b", "c"), ("c", "a", "b")]:
             total = sum(word_probability(model, w + (s,)) for s in model.scale)
             assert total == pytest.approx(word_probability(model, w), abs=1e-12)
+
+
+def _loop_probability(model: ObservableOperatorModel, word) -> float:
+    """The per-word reference: x = M_a @ x for each symbol a, then the component sum."""
+    x = model.pi
+    for symbol in word:
+        x = model.operators[model.scale.index(symbol)] @ x
+    return float(x.sum())
+
+
+def _kernel_case(seed: int) -> tuple[ObservableOperatorModel, list[tuple]]:
+    """A seeded OOM or HMM-derived model (m 1..8, 1..3 str or int symbols) and a word list.
+
+    The list holds the empty word, words of lengths 1..25 and repeats, shuffled.
+    """
+    rng = np.random.default_rng(7000 + seed)
+    m, k = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+    symbols = ("a", "b", "c")[:k] if seed % 2 else (0, 1, 2)[:k]
+    model = random_oom(rng, m, symbols) if seed % 4 < 2 else hmm_to_oom(*random_hmm(rng, m, symbols))
+    words = [tuple(symbols[i] for i in rng.integers(k, size=int(rng.integers(1, 26)))) for _ in range(30)]
+    words += [()] + [words[i] for i in rng.integers(len(words), size=5)]
+    return model, [words[i] for i in rng.permutation(len(words))]
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+class TestWordProbabilities:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_equals_the_per_word_loop_bit_for_bit(self, seed):
+        model, words = _kernel_case(seed)
+        got = word_probabilities(model, words)
+        assert got.dtype == float and got.shape == (len(words),)
+        assert _bits(got) == _bits([_loop_probability(model, w) for w in words])
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_value_does_not_depend_on_the_list(self, seed):
+        model, words = _kernel_case(seed)
+        together = _bits(word_probabilities(model, words))
+        alone = [_bits(word_probabilities(model, [w]))[0] for w in words]
+        assert together == alone == _bits([word_probability(model, w) for w in words])
+
+    @pytest.mark.parametrize("seed", range(0, 60, 7))
+    def test_unknown_symbol_anywhere_raises_the_scale_message(self, seed):
+        model, words = _kernel_case(seed)
+        rng = np.random.default_rng(seed)
+        for bad in ("z", 9, ["a"]):
+            i = int(rng.integers(len(words)))
+            at = int(rng.integers(len(words[i]) + 1))
+            broken = [*words[:i], words[i][:at] + (bad,) + words[i][at:], *words[i + 1 :]]
+            message = f"unknown symbol {bad!r}, scale is {model.scale.symbols!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                word_probabilities(model, broken)
+
+    def test_empty_list(self):
+        out = word_probabilities(iid_uniform(), [])
+        assert out.dtype == float and out.shape == (0,)
 
 
 class TestValidate:

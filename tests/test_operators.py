@@ -37,6 +37,11 @@ class TestOperatorSize:
         with pytest.raises(ValueError, match=re.escape(f"n must be a positive integer, got {n!r}")):
             MarkovOperator(n=n, matrix=np.eye(1))
 
+    def test_positive_count_message_agrees_with_its_bound(self):
+        with pytest.raises(ValueError) as info:
+            MarkovOperator(n=0, matrix=np.eye(1))
+        assert str(info.value) == "n must be a positive integer, got 0: such counts are positive integers, not bools or floats"
+
 
 class TestFromKraus:
     def test_identity_family(self):
