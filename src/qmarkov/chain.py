@@ -117,10 +117,16 @@ class BoundednessReport:
 def evolve(chain: MarkovChain, steps: int) -> np.ndarray:
     """Densities mu^t(P) for t = 0..steps, stacked along the first axis.
 
-    The densities come in blocks from :func:`_density_blocks` and differ
+    Blocks from :func:`_density_blocks` fill one array; the densities differ
     from a plain step loop of the superoperator in the last digits.
     """
-    return np.concatenate(list(_density_blocks(chain, steps)))
+    steps = _require_count(steps, "steps")
+    out = np.empty((steps + 1, *chain.start.shape), dtype=complex)
+    t = 0
+    for block in _density_blocks(chain, steps):
+        out[t : t + len(block)] = block
+        t += len(block)
+    return out
 
 
 def _density_blocks(chain: MarkovChain, steps: int) -> Iterator[np.ndarray]:

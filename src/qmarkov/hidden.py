@@ -5,7 +5,10 @@ components allowed to be negative.  An information function maps hidden
 states to a finite scale; it is statistically observable in a state when all
 aggregated outcome values are nonnegative.  The Bell inequality
 |E(XY) - E(YZ)| <= 1 - E(XZ) holds whenever X, Y, Z are jointly observable,
-and can fail when they are only pairwise observable.
+and can fail when they are only pairwise observable.  An information function
+keeps each value's scale position, found once at construction, for every
+readout; every product expectation, Bell's three included, is one pair
+product, defined only for a jointly observable pair.
 """
 
 from __future__ import annotations
@@ -66,10 +69,15 @@ class InformationFunction:
                 f"need one value per hidden state: {len(values)} values, "
                 f"{len(self.space)} states"
             )
-        for v in values:
-            if v not in self.scale:
-                raise ValueError(f"value {v!r} is not in the scale {self.scale.symbols!r}")
+        positions = np.empty(len(values), dtype=np.intp)  # each value's scale position, in state order
+        for i, v in enumerate(values):
+            try:
+                positions[i] = self.scale._positions[v]
+            except (KeyError, TypeError):  # not in the scale, or unhashable
+                raise ValueError(f"value {v!r} is not in the scale {self.scale.symbols!r}") from None
+        positions.setflags(write=False)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_positions", positions)
 
     def __call__(self, state) -> Hashable:
         return self.values[self.space.states.index(state)]
@@ -130,19 +138,13 @@ def _require_same_space(funcs: Sequence[InformationFunction], state: MarkovState
         raise ValueError("Markov state lives on a different hidden-state space")
 
 
-def _labels(func: InformationFunction) -> np.ndarray:
-    """The scale position of each hidden state's value, in state order."""
-    position = {symbol: k for k, symbol in enumerate(func.scale)}
-    return np.array([position[v] for v in func.values], dtype=np.intp)
-
-
 def observe_distribution(func: InformationFunction, state: MarkovState) -> OutcomeDistribution:
     """Aggregate the state components by outcome: p(a) = sum over X(w) = a of q_w.
 
     Each sum runs in state order: this is the readout of :func:`diagonal_povm`.
     """
     _require_same_space([func], state)
-    values = _label_sums(state.values, _labels(func), np.zeros(len(func.scale)))
+    values = _label_sums(state.values, func._positions, np.zeros(len(func.scale)))
     return OutcomeDistribution(scale=func.scale, values=values)
 
 
@@ -205,9 +207,14 @@ def product_expectation(
     """E(XY) = sum X(w) Y(w) q_w for a jointly observable real-valued pair."""
     xv = _numeric_values(x, "first information function")
     yv = _numeric_values(y, "second information function")
-    if not is_jointly_observable([x, y], state, tol):
-        raise ValueError("pair is not jointly observable; the product expectation is undefined")
-    return float((xv * yv) @ state.values)
+    return _pair_product(x, y, xv, yv, state, tol, "pair")
+
+
+def _pair_product(f, g, fv: np.ndarray, gv: np.ndarray, state: MarkovState, tol: float, name: str) -> float:
+    """sum F(w) G(w) q_w for the values fv, gv of f, g; raises unless the pair is jointly observable."""
+    if not is_jointly_observable([f, g], state, tol):
+        raise ValueError(f"{name} is not jointly observable; its product expectation is undefined")
+    return float((fv * gv) @ state.values)
 
 
 def _pm_one_values(func: InformationFunction, name: str) -> np.ndarray:
@@ -234,13 +241,9 @@ def bell_check(
     xv = _pm_one_values(x, "X")
     yv = _pm_one_values(y, "Y")
     zv = _pm_one_values(z, "Z")
-    for name, (f, g) in (("X,Y", (x, y)), ("Y,Z", (y, z)), ("X,Z", (x, z))):
-        if not is_jointly_observable([f, g], state):
-            raise ValueError(f"pair ({name}) is not jointly observable; Bell expectations undefined")
-    q = state.values
-    e_xy = float((xv * yv) @ q)
-    e_yz = float((yv * zv) @ q)
-    e_xz = float((xv * zv) @ q)
+    e_xy = _pair_product(x, y, xv, yv, state, SIGN_TOL, "pair (X,Y)")
+    e_yz = _pair_product(y, z, yv, zv, state, SIGN_TOL, "pair (Y,Z)")
+    e_xz = _pair_product(x, z, xv, zv, state, SIGN_TOL, "pair (X,Z)")
     lhs = abs(e_xy - e_yz)
     rhs = 1.0 - e_xz
     return BellCheckResult(
@@ -305,5 +308,5 @@ def diagonal_povm(func: InformationFunction) -> KrausMeasurement:
 
     Applying it to diag(q) reproduces :func:`observe_distribution` exactly.
     """
-    projectors = _diagonal_projectors(_labels(func), len(func.scale))
+    projectors = _diagonal_projectors(func._positions, len(func.scale))
     return KrausMeasurement(scale=func.scale, kraus=projectors)

@@ -306,13 +306,14 @@ def load_operator(path) -> MarkovOperator:
 
 
 def _kraus_matrices(d: Mapping, labelled) -> list[np.ndarray]:
-    """Parse (label, matrix dict) pairs, each matrix checked against the file's 'n' if given."""
-    n = _require_count(d["n"], "'n'", least=1) if "n" in d else None
+    """Parse (label, matrix dict) pairs, each checked against the file's 'n', else the first one's shape."""
+    shape = (_require_count(d["n"], "'n'", least=1),) * 2 if "n" in d else None
     out = []
     for label, entry in labelled:
         with _within(label):
             m = matrix_from_dict(entry)
-        _expect(n is None or m.shape == (n, n), f"{label} has shape {m.shape}, expected ({n}, {n})")
+        shape = shape or m.shape
+        _expect(m.shape == shape, f"{label} has shape {m.shape}, expected {shape}")
         out.append(m)
     return out
 

@@ -76,6 +76,8 @@ class Scale:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "symbols", _require_labels(self.symbols, "scale", "symbol"))
+        # symbol -> position, built once; index and ``in`` match by == instead, so unhashable values too
+        object.__setattr__(self, "_positions", {s: k for k, s in enumerate(self.symbols)})
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -291,6 +293,7 @@ def posterior(meas: KrausMeasurement, density: np.ndarray, symbol) -> tuple[floa
     at (near-)zero or negative probability the posterior is not a density
     and an error is raised.
     """
+    _require_measurement(meas, kraus=True)
     density = require_markov_density(density)
     _require_same_dim(meas.n, density.shape[0], "measurement", "density")
     m = meas.matrix(symbol)
@@ -306,13 +309,14 @@ def posterior(meas: KrausMeasurement, density: np.ndarray, symbol) -> tuple[floa
 
 def as_markov_measurement(meas: KrausMeasurement) -> MarkovMeasurement:
     """Per-symbol conjugation operators Q -> M_a Q M_a* as a Markov measurement."""
-    ops = tuple(kraus_superop(m[None, :, :]) for m in meas.kraus)
+    ops = tuple(kraus_superop(m[None, :, :]) for m in _require_measurement(meas, kraus=True).kraus)
     return MarkovMeasurement(scale=meas.scale, operators=ops)
 
 
-def _require_measurement(meas):
-    if not isinstance(meas, (KrausMeasurement, MarkovMeasurement)):
-        raise TypeError(f"expected a measurement, got {type(meas).__name__}")
+def _require_measurement(meas, kraus: bool = False):
+    """``meas``, raising TypeError unless it is a measurement, and a Kraus one when ``kraus``."""
+    if not isinstance(meas, KrausMeasurement if kraus else (KrausMeasurement, MarkovMeasurement)):
+        raise TypeError(f"expected a {'Kraus ' * kraus}measurement, got {type(meas).__name__}")
     return meas
 
 

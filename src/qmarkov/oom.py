@@ -167,7 +167,7 @@ def word_probabilities(model: ObservableOperatorModel, words: Sequence[Sequence]
     equals that loop's bit for bit, whichever words share the list.
     """
     words = [tuple(w) for w in words]
-    index = {s: i for i, s in enumerate(model.scale)}
+    index = model.scale._positions
     try:
         codes = [index[s] for w in words for s in w]
     except (KeyError, TypeError):  # Scale.index names the first unknown symbol, or matches by ==
@@ -339,12 +339,9 @@ def lift_hidden_states(model: ObservableOperatorModel) -> HiddenStateLift:
         scale=model.scale,
         values=tuple(sym for sym, _ in labels),
     )
-    ones_row = np.ones((1, base))
-    lifted = []
-    for i in range(base):
-        selector = np.zeros((base, 1))
-        selector[i, 0] = 1.0
-        lifted.append(np.kron(selector @ ones_row, model.operators[i]))
+    # operator a is kron(outer(e_a, ones), M_a): entry (r, j; c, k) is e_a[r] * M_a[j, k]
+    blocks = np.eye(base)[:, :, None, None, None] * np.stack(model.operators)[:, None, :, None, :]
+    lifted = np.broadcast_to(blocks, (base, base, m, base, m)).reshape(base, base * m, base * m)
     return HiddenStateLift(
         scale=model.scale,
         operators=tuple(lifted),

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -80,6 +81,30 @@ class TestEvolve:
             reference = sum(m @ reference @ m.conj().T for m in mats)
             np.testing.assert_allclose(d, reference, rtol=0, atol=1e-14)
         assert "matrix" not in op.__dict__
+
+    @pytest.mark.parametrize("form", ["kraus", "dense"])
+    def test_peak_near_result_size(self, form):
+        # the densities are held once: the peak stays near the size of the result
+        rng = np.random.default_rng(75)
+        op = from_kraus(random_kraus_family(rng, 16, 2))
+        if form == "dense":
+            op = MarkovOperator(n=16, matrix=op.matrix)
+        chain = MarkovChain(operator=op, start=random_quantum_density(16, rng))
+        tracemalloc.start()
+        try:
+            densities = evolve(chain, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert densities.shape == (2001, 16, 16)
+        assert peak <= 1.3 * densities.nbytes
+
+    def test_steps_checked_before_any_allocation(self):
+        chain = MarkovChain(operator=identity_operator(2), start=np.eye(2) / 2)
+        for steps in (-1, 10**30, 2.5):
+            with pytest.raises((ValueError, OverflowError), match="steps"):
+                evolve(chain, steps)
+
 
 class TestBoundednessProbe:
     def test_unitary_constant_purity(self):

@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 from qmarkov import (
+    BellCheckResult,
     HiddenStateSpace,
     InformationFunction,
     MarkovState,
@@ -20,6 +22,9 @@ from qmarkov import (
     product_expectation,
     raw_moment,
 )
+from qmarkov.hermitian import BELL_TOL, SIGN_TOL, _require_tol
+from qmarkov.hidden import _numeric_values, _pm_one_values, _require_same_space
+from qmarkov.measurement import _diagonal_projectors, _label_sums
 
 FEYNMAN_SPACE = HiddenStateSpace(states=("++", "+-", "-+", "--"))
 X_SIGN = InformationFunction(
@@ -369,3 +374,140 @@ class TestExpectationIsRawMoment:
                 with pytest.raises(ValueError, match="not statistically observable"):
                     expectation(func, state)
         assert 10 <= checked <= 50
+
+
+def _parent_labels(func):
+    """Former hidden._labels: a position dict rebuilt at every readout."""
+    position = {symbol: k for k, symbol in enumerate(func.scale)}
+    return np.array([position[v] for v in func.values], dtype=np.intp)
+
+
+def _parent_product_expectation(x, y, state, tol=SIGN_TOL):
+    """Former product_expectation, with its own pair check and product."""
+    xv = _numeric_values(x, "first information function")
+    yv = _numeric_values(y, "second information function")
+    if not is_jointly_observable([x, y], state, tol):
+        raise ValueError("pair is not jointly observable; the product expectation is undefined")
+    return float((xv * yv) @ state.values)
+
+
+def _parent_bell_check(x, y, z, state, tol=BELL_TOL):
+    """Former bell_check: every pair checked first, then the three products written out."""
+    _require_same_space([x, y, z], state)
+    xv = _pm_one_values(x, "X")
+    yv = _pm_one_values(y, "Y")
+    zv = _pm_one_values(z, "Z")
+    for name, (f, g) in (("X,Y", (x, y)), ("Y,Z", (y, z)), ("X,Z", (x, z))):
+        if not is_jointly_observable([f, g], state):
+            raise ValueError(f"pair ({name}) is not jointly observable; Bell expectations undefined")
+    q = state.values
+    e_xy = float((xv * yv) @ q)
+    e_yz = float((yv * zv) @ q)
+    e_xz = float((xv * zv) @ q)
+    lhs = abs(e_xy - e_yz)
+    rhs = 1.0 - e_xz
+    return BellCheckResult(
+        lhs=lhs,
+        rhs=rhs,
+        satisfied=bool(lhs <= rhs + _require_tol(tol)),
+        pairwise_observable=True,
+        jointly_observable=is_jointly_observable([x, y, z], state),
+        e_xy=e_xy,
+        e_yz=e_yz,
+        e_xz=e_xz,
+    )
+
+
+def _outcome(call):
+    """A call's result, or the part of its ValueError before the ';' (the pair it names)."""
+    try:
+        return call()
+    except ValueError as err:
+        return str(err).split(";")[0]
+
+
+def _signed_pm_table(rng, symbols):
+    """Three +-1 functions on 2-9 states and a state whose components may be negative."""
+    n = int(rng.integers(2, 10))
+    space = HiddenStateSpace(states=tuple(range(n)))
+    scale = Scale(symbols)
+    funcs = [InformationFunction(space=space, scale=scale, values=tuple(rng.choice(symbols, size=n).tolist())) for _ in range(3)]
+    q = rng.random(n) - 0.15 * rng.random()
+    q[-1] = 1.0 - q[:-1].sum()
+    return funcs, MarkovState(space=space, values=q)
+
+
+class TestPairProductMatchesParent:
+    """bell_check and product_expectation through the one pair product, against the former code."""
+
+    @pytest.mark.parametrize("symbols", [(-1, 1), ("-1", "+1")], ids=["int", "str"])
+    def test_bell_check_every_field(self, symbols):
+        rng = np.random.default_rng(2401 if symbols[0] == -1 else 2402)
+        refused = 0
+        for _ in range(200):
+            (x, y, z), state = _signed_pm_table(rng, symbols)
+            got = _outcome(lambda: bell_check(x, y, z, state))
+            expected = _outcome(lambda: _parent_bell_check(x, y, z, state))
+            if isinstance(expected, str):
+                refused += 1
+                assert got == expected
+                continue
+            for field in dataclasses.fields(BellCheckResult):
+                a, b = getattr(got, field.name), getattr(expected, field.name)
+                assert type(a) is type(b) and np.array([a]).tobytes() == np.array([b]).tobytes(), field.name
+        assert 10 <= refused <= 190  # both the refusal and the value path are exercised
+
+    def test_product_expectation(self):
+        rng = np.random.default_rng(2403)
+        refused = 0
+        for _ in range(200):
+            (x, y, _), state = _signed_pm_table(rng, (-1, 1))
+            got = _outcome(lambda: product_expectation(x, y, state))
+            expected = _outcome(lambda: _parent_product_expectation(x, y, state))
+            refused += isinstance(expected, str)
+            assert type(got) is type(expected)
+            assert got == expected if isinstance(got, str) else np.float64(got).tobytes() == np.float64(expected).tobytes()
+        assert 10 <= refused <= 190
+
+    def test_non_pm_value_raises_before_any_pair(self):
+        # every pair of this table fails joint observability, but Z's value 0 is named first
+        space = HiddenStateSpace(states=("a", "b"))
+        scale = Scale((-1, 0, 1))
+        f = InformationFunction(space=space, scale=scale, values=(-1, 1))
+        g = InformationFunction(space=space, scale=scale, values=(1, -1))
+        z = InformationFunction(space=space, scale=scale, values=(0, 1))
+        state = MarkovState(space=space, values=np.array([-0.5, 1.5]))
+        for check in (bell_check, _parent_bell_check):
+            with pytest.raises(ValueError, match=r"Z must have scale \{-1, \+1\}, got value 0"):
+                check(f, g, z, state)
+        with pytest.raises(ValueError, match=r"pair \(X,Y\) is not jointly observable; its product"):
+            bell_check(f, g, g, state)
+
+
+class TestStoredPositions:
+    """Readouts from the positions stored at construction, against the former per-readout dict."""
+
+    @pytest.mark.parametrize("kind", ["int", "str", "joint"])
+    def test_readouts_match_parent(self, kind):
+        rng = np.random.default_rng({"int": 2411, "str": 2412, "joint": 2413}[kind])
+        for _ in range(60):
+            n = int(rng.integers(1, 12))
+            space = HiddenStateSpace(states=tuple(range(n)))
+            func = _random_function(rng, space, kind)
+            q = rng.standard_normal(n)
+            q[-1] = 1.0 - q[:-1].sum()
+            state = MarkovState(space=space, values=q)
+            labels = _parent_labels(func)
+            expected = _label_sums(state.values, labels, np.zeros(len(func.scale)))
+            assert observe_distribution(func, state).values.tobytes() == expected.tobytes()
+            got = diagonal_povm(func).kraus
+            assert [k.tobytes() for k in got] == [p.tobytes() for p in _diagonal_projectors(labels, len(func.scale))]
+
+    def test_unhashable_value_refused_at_construction(self):
+        space = HiddenStateSpace(states=("a", "b"))
+        with pytest.raises(ValueError, match=r"value array\(-1\) is not in the scale \(-1, 1\)"):
+            InformationFunction(space=space, scale=Scale((-1, 1)), values=(np.array(-1), 1))
+        # a tuple value that holds an unhashable part compares equal but cannot be looked up
+        pairs = Scale(((-1, -1), (-1, 1), (1, -1), (1, 1)))
+        with pytest.raises(ValueError, match="is not in the scale"):
+            InformationFunction(space=space, scale=pairs, values=((np.array(-1), 1), (1, 1)))

@@ -127,6 +127,14 @@ class TestChannelLoading:
             qio.load_channel(path)
 
 
+    def test_ragged_kraus_without_n_names_the_entry(self, tmp_path):
+        path = tmp_path / "mixed.json"
+        mats = [np.eye(2) * 0.6, np.eye(3) * 0.8]
+        path.write_text(json.dumps({"kraus": [qio.matrix_to_dict(m) for m in mats]}))
+        with pytest.raises(ValueError, match=r"mixed\.json: kraus\[1\] has shape \(3, 3\), expected \(2, 2\)$"):
+            qio.load_channel(path)
+
+
 class TestMeasurementLoading:
     def test_kraus_variant(self, tmp_path):
         path = tmp_path / "meas.json"

@@ -484,6 +484,17 @@ class TestNotAMeasurement:
         with pytest.raises(TypeError, match="expected a measurement, got str"):
             call("Z", np.diag([0.5, 0.5]))
 
+    @pytest.mark.parametrize("call", [lambda m: posterior(m, np.eye(3), "0"), as_markov_measurement], ids=["posterior", "as_markov_measurement"])
+    @pytest.mark.parametrize(
+        "meas, name",
+        [("Z", "str"), (as_markov_measurement(x_basis_measurement()), "MarkovMeasurement")],
+        ids=["str", "markov"],
+    )
+    def test_kraus_only_type_error_first(self, call, meas, name):
+        # the density np.eye(3) fails every check that would come after the type check
+        with pytest.raises(TypeError, match=f"^expected a Kraus measurement, got {name}$"):
+            call(meas)
+
 
 def _edge_loop(block, sources, out):
     """Former walk node readout: one column addition per edge, in edge order."""

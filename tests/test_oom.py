@@ -670,3 +670,46 @@ class TestMeasurementBridge:
             assert flag == report.observable
         assert is_t_observable(meas, density, 3, tol=1e-12)
         assert not is_t_observable(meas, density, 4, tol=1e-12)
+
+
+def _parent_lift_operators(model: ObservableOperatorModel) -> list[np.ndarray]:
+    """Former lift: each block pattern a selector-times-ones product, one symbol at a time."""
+    base = len(model.scale)
+    ones_row = np.ones((1, base))
+    lifted = []
+    for i in range(base):
+        selector = np.zeros((base, 1))
+        selector[i, 0] = 1.0
+        lifted.append(np.kron(selector @ ones_row, model.operators[i]))
+    return lifted
+
+
+class TestLiftMatchesParent:
+    """The loop-free lift against the former selector loop, compared byte for byte."""
+
+    @staticmethod
+    def _assert_same(model):
+        lift = lift_hidden_states(model)
+        expected = _parent_lift_operators(model)
+        assert [op.tobytes() for op in lift.operators] == [op.tobytes() for op in expected]
+        assert lift.pi.tobytes() == (np.tile(model.pi, len(model.scale)) / len(model.scale)).tobytes()
+        return lift
+
+    def test_seeded_models_and_their_lifts(self):
+        rng = np.random.default_rng(2421)
+        for _ in range(60):
+            symbols = tuple("abcd"[: int(rng.integers(1, 5))])
+            model = random_oom(rng, int(rng.integers(1, 5)), symbols)
+            lift = self._assert_same(model)
+            self._assert_same(lift)
+
+    def test_signed_zeros_kept(self):
+        # 0 * (negative entry) is -0.0 in the kron product; the lift keeps that sign
+        model = ObservableOperatorModel(
+            scale=Scale(("a", "b")),
+            operators=(np.array([[1.5, 0.0], [-0.5, 0.5]]), np.array([[0.0, 0.0], [0.0, 0.5]])),
+            pi=np.array([0.5, 0.5]),
+        )
+        lift = self._assert_same(model)
+        zeros = lift.operators[0][2:]  # block row b of operator a: 0 * M_a
+        assert not zeros.any() and np.signbit(zeros).any()
