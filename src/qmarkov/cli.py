@@ -82,8 +82,9 @@ def _step_lines(blocks):
 
 
 def _concatenated(texts) -> bool:
-    """The word rule: a word is its symbol texts concatenated when each is one character, else comma-joined."""
-    return all(len(text) == 1 for text in texts)
+    """The word rule: a word is its symbol texts concatenated when each is one character
+    that a CSV cell holds as is (not a quote or a line break), else comma-joined."""
+    return all(len(text) == 1 and text not in '"\r\n' for text in texts)
 
 
 def _word_cells(texts: list[str]):
@@ -99,10 +100,10 @@ def _csv_cell(text: str) -> str:
 def _parse_words(scale, texts) -> list[tuple]:
     """Parse word arguments into scale symbols, each named by its text ``str(symbol)``.
 
-    Parts are comma-separated, or one character each when every symbol's
-    text is one character and the argument has no comma.
+    Parts are comma-separated, or one character each when the scale's texts
+    concatenate (:func:`_concatenated`) and the argument has no comma.
     """
-    names = {str(s): s for s in scale}
+    names = dict(zip(qio._text_keys(scale), scale))
     concatenated = _concatenated(names)
 
     def parse(text: str) -> tuple:
@@ -119,28 +120,29 @@ def _parse_word(scale, text: str) -> tuple:
     return _parse_words(scale, [text])[0]
 
 
+def _word_rows(fmt: str, texts: list[str], words, blocks):
+    """Rows of ``words`` (as symbol texts, of the scale ``texts``) and their blocks of probabilities,
+    one iterable per block: CSV lines "cell,probability" or JSON {"word", "probability"} records."""
+    words = iter(words) if fmt == "json" else map(_word_cells(texts), words)
+    pairs = (zip(islice(words, len(b)), b.tolist()) for b in blocks)
+    # maps, not a generator, whose frame would keep a block's float list alive while its rows are joined
+    if fmt == "json":
+        return map(lambda rows: [{"word": w, "probability": p} for w, p in rows], pairs)  # a tuple prints as a list
+    return map(functools.partial(map, "%s,%.17g".__mod__), pairs)
+
+
 def _cmd_measure(args) -> None:
     tol = _require_tol(args.tol)  # read by the JSON output only, checked for both
     meas = qio.load_measurement(args.measurement)
     density = qio.load_density(args.density)
     blocks = list(_word_values(meas, density, args.steps))
-    symbols = [str(s) for s in meas.scale]
-    words = product(symbols, repeat=args.steps)
+    texts = qio._text_keys(meas.scale)
+    rows = _word_rows(args.format, texts, product(texts, repeat=args.steps), blocks)
     if args.format == "json":
-        payload = {
-            "steps": args.steps,
-            "scale": symbols,
-            "observable": all(b.min() >= -tol for b in blocks),
-            "distribution": (
-                [{"word": list(w), "probability": p} for w, p in zip(islice(words, len(b)), b.tolist())]
-                for b in blocks
-            ),
-        }
-        _emit(args, _json(payload))
+        observable = all(b.min() >= -tol for b in blocks)
+        _emit(args, _json({"steps": args.steps, "scale": texts, "observable": observable, "distribution": rows}))
     else:
-        texts = map(_word_cells(symbols), words)
-        lines = (map("%s,%.17g".__mod__, zip(islice(texts, len(b)), b.tolist())) for b in blocks)
-        _emit(args, _csv("word,probability", lines))
+        _emit(args, _csv("word,probability", rows))
 
 
 def _cmd_chain_evolve(args) -> None:
@@ -219,14 +221,10 @@ def _cmd_feynman(args) -> None:
 def _cmd_oom_prob(args) -> None:
     model = qio.load_oom(args.oom)
     words = _parse_words(model.scale, args.word)
-    probabilities = word_probabilities(model, words).tolist()
-    texts = [list(map(str, w)) for w in words]
-    if args.format == "json":
-        _emit(args, _json([{"word": t, "probability": p} for t, p in zip(texts, probabilities)]))
-    else:
-        cells = map(_word_cells([str(s) for s in model.scale]), texts)
-        lines = map("%s,%.17g".__mod__, zip(cells, probabilities))
-        _emit(args, _csv("word,probability", [lines]))
+    probabilities = word_probabilities(model, words)  # before the word texts exist, as they would raise its peak
+    texts = [tuple(map(str, w)) for w in words]
+    rows = _word_rows(args.format, qio._text_keys(model.scale), texts, [probabilities])
+    _emit(args, _json(rows) if args.format == "json" else _csv("word,probability", rows))
 
 
 def _cmd_oom_rank(args) -> None:

@@ -200,10 +200,9 @@ def _symbols(value, field: str, items: str) -> tuple:
 
 
 def _scale(d: Mapping) -> Scale:
-    """The 'scale' field; no symbol text may hold a comma, on which ``--word`` and CSV word cells split."""
+    """The 'scale' field, its symbol texts checked by :func:`_text_keys`."""
     scale = Scale(_symbols(d["scale"], "'scale'", "scale symbols"))
-    for s in scale:
-        _expect("," not in str(s), f"scale symbol {s!r} holds a comma, on which --word and CSV cells split")
+    _text_keys(scale)
     return scale
 
 
@@ -326,12 +325,15 @@ def _kraus_list(d: Mapping) -> list[np.ndarray]:
 
 
 def _text_keys(scale: Scale) -> list[str]:
-    """The JSON key ``str(symbol)`` of each scale symbol; two symbols may not share one."""
+    """The text ``str(symbol)`` of each scale symbol (its JSON key, ``--word`` name and CSV cell part),
+    checked on read and on write: not empty, with no comma and shared with no other symbol."""
     keys: dict[str, Any] = {}
     for s in scale:
-        other = keys.setdefault(str(s), s)
-        if other is not s:
-            raise ValueError(f"scale symbols {other!r} and {s!r} share the JSON key {str(s)!r}")
+        text = str(s)
+        _expect(text != "", f"scale symbol {s!r} has an empty text, which would name the empty word")
+        _expect("," not in text, f"scale symbol {s!r} holds a comma, on which --word and CSV cells split")
+        other = keys.setdefault(text, s)
+        _expect(other is s, f"scale symbols {other!r} and {s!r} share the JSON key {text!r}")
     return list(keys)
 
 
@@ -339,7 +341,6 @@ def _by_symbol(d: Mapping, field: str, scale: Scale, what: str):
     """(symbol, entry) for each scale symbol of the object ``d[field]``; a key may be str(symbol)."""
     table = d[field]
     _expect(isinstance(table, Mapping), f"{field!r} must map symbols to matrices")
-    _text_keys(scale)
     for s in scale:
         key = s if s in table else str(s)
         _expect(key in table, f"no {what} for symbol {s!r}")

@@ -105,6 +105,8 @@ class MarkovOperator:
         n = _require_count(n, "n", least=1)
         object.__setattr__(self, "n", n)
         if kraus is not None:
+            if matrix is not None:
+                raise ValueError("give an operator's matrix or its Kraus matrices, not both")
             kraus = _frozen_array(kraus, f"Kraus matrices on H_{n}", complex, (len(kraus), n, n))
             _check_completeness(kraus)
         else:

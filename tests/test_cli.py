@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import gc
 import io
@@ -489,6 +490,76 @@ class TestWordCells:
         assert cli._word_cells(["a", "ab"])(("ab", "a")) == '"ab,a"'
         assert cli._word_cells(["a", "ab"])(("ab",)) == "ab"
         assert cli._word_cells(["a", 'q"'])(('q"',)) == '"q"""'
+
+
+def _out(argv) -> str:
+    """Stdout of one CLI call, which must succeed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(argv) == 0, argv
+    return out.getvalue()
+
+
+def _cell_round_trip(workdir, rng, symbols) -> None:
+    """Assert that every word up to length 2 over ``symbols`` reads back from its CSV cell.
+
+    ``oom-prob`` prints all of them, and ``measure --steps`` 1 and 2 those
+    of one length.  Each row parses into two cells, the cells of a table
+    differ, and ``--word=CELL`` names the same word in ``oom-prob`` JSON.
+    """
+    texts, k = [str(s) for s in symbols], len(symbols)
+    oom, meas, rho = workdir / "oom.json", workdir / "meas.json", workdir / "rho.json"
+    oom.write_text(json.dumps({"dim": 1, "scale": symbols, "operators": {t: [[1 / k]] for t in texts}, "pi": [1.0]}))
+    kraus = {t: qio.matrix_to_dict(m) for t, m in zip(texts, random_kraus_family(rng, 2, k))}
+    meas.write_text(json.dumps({"n": 2, "scale": symbols, "kraus": kraus}))
+    qio.save_matrix(rho, np.diag([0.3, 0.7]), kind="density")
+    words = [w for n in range(3) for w in itertools.product(texts, repeat=n)]
+    tables = [(words, _out(["oom-prob", "--oom", str(oom), *(f"--word={','.join(w)}" for w in words)]))]
+    for steps in (1, 2):
+        argv = ["measure", "--measurement", str(meas), "--density", str(rho), "--steps", str(steps)]
+        tables.append((list(itertools.product(texts, repeat=steps)), _out(argv)))
+    for expected, out in tables:
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["word", "probability"] and all(len(row) == 2 for row in rows), rows
+        cells = [cell for cell, _ in rows[1:]]
+        assert len(cells) == len(set(cells)) == len(expected), cells
+        back = json.loads(_out(["oom-prob", "--oom", str(oom), "--format", "json", *(f"--word={c}" for c in cells)]))
+        assert [r["word"] for r in back] == [list(w) for w in expected], cells
+
+
+class TestRandomScaleCells:
+    """Seeded random scales mix texts a CSV cell must quote with plain and integer ones; every cell reads back."""
+
+    # a lone "-" is left out: argparse reads "--word=--", the cell of the word (-, -), as the end of options
+    POOL = ("a", "b", '"', "\n", "\r", " ", "ab", 'a"b', "x\ny", "é", "'", "\"a", 7, 10)
+
+    def test_cells_round_trip(self, tmp_path):
+        rng = np.random.default_rng(2025)
+        broken = []
+        for _ in range(300):
+            symbols = [self.POOL[i] for i in rng.choice(len(self.POOL), int(rng.integers(1, 5)), replace=False)]
+            try:
+                _cell_round_trip(tmp_path, rng, symbols)
+            except (AssertionError, csv.Error) as exc:  # csv.Error: a row that does not parse
+                broken.append((symbols, exc))
+        assert not broken, f"{len(broken)} of 300 scales break, the first {broken[0]}"
+
+    @pytest.mark.parametrize("text", ['"', "\r", "\n"])
+    def test_quote_and_line_break_texts_comma_join(self, text):
+        assert not cli._concatenated([text, "a"]) and not cli._concatenated([text])
+        cell = cli._word_cells([text, "a"])((text, "a"))
+        assert cell == '"%s,a"' % text.replace('"', '""')
+        assert list(csv.reader(io.StringIO(f"{cell},0.5\n"))) == [[f"{text},a", "0.5"]]
+        assert cli._parse_word(Scale((text, "a")), f"{text},a") == (text, "a")
+
+    def test_empty_text_exits_two(self, tmp_path, capsys):
+        oom = tmp_path / "oom.json"
+        payload = {"dim": 1, "scale": ["a", ""], "operators": {"a": [[0.5]], "": [[0.5]]}, "pi": [1.0]}
+        oom.write_text(json.dumps(payload))
+        assert run(["oom-prob", "--oom", str(oom), "--word", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"qmarkov: invalid input: {oom}: scale symbol '' has an empty text" in captured.err
 
 
 class TestWordCapRefusal:

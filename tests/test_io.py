@@ -423,3 +423,37 @@ def test_symbol_text_with_a_comma_not_loaded(tmp_path, load, payload, symbol):
         load(path)
     path.write_text(json.dumps(payload).replace(json.dumps(symbol), '"x"'))
     load(path)  # the same model under a comma-free text loads
+
+
+# an empty text would name the empty word, and --word and CSV cells split on a comma
+UNNAMEABLE = [("", "has an empty text"), ("b,c", "holds a comma")]
+
+
+@pytest.mark.parametrize("text, fault", UNNAMEABLE, ids=["empty", "comma"])
+def test_unnameable_symbol_text_not_saved(tmp_path, text, fault):
+    model = ObservableOperatorModel(
+        scale=Scale(("a", text)), operators=(np.array([[0.5]]), np.array([[0.5]])), pi=np.array([1.0])
+    )
+    path = tmp_path / "oom.json"
+    message = re.escape(f"scale symbol {text!r} {fault}")
+    with pytest.raises(ValueError, match=message):
+        qio.save_oom(path, model)
+    assert not path.exists()
+    with pytest.raises(ValueError, match=message):
+        qio.lift_to_dict(lift_hidden_states(model))
+
+
+@pytest.mark.parametrize(
+    "load, payload",
+    [
+        (qio.load_measurement, {"scale": ["a", ""], "operators": {"a": [[0.5]], "": [[0.5]]}}),
+        (qio.load_measurement, {"n": 1, "scale": ["a", ""], "kraus": {"a": ROOT_HALF, "": ROOT_HALF}}),
+        (qio.load_oom, {"dim": 1, "scale": ["a", ""], "operators": {"a": [[0.5]], "": [[0.5]]}, "pi": [1.0]}),
+    ],
+    ids=["markov-measurement", "kraus-measurement", "oom"],
+)
+def test_empty_symbol_text_not_loaded(tmp_path, load, payload):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: scale symbol '' has an empty text")):
+        load(path)

@@ -222,6 +222,14 @@ class TestKrausForm:
         np.testing.assert_allclose(image, apply(dense, q), atol=1e-14)
         np.testing.assert_array_equal(image, image.conj().T)
 
+    @pytest.mark.parametrize(
+        "matrix", [5 * np.eye(4), kraus_superop([np.eye(2)])], ids=["disagreeing", "agreeing"]
+    )
+    def test_matrix_and_kraus_together_refused(self, matrix):
+        # one operator has one form: a matrix given beside a Kraus stack would be dropped unread
+        with pytest.raises(ValueError, match="not both"):
+            MarkovOperator(n=2, matrix=matrix, kraus=[np.eye(2)])
+
 
 class TestComposePower:
     def test_compose_with_identity(self):
