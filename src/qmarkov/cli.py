@@ -34,6 +34,8 @@ from .walk import _node_blocks, limiting_node_distribution
 
 __all__ = ["run"]
 
+ROW_CHUNK = 4096  # rows per text chunk of a word table
+
 
 def _emit(args, chunks) -> None:
     """Write text chunks to ``--output`` or stdout as they are made.
@@ -53,16 +55,15 @@ def _json(payload):
     return chain(qio._json_chunks(payload), ("\n",))
 
 
-def _csv(header: str, blocks):
-    """CSV chunks: each block of row lines and its closing newline, the header leading the first block.
+def _csv(header: str, chunks):
+    """CSV chunks: the header line joined to the first text chunk of complete lines, then the others.
 
     The header leaves with the first rows, so an error raised while they
     are computed writes nothing.
     """
-    blocks = iter(blocks)
-    for lines in chain([chain((header,), next(blocks, ()))], blocks):
-        yield "\n".join(lines)
-        yield "\n"
+    chunks = iter(chunks)
+    yield header + "\n" + next(chunks, "")
+    yield from chunks
 
 
 def _numbered(blocks):
@@ -74,11 +75,18 @@ def _numbered(blocks):
 
 
 def _step_lines(blocks):
-    """Lines "t,k,value" of the (rows, m) blocks of a step table, one iterable per block."""
-    return (
-        chain.from_iterable(map(f"{t},%d,%.17g".__mod__, enumerate(row)) for t, row in rows)
-        for rows in _numbered(block.tolist() for block in blocks)
-    )
+    """Lines "t,k,value" of the (rows, m) blocks of a step table, one text chunk per block.
+
+    A block's template holds its lines with t and k written in, joined per
+    row at C level, and takes the block's values in one ``%``.
+    """
+    t = 0
+    for block in blocks:
+        rows, m = block.shape
+        parts = ["", *("%d,%%.17g\n" % k for k in range(m))]
+        template = "".join([("%d," % s).join(parts) for s in range(t, t + rows)])
+        yield template % tuple(block.ravel().tolist())
+        t += rows
 
 
 def _concatenated(texts) -> bool:
@@ -122,13 +130,24 @@ def _parse_word(scale, text: str) -> tuple:
 
 def _word_rows(fmt: str, texts: list[str], words, blocks):
     """Rows of ``words`` (as symbol texts, of the scale ``texts``) and their blocks of probabilities,
-    one iterable per block: CSV lines "cell,probability" or JSON {"word", "probability"} records."""
+    in chunks of at most ROW_CHUNK rows: CSV text of lines "cell,probability", or lists of JSON
+    {"word", "probability"} records."""
     words = iter(words) if fmt == "json" else map(_word_cells(texts), words)
-    pairs = (zip(islice(words, len(b)), b.tolist()) for b in blocks)
-    # maps, not a generator, whose frame would keep a block's float list alive while its rows are joined
-    if fmt == "json":
-        return map(lambda rows: [{"word": w, "probability": p} for w, p in rows], pairs)  # a tuple prints as a list
-    return map(functools.partial(map, "%s,%.17g".__mod__), pairs)
+    chunk = _word_records if fmt == "json" else _word_lines
+    for block in blocks:
+        for start in range(0, len(block), ROW_CHUNK):
+            # the chunk's floats live in the call only, not in this frame while the chunk is written
+            yield chunk(words, block[start : start + ROW_CHUNK].tolist())
+
+
+def _word_lines(cells, values: list[float]) -> str:
+    """CSV lines "cell,probability" of ``values`` and as many next ``cells``, by one template."""
+    return ("%s,%.17g\n" * len(values)) % tuple(chain.from_iterable(zip(islice(cells, len(values)), values)))
+
+
+def _word_records(words, values: list[float]) -> list[dict]:
+    """JSON records of ``values`` and as many next ``words``; a tuple prints as a list."""
+    return [{"word": w, "probability": p} for w, p in zip(islice(words, len(values)), values)]
 
 
 def _cmd_measure(args) -> None:
@@ -185,7 +204,8 @@ def _cmd_walk(args) -> None:
         if args.format == "json":
             _emit(args, _json({"nodes": graph.node_count, "distribution": dist.tolist()}))
         else:
-            _emit(args, _csv("node,probability", [map("%d,%.17g".__mod__, enumerate(dist.tolist()))]))
+            lines = ("%d,%.17g\n" * len(dist)) % tuple(chain.from_iterable(enumerate(dist.tolist())))
+            _emit(args, _csv("node,probability", [lines]))
         return
     _require_tol(args.tol)  # read with --limiting only, checked in every mode
     blocks = _node_blocks(graph, operator, density, args.steps)
@@ -219,6 +239,8 @@ def _cmd_feynman(args) -> None:
 
 
 def _cmd_oom_prob(args) -> None:
+    if not all(isinstance(text, str) for text in args.word):  # argparse leaves [] where it dropped a "--" value
+        raise ValueError("--word: argparse drops the value '--'; give that word as --word=-,-")
     model = qio.load_oom(args.oom)
     words = _parse_words(model.scale, args.word)
     probabilities = word_probabilities(model, words)  # before the word texts exist, as they would raise its peak
@@ -253,7 +275,8 @@ def _cmd_oom_entropy(args) -> None:
         ]
         _emit(args, _json(payload))
     else:
-        _emit(args, _csv("t,entropy_per_symbol,entropy_increment", [map("%d,%.17g,%.17g".__mod__, rows)]))
+        lines = ("%d,%.17g,%.17g\n" * len(rows)) % tuple(chain.from_iterable(rows))
+        _emit(args, _csv("t,entropy_per_symbol,entropy_increment", [lines]))
 
 
 def _add_output_options(p, formats=("csv", "json")) -> None:

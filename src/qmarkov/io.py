@@ -10,11 +10,13 @@ written as the text of ``json.dumps(payload, indent=2)``.
 from __future__ import annotations
 
 import json
+import math
 import reprlib
 from collections.abc import Iterator
 from contextlib import contextmanager
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -69,10 +71,10 @@ def _within(where) -> Iterator[None]:
 
 
 def _read_json(path, text: str | None = None) -> Any:
-    """Parse a JSON file, or its ``text`` when already read."""
+    """Parse a JSON file, or its ``text`` when already read; text nested past the parser's depth is malformed."""
     try:
         return json.loads(Path(path).read_text() if text is None else text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"malformed JSON ({exc})") from None
 
 
@@ -84,12 +86,11 @@ _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json_text(obj, nl: str = "\n") -> str:
-    """The text of ``json.dumps(obj, indent=2)``, with float lists formatted in bulk.
+    """The text of ``json.dumps(obj, indent=2)``, with lists of one form formatted in bulk.
 
     ``nl`` is a newline plus the indentation of the level ``obj`` sits at.
-    A list of floats, or of equal-length float lists, is formatted by one
-    ``map(float.__repr__)`` over its flat values and one template, and a
-    list of strings by one join; every other value recurses.
+    A list whose items share one form is formatted by one template and one
+    ``%`` (:func:`_json_items`); every other value recurses.
     """
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
@@ -136,27 +137,72 @@ def _json_chunks(obj, nl: str = "\n") -> Iterator[str]:
 
 
 def _json_items(seq, inner: str) -> str:
-    """The items of a non-empty list, one per line at indentation ``inner``."""
+    """The items of a non-empty list, one per line at indentation ``inner``.
+
+    Items of one form (:func:`_json_form`) are formatted by that form's
+    template, repeated, and one ``%`` over their leaves; the items of any
+    other list recurse one by one.
+    """
     sep = "," + inner
-    types = set(map(type, seq))
-    if types == {str}:
-        return sep.join(map(encode_basestring_ascii, seq))
-    if types == {float}:
-        text = sep.join(map(float.__repr__, seq))
-    elif (
-        types == {list}
-        and len(set(map(len, seq))) == 1
-        and len(seq[0]) > 0
-        and set(map(type, flat := list(chain.from_iterable(seq)))) == {float}
-    ):
-        inner2 = inner + "  "
-        row = "[" + inner2 + ("," + inner2).join(["%s"] * len(seq[0])) + inner + "]"
-        text = sep.join([row] * len(seq)) % tuple(map(float.__repr__, flat))
-    else:
+    form = _json_form(seq, inner)
+    if form is None:
         return sep.join([_json_text(x, inner) for x in seq])
-    if "n" in text:  # only nan and inf reprs hold an "n"
-        text = text.replace("nan", "NaN").replace("inf", "Infinity")
-    return text
+    template, leaves = form
+    return sep.join([template] * len(seq)) % tuple(leaves)
+
+
+def _json_form(values: list, nl: str) -> tuple[str, list] | None:
+    """The ``%`` template that each of ``values`` prints by at indentation ``nl``, and the leaves
+    that fill the templates of all of them in order; None unless all share one form.
+
+    A form is a float, int or str; or lists (or tuples) of one length whose
+    items share a form; or dicts whose keys are the same strings in the same
+    order and whose values under each key share a form.  The check and the
+    leaves go key by key and level by level, never item by item.
+    """
+    kinds = set(map(type, values))
+    inner = nl + "  "
+    if kinds <= {list, tuple}:
+        sizes = set(map(len, values))
+        if len(sizes) != 1:
+            return None
+        (size,) = sizes
+        if size == 0:
+            return "[]", []
+        form = _json_form(list(chain.from_iterable(values)), inner)
+        if form is None:
+            return None
+        template, leaves = form
+        return "[" + inner + ("," + inner).join([template] * size) + nl + "]", leaves
+    if kinds == {dict}:
+        orders = set(map(tuple, values))
+        if len(orders) != 1:
+            return None
+        keys = orders.pop()
+        if not all(type(k) is str for k in keys):  # 1, 1.0 and True are one key to a dict but three texts
+            return None
+        if not keys:
+            return "{}", []
+        parts, columns = [], []
+        for key in keys:
+            form = _json_form(list(map(itemgetter(key), values)), inner)
+            if form is None:
+                return None
+            template, leaves = form
+            parts.append(encode_basestring_ascii(key).replace("%", "%%") + ": " + template)
+            if leaves:  # each value's leaves as one tuple
+                columns.append(zip(*[iter(leaves)] * (len(leaves) // len(values))))
+        leaves = list(chain.from_iterable(chain.from_iterable(zip(*columns))))
+        return "{" + inner + ("," + inner).join(parts) + nl + "}", leaves
+    if kinds == {str}:
+        texts = {s: encode_basestring_ascii(s) for s in set(values)}  # one text per distinct string, as words repeat
+        return "%s", list(map(texts.__getitem__, values))
+    if kinds == {int}:  # bool is a kind of its own
+        return "%d", values
+    if kinds == {float}:
+        # a sum is finite only when every value is; NaN and the infinities print by name
+        return ("%r", values) if math.isfinite(sum(values)) else ("%s", list(map(_json_scalar, values)))
+    return None
 
 
 def _json_scalar(obj) -> str:

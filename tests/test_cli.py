@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import qmarkov
-from conftest import random_kraus_family
+from conftest import random_kraus_family, random_oom
 from qmarkov import (
     DirectedGraph,
     KrausMeasurement,
@@ -31,6 +31,7 @@ from qmarkov import (
     shift_unitary,
     walk,
     word_distribution,
+    word_probabilities,
 )
 from qmarkov import io as qio
 from qmarkov import chain as qchain
@@ -405,6 +406,26 @@ class TestOomCommands:
             assert run(["oom-prob", "--oom", str(path), "--word", word]) == 2
             assert "unknown symbol '2'" in capsys.readouterr().err
 
+    def test_prob_dropped_double_dash_exits_two(self, files, capsys):
+        # argparse takes "--" for the end of options and drops it, even from --word=--
+        path = files["tmp"] / "dash_oom.json"
+        path.write_text(
+            json.dumps({"dim": 1, "scale": ["-", "a"], "operators": {"-": [[0.5]], "a": [[0.5]]}, "pi": [1.0]})
+        )
+        argv = ["oom-prob", "--oom", str(path)]
+        for dropped in (["--word=--"], ["--word=a", "--word=--", "--word=a"]):
+            assert run([*argv, *dropped]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "qmarkov: invalid input: --word: argparse drops the value '--'; give that word as --word=-,-\n"
+            )
+        assert run([*argv, "--word=-,-"]) == 0
+        assert capsys.readouterr().out == "word,probability\n--,0.25\n"
+        for empty in (["--word="], ["--word", ""]):
+            assert run([*argv, *empty]) == 0
+            assert capsys.readouterr().out == "word,probability\n,1\n"
+
     def test_prob_word_parts_named_by_text(self):
         from qmarkov.cli import _parse_word
 
@@ -641,6 +662,25 @@ class TestCliContract:
         )
         assert code == 2
         assert "malformed JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag, depth",
+        [("oom-rank", "--oom", 3000), ("measure", "--measurement", 3000), ("bell", "--table", 3000),
+         ("chain-cesaro", "--operator", 100000)],
+    )
+    def test_nesting_past_the_parser_depth_exits_two(self, files, capsys, command, flag, depth):
+        deep = files["tmp"] / "deep.json"
+        deep.write_text("[" * depth + "]" * depth)
+        rest = {
+            "oom-rank": ["--max-length", "2"],
+            "measure": ["--density", str(files["density"])],
+            "bell": [],
+            "chain-cesaro": ["--density", str(files["density"])],
+        }[command]
+        assert run([command, flag, str(deep), *rest]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"qmarkov: invalid input: {deep}: malformed JSON (maximum recursion depth")
 
     def test_missing_file_exit_two(self, files, capsys):
         code = run(
@@ -1064,6 +1104,49 @@ class TestOutputBytes:
             want = json.dumps(want, indent=2) + "\n"
         assert capsys.readouterr().out == want
 
+    # 27 words: ROW_CHUNK + 1, ROW_CHUNK and ROW_CHUNK - 1 of them
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("chunk", [26, 27, 28])
+    def test_measure_bytes_at_chunk_edges(self, inputs, capsys, monkeypatch, chunk, fmt):
+        monkeypatch.setattr(cli, "ROW_CHUNK", chunk)
+        paths, expected = inputs
+        args = ["--measurement", str(paths["meas"]), "--density", str(paths["rho"]), "--steps", "3"]
+        assert run(["measure", *args, "--format", fmt]) == 0
+        want = expected["measure-by-steps"][3][fmt]
+        if fmt == "json":
+            want = json.dumps(want, indent=2) + "\n"
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_oom_prob_bytes_at_chunk_edges(self, tmp_path, capsys, offset):
+        rng = np.random.default_rng(116)
+        model = random_oom(rng, 3, ("a", "b", "c"))
+        path = tmp_path / "oom.json"
+        qio.save_oom(path, model)
+        words = ["".join(rng.choice(list("abc"), size=8)) for _ in range(cli.ROW_CHUNK + offset)]
+        values = word_probabilities(model, [tuple(w) for w in words]).tolist()
+        argv = ["oom-prob", "--oom", str(path), *("--word=" + w for w in words)]
+        assert run([*argv, "--format", "csv"]) == 0
+        assert capsys.readouterr().out == _old_csv("word,probability", [(w, _g17(p)) for w, p in zip(words, values)])
+        assert run([*argv, "--format", "json"]) == 0
+        records = [{"word": list(w), "probability": p} for w, p in zip(words, values)]
+        assert capsys.readouterr().out == json.dumps(records, indent=2) + "\n"
+
+    # PATH_BLOCK = 32 rows: 32, 33 and 34 rows end inside, at and past a block's end
+    @pytest.mark.parametrize("steps", [31, 32, 33])
+    def test_step_tables_at_block_edges(self, inputs, capsys, steps):
+        paths, _ = inputs
+        op, rho = qio.load_channel(paths["op"]), qio.load_density(paths["rho"])
+        path = np.concatenate([block.copy() for block in _path_blocks(op, coords(rho), steps)])
+        probabilities = walk(qio.load_graph(paths["graph"]), op, rho, steps).node_probabilities
+        chain_args = ["--operator", str(paths["op"]), "--density", str(paths["rho"]), "--steps", str(steps)]
+        assert run(["chain-evolve", *chain_args]) == 0
+        rows = [(str(t), str(k), _g17(v)) for t, c in enumerate(path) for k, v in enumerate(c)]
+        assert capsys.readouterr().out == _old_csv("t,coordinate_index,value", rows)
+        assert run(["walk", "--graph", str(paths["graph"]), *chain_args]) == 0
+        rows = [(str(t), str(v), _g17(p)) for t, probs in enumerate(probabilities) for v, p in enumerate(probs)]
+        assert capsys.readouterr().out == _old_csv("t,node,probability", rows)
+
 
 def _bad_density(path, n):
     """A trace-1 matrix file whose matrix is not Hermitian, so no density loader accepts it."""
@@ -1140,6 +1223,29 @@ class TestStreamedOutput:
         small, large = peak(2000), peak(20000)
         assert out.read_text().count("\n") > 20000
         assert large <= 1.25 * small, (small, large)
+
+    # a writer that formatted each 2^15-word block whole peaked at about 5.7 MB (CSV) and 26.6 MB (JSON)
+    @pytest.mark.parametrize("fmt, bound", [("csv", 2.5 * 2**20), ("json", 8 * 2**20)])
+    def test_measure_peak_memory_bounded_by_chunks(self, tmp_path, fmt, bound):
+        rng = np.random.default_rng(117)
+        meas, rho, out = tmp_path / "meas.json", tmp_path / "rho.json", tmp_path / "out.txt"
+        kraus = dict(zip("abc", map(qio.matrix_to_dict, random_kraus_family(rng, 2, 3))))
+        meas.write_text(json.dumps({"n": 2, "scale": list("abc"), "kraus": kraus}))
+        qio.save_matrix(rho, random_quantum_density(2, rng), kind="density")
+        argv = ["measure", "--measurement", str(meas), "--density", str(rho), "--steps", "10", "--format", fmt]
+
+        def peak():
+            gc.collect(1)
+            tracemalloc.start()
+            try:
+                assert run([*argv, "--output", str(out)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak()  # imports and first-call caches
+        assert peak() < bound
+        assert out.read_text().count("\n") > 3**10
 
     @pytest.mark.parametrize(
         "case", ["chain-evolve", "walk", "measure", "chain-evolve-negative-steps", "walk-huge-graph-csv"]

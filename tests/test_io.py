@@ -57,6 +57,19 @@ class TestMatrixRoundTrip:
         with pytest.raises(ValueError, match="malformed JSON"):
             qio.load_matrix(path)
 
+    @pytest.mark.parametrize(
+        "text", ["[" * 3000 + "]" * 3000, '{"a": ' * 3000 + "1" + "}" * 3000], ids=["lists", "objects"]
+    )
+    def test_nesting_past_the_parser_depth_is_malformed(self, tmp_path, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: malformed JSON (maximum recursion depth")):
+            qio.load_matrix(path)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("unknown kind 'unitary' (expected 'hermitian' or 'density')")):
+            qio.matrix_from_dict({"rows": 1, "cols": 1, "entries": [[1.0, 0.0]], "kind": "unitary"})
+
     VALID = {"rows": 1, "cols": 2, "entries": [[1.0, 0.0], [0.0, 0.0]]}
 
     @pytest.mark.parametrize("field", ["rows", "cols"])
@@ -200,6 +213,16 @@ class TestGraphLoading:
         g = qio.load_graph(path)
         assert g.node_count == 4
         assert g.edge_count == 2
+
+    def test_blank_and_comment_lines_skipped(self, tmp_path):
+        from qmarkov import DirectedGraph
+
+        path = tmp_path / "g.txt"
+        path.write_text("# a three-cycle\n\n0 1\n   \n  # 1 2 is next\n1 2\n2 0\n\n")
+        assert qio.load_graph(path) == DirectedGraph(node_count=3, edges=((0, 1), (1, 2), (2, 0)))
+        path.write_text("# no edges\n\n")
+        with pytest.raises(ValueError, match="graph file contains no edges"):
+            qio.load_graph(path)
 
     def test_bad_line_reported(self, tmp_path):
         path = tmp_path / "g.txt"

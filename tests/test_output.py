@@ -79,3 +79,68 @@ def test_json_chunks_equal_json_dumps(items, sizes, head):
     payload = {**head, "list": iter(_blocks(items, sizes))}
     assert "".join(qio._json_chunks(payload)) == json.dumps({**head, "list": items}, indent=2)
     assert "".join(qio._json_chunks(head)) == json.dumps(head, indent=2)
+
+
+# texts a template could break: "%" in keys and strings, and the words of NaN and the infinities
+HAZARD_TEXT = TEXT | st.sampled_from(
+    ["nan", "inf", "-inf", "NaN", "Infinity", "-Infinity", "information", "%", "%s", "%%d"]
+)
+# (strategy, whether a column of it prints by template): bool, None and np.float64 columns recurse
+LEAF_KINDS = [
+    (FLOATS, True),
+    (INTEGERS, True),
+    (HAZARD_TEXT, True),
+    (st.booleans(), False),
+    (st.none(), False),
+    (FLOATS.map(np.float64), False),
+]
+
+
+@st.composite
+def same_shape_records(draw):
+    """A list of dicts with one key order whose fields are scalars of one kind, lists or tuples of
+    them of one length, lists of such lists, or one level of such dicts; and whether it is one form.
+
+    The near misses: fields whose lists differ in length, and one record with its keys reversed.
+    """
+    uniform = True
+
+    def field(depth):
+        nonlocal uniform
+        leaf, templated = draw(st.sampled_from(LEAF_KINDS))
+        uniform &= templated
+        shape = draw(st.sampled_from(["scalar", "list", "rows", "ragged", "record"][: 5 if depth else 4]))
+        if shape == "scalar":
+            return leaf
+        if shape == "ragged":
+            uniform = False  # unless every record happens to draw one length
+            return st.lists(leaf, max_size=3)
+        if shape == "record":
+            return record(draw(st.lists(HAZARD_TEXT, unique=True, max_size=3)), depth - 1)
+        size, container = draw(st.integers(0, 3)), draw(st.sampled_from([list, tuple]))
+        if shape == "rows":
+            leaf = st.lists(leaf, min_size=(width := draw(st.integers(0, 2))), max_size=width)
+        return st.lists(leaf, min_size=size, max_size=size).map(container)
+
+    def record(keys, depth):
+        # fixed_dictionaries may order its keys differently from one dict to the next
+        return st.tuples(*[field(depth) for _ in keys]).map(lambda values: dict(zip(keys, values)))
+
+    keys = draw(st.lists(HAZARD_TEXT, unique=True, max_size=4))
+    rows = draw(st.lists(record(keys, 1), min_size=1, max_size=6))
+    if len(keys) > 1 and draw(st.booleans()):
+        rows[-1] = dict(reversed(rows[-1].items()))
+        uniform = False
+    return rows, uniform
+
+
+@settings(max_examples=500, deadline=None)
+@given(same_shape_records(), st.lists(st.integers(min_value=0, max_value=3), max_size=3))
+def test_same_shape_records_equal_json_dumps(drawn, sizes):
+    """Records of one form print by one template (the rest recurse) exactly as json.dumps prints them."""
+    rows, uniform = drawn
+    want = json.dumps(rows, indent=2)
+    assert qio._json_text(rows) == want
+    assert "".join(qio._json_chunks(iter(_blocks(rows, sizes)))) == want
+    if uniform:
+        assert qio._json_form(rows, "\n  ") is not None
