@@ -86,54 +86,38 @@ _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json_text(obj, nl: str = "\n") -> str:
-    """The text of ``json.dumps(obj, indent=2)``, with lists of one form formatted in bulk.
-
-    ``nl`` is a newline plus the indentation of the level ``obj`` sits at.
-    A list whose items share one form is formatted by one template and one
-    ``%`` (:func:`_json_items`); every other value recurses.
-    """
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = nl + "  "
-        return "[" + inner + _json_items(obj, inner) + nl + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = nl + "  "
-        items = [
-            encode_basestring_ascii(k if isinstance(k, str) else _json_scalar(k)) + ": " + _json_text(v, inner)
-            for k, v in obj.items()
-        ]
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
-    return _json_scalar(obj)
+    """The text of ``json.dumps(obj, indent=2)``: the joined chunks of :func:`_json_chunks`."""
+    return "".join(_json_chunks(obj, nl))
 
 
 def _json_chunks(obj, nl: str = "\n") -> Iterator[str]:
-    """The text of :func:`_json_text` in chunks, for lists that arrive in blocks.
+    """The text of ``json.dumps(obj, indent=2)`` in chunks; the one writer of JSON syntax.
 
-    An iterator in ``obj`` stands for a list whose items it yields in blocks
-    (lists); each block is one chunk.  A dict holding such an iterator is
-    written key by key; any other value is one ``_json_text`` chunk.
+    ``nl`` is a newline plus the indentation of the level ``obj`` sits at.
+    A list is one chunk, its items formatted by :func:`_json_items`.  An
+    iterator in ``obj`` stands for a list whose items it yields in blocks
+    (lists); each block is one chunk.  A dict is written key by key.
     """
     inner = nl + "  "
-    if isinstance(obj, Iterator):
+    if isinstance(obj, str):
+        yield encode_basestring_ascii(obj)
+    elif isinstance(obj, (list, tuple)):
+        yield "[" + inner + _json_items(obj, inner) + nl + "]" if obj else "[]"
+    elif isinstance(obj, Iterator):
         sep = "[" + inner
         for block in filter(None, obj):
             yield sep + _json_items(block, inner)
             sep = "," + inner
         yield "[]" if sep[0] == "[" else nl + "]"
-    elif isinstance(obj, dict) and any(isinstance(v, Iterator) for v in obj.values()):
+    elif isinstance(obj, dict):
         sep = "{" + inner
         for k, v in obj.items():
             yield sep + encode_basestring_ascii(k if isinstance(k, str) else _json_scalar(k)) + ": "
             yield from _json_chunks(v, inner)
             sep = "," + inner
-        yield nl + "}"
+        yield "{}" if sep[0] == "{" else nl + "}"
     else:
-        yield _json_text(obj, nl)
+        yield _json_scalar(obj)
 
 
 def _json_items(seq, inner: str) -> str:

@@ -76,7 +76,7 @@ class Scale:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "symbols", _require_labels(self.symbols, "scale", "symbol"))
-        # symbol -> position, built once; index and ``in`` match by == instead, so unhashable values too
+        # symbol -> position, built once; index, ``in`` and every symbol lookup read it
         object.__setattr__(self, "_positions", {s: k for k, s in enumerate(self.symbols)})
 
     def __len__(self) -> int:
@@ -86,12 +86,15 @@ class Scale:
         return iter(self.symbols)
 
     def __contains__(self, symbol) -> bool:
-        return symbol in self.symbols
+        try:
+            return symbol in self._positions
+        except TypeError:  # unhashable, so in no scale
+            return False
 
     def index(self, symbol) -> int:
         try:
-            return self.symbols.index(symbol)
-        except ValueError:
+            return self._positions[symbol]
+        except (KeyError, TypeError):
             raise ValueError(f"unknown symbol {symbol!r}, scale is {self.symbols!r}") from None
 
 

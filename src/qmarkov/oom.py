@@ -170,7 +170,7 @@ def word_probabilities(model: ObservableOperatorModel, words: Sequence[Sequence]
     index = model.scale._positions
     try:
         codes = [index[s] for w in words for s in w]
-    except (KeyError, TypeError):  # Scale.index names the first unknown symbol, or matches by ==
+    except (KeyError, TypeError):  # Scale.index names the first unknown or unhashable symbol
         codes = [model.scale.index(s) for w in words for s in w]
     lengths = np.array([len(w) for w in words], dtype=np.intp)
     steps = np.zeros((len(words), lengths.max(initial=0)), dtype=np.intp)

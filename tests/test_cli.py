@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import qmarkov
-from conftest import random_kraus_family, random_oom
+from conftest import random_hmm, random_kraus_family, random_oom
 from qmarkov import (
     DirectedGraph,
     KrausMeasurement,
@@ -25,6 +25,7 @@ from qmarkov import (
     Scale,
     evolve,
     from_kraus,
+    hmm_to_oom,
     identity_operator,
     pure_state,
     random_quantum_density,
@@ -1146,6 +1147,59 @@ class TestOutputBytes:
         assert run(["walk", "--graph", str(paths["graph"]), *chain_args]) == 0
         rows = [(str(t), str(v), _g17(p)) for t, probs in enumerate(probabilities) for v, p in enumerate(probs)]
         assert capsys.readouterr().out == _old_csv("t,node,probability", rows)
+
+    # the empty word, a repeat and lengths 0 to 4: records of no one form, written item by item
+    MIXED_WORDS = ["", "a", "ab", "cab", "a", "bbcc", "c"]
+
+    @pytest.fixture
+    def json_args(self, inputs, tmp_path):
+        """Arguments of each command whose JSON no other byte test covers."""
+        paths, _ = inputs
+        rng = np.random.default_rng(2711)
+        oom = tmp_path / "hmm.json"
+        qio.save_oom(oom, hmm_to_oom(*random_hmm(rng, 3, ("a", "b", "c"))))
+        table = tmp_path / "table.json"
+        q = rng.random(5) + 0.05
+        q /= q.sum()  # a classical distribution, so every pair is observable
+        functions = {"X": [-1, 1, -1, -1, -1], "Y": [1, 1, -1, 1, -1], "Z": [1, 1, 1, -1, -1]}
+        table.write_text(json.dumps({"states": ["w1", "w2", "w3", "w4", "w5"], "functions": functions, "q": q.tolist()}))
+        chain_args = ["--operator", str(paths["op"]), "--density", str(paths["rho"])]
+        return {
+            "bell-builtin": ["bell", "--builtin", "five-state"],
+            "bell-table": ["bell", "--table", str(table)],
+            "feynman": ["feynman", "--sx", "0.5", "--sy", "-0.25", "--sz", "-0.25"],
+            "chain-cesaro": ["chain-cesaro", *chain_args],
+            "oom-rank": ["oom-rank", "--oom", str(oom), "--max-length", "3"],
+            "oom-lift": ["oom-lift", "--oom", str(oom)],
+            "oom-entropy": ["oom-entropy", "--oom", str(oom), "--t-max", "4", "--format", "json"],
+            "walk-limiting": ["walk", "--graph", str(paths["graph"]), *chain_args, "--limiting", "--format", "json"],
+            "oom-prob-mixed": ["oom-prob", "--oom", str(oom), "--format", "json", *(f"--word={w}" for w in self.MIXED_WORDS)],
+        }
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "bell-builtin",
+            "bell-table",
+            "feynman",
+            "chain-cesaro",
+            "oom-rank",
+            "oom-lift",
+            "oom-entropy",
+            "walk-limiting",
+            "oom-prob-mixed",
+        ],
+    )
+    def test_json_bytes_equal_json_dumps(self, json_args, capsys, name):
+        assert run(json_args[name]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_mixed_length_words_share_no_form(self, json_args, capsys):
+        assert run(json_args["oom-prob-mixed"]) == 0
+        records = json.loads(capsys.readouterr().out)
+        assert [r["word"] for r in records] == [list(w) for w in self.MIXED_WORDS]
+        assert qio._json_form(records, "\n  ") is None
 
 
 def _bad_density(path, n):

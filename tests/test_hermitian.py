@@ -42,6 +42,10 @@ class TestAdjoint:
         c = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         np.testing.assert_array_equal(adjoint(adjoint(c)), c)
 
+    def test_rejects_vector(self):
+        with pytest.raises(ValueError, match="adjoint expects a matrix, got array of ndim 1"):
+            adjoint(np.ones(3))
+
 
 class TestHsInner:
     def test_identity(self):
@@ -68,6 +72,14 @@ class TestHsInner:
 
 
 class TestSpectralDecompose:
+    def test_non_convergence_raises(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(ValueError, match="eigendecomposition did not converge"):
+            spectral_decompose(SIGMA_Z)
+
     def test_sigma_z(self):
         dec = spectral_decompose(SIGMA_Z)
         np.testing.assert_allclose(dec.eigenvalues, [1.0, -1.0])
@@ -253,6 +265,17 @@ class TestCoords:
         qs = np.stack([random_hermitian(rng, 3) for _ in range(4)])
         np.testing.assert_allclose(from_coords(coords(qs)), qs, atol=1e-14)
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
+    def test_coords_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match=r"coords expects square matrices, got shape"):
+            coords(np.zeros(shape))
+
+    def test_from_coords_rejects_bad_shapes(self):
+        with pytest.raises(ValueError, match="at least one coordinate axis"):
+            from_coords(np.float64(1.0))
+        with pytest.raises(ValueError, match="coordinate length 3 is not a perfect square"):
+            from_coords(np.zeros((2, 3)))
+
 
 class TestHermitianBasis:
     def test_orthonormal(self):
@@ -272,6 +295,10 @@ class TestValidation:
     def test_require_hermitian_rejects(self):
         with pytest.raises(ValueError, match="not Hermitian"):
             require_hermitian(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+    def test_require_hermitian_rejects_non_square(self):
+        with pytest.raises(ValueError, match=r"matrix must be a square matrix, got shape \(2, 3\)"):
+            require_hermitian(np.zeros((2, 3)))
 
     def test_density_trace(self):
         require_markov_density(np.diag([1.25, -0.25]))

@@ -511,3 +511,22 @@ class TestStoredPositions:
         pairs = Scale(((-1, -1), (-1, 1), (1, -1), (1, 1)))
         with pytest.raises(ValueError, match="is not in the scale"):
             InformationFunction(space=space, scale=pairs, values=((np.array(-1), 1), (1, 1)))
+
+
+class TestInformationFunctionCalls:
+    def test_rejects_wrong_value_count(self):
+        with pytest.raises(ValueError, match="need one value per hidden state: 3 values, 4 states"):
+            InformationFunction(space=FEYNMAN_SPACE, scale=Scale(("+", "-")), values=("+", "-", "+"))
+
+    def test_call_reads_the_state_value(self):
+        assert [X_SIGN(w) for w in FEYNMAN_SPACE.states] == ["+", "+", "-", "-"]
+        assert Z_SIGN("+-") == "-"
+
+    def test_joint_refuses_two_spaces(self):
+        other = InformationFunction(space=HiddenStateSpace(states=("a",)), scale=Scale(("+",)), values=("+",))
+        with pytest.raises(ValueError, match="different hidden-state spaces"):
+            joint([X_SIGN, other])
+
+    def test_raw_moment_refuses_string_values(self):
+        with pytest.raises(ValueError, match="information function must be real-valued, got value '\\+'"):
+            raw_moment(X_SIGN, feynman_state(0.5, 0.5, 0.5))

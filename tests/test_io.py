@@ -83,6 +83,10 @@ class TestMatrixRoundTrip:
         with pytest.raises(ValueError, match="entries"):
             qio.matrix_from_dict({**self.VALID, "entries": entries})
 
+    def test_ragged_entries_rejected(self):
+        with pytest.raises(ValueError, match="expected numbers in rows of equal length"):
+            qio.matrix_from_dict({**self.VALID, "entries": [[1.0, 0.0], [0.0]]})
+
     def test_signed_zeros_and_subnormals_kept(self):
         m = qio.matrix_from_dict({"rows": 1, "cols": 2, "entries": [[-0.0, -0.0], [5e-324, -1.0]]})
         assert np.signbit(m.real).tolist() == [[True, False]]

@@ -66,6 +66,21 @@ class TestScale:
         with pytest.raises(ValueError, match="unknown symbol"):
             s.index("c")
 
+    def test_contains(self):
+        s = Scale(("a", "b", 3))
+        assert "a" in s and 3 in s and 3.0 in s
+        assert "c" not in s and ("a",) not in s
+        assert [3] not in s  # unhashable, so in no scale
+
+    def test_unhashable_symbol_is_unknown(self):
+        # a 0-d array equals 1 but has no hash: index and ``in`` read the position dict
+        s = Scale((1, 2))
+        with pytest.raises(ValueError, match=r"unknown symbol array\(1\), scale is \(1, 2\)"):
+            s.index(np.array(1))
+        assert np.array(1) not in s
+        with pytest.raises(ValueError, match="unknown symbol"):
+            s.index([1])
+
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 class TestNonFiniteRejected:
@@ -144,6 +159,10 @@ class TestKrausMeasurement:
         with pytest.raises(ValueError, match="shape"):
             KrausMeasurement(scale=Scale(("a", "b")), kraus=(np.eye(2), np.eye(3)))
 
+    def test_count_enforced(self):
+        with pytest.raises(ValueError, match="need one Kraus matrix per symbol: got 1 for 2 symbols"):
+            KrausMeasurement(scale=Scale(("a", "b")), kraus=(np.eye(2),))
+
 
 class TestOutcomeDistribution:
     def test_diagonal_readout(self):
@@ -164,6 +183,10 @@ class TestOutcomeDistribution:
         meas = random_kraus_measurement(rng, 3, 3)
         q = random_quantum_density(3, rng)
         assert outcome_distribution(meas, q).values.sum() == pytest.approx(1.0, abs=1e-10)
+
+    def test_as_dict(self):
+        dist = outcome_distribution(Z_PAIR, np.diag([1.25, -0.25]))
+        assert dist.as_dict() == {"0": 1.25, "1": -0.25}
 
 
 class TestIsObservable:

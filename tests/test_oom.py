@@ -391,6 +391,11 @@ class TestHmmToOom:
         with pytest.raises(ValueError, match="sum to 1 per state"):
             hmm_to_oom(np.array([[1.0]]), {"a": np.array([0.5])}, np.array([1.0]))
 
+    def test_rejects_negative_entries(self):
+        t = np.array([[1.5, 0.0], [-0.5, 1.0]])  # column sums 1, one entry negative
+        with pytest.raises(ValueError, match="transition matrix must be entrywise nonnegative"):
+            hmm_to_oom(t, {"a": np.array([1.0, 1.0])}, np.array([0.5, 0.5]))
+
 
 class TestLift:
     def test_shape_and_start(self):

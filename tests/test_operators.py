@@ -71,6 +71,14 @@ class TestFromKraus:
         op = from_kraus([m0, m1])
         assert is_trace_preserving(op)
 
+    def test_one_matrix_is_a_family_of_one(self):
+        v = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        assert np.array_equal(from_kraus(v).matrix, from_kraus([v]).matrix)
+
+    def test_rejects_non_square_stack(self):
+        with pytest.raises(ValueError, match=r"Kraus family must be square matrices, got shape \(2, 2, 3\)"):
+            from_kraus(np.zeros((2, 2, 3)))
+
 
 class TestKrausSuperop:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
@@ -294,6 +302,10 @@ class TestTracePreservation:
 
     def test_scaling_fails(self):
         assert not is_trace_preserving(0.5 * np.eye(4))
+
+    def test_rejects_size_not_a_square(self):
+        with pytest.raises(ValueError, match=r"superoperator matrix must be of size n\^2, got \(3, 3\)"):
+            trace_preservation_deviation(np.eye(3))
 
     def test_constructor_rejects_scaling(self):
         with pytest.raises(ValueError, match="not trace preserving"):

@@ -218,6 +218,10 @@ class TestShiftUnitary:
         with pytest.raises(ValueError, match=r"1-regular.*node 1 has \(in, out\) degrees \(0, 1\)"):
             shift_unitary(graph)
 
+    def test_edgeless_graph_rejected(self):
+        with pytest.raises(ValueError, match="graph has an empty edge set"):
+            shift_unitary(DirectedGraph(node_count=2, edges=()))
+
 
 def _peak_bytes(fn):
     """Result of fn() and the peak of traced memory while it ran."""
