@@ -10,7 +10,7 @@ superoperators are represented (see :func:`hermitian_basis`,
 This module is the root of the import graph, so it also holds the
 package's tolerance table and the one check of each shared invariant
 (finite read-only arrays, unit sums, unit column sums, unitarity, matching
-dimensions) and of each argument kind (counts, tolerances, label sets).
+dimensions) and of each argument kind (counts, tolerances).
 """
 
 from __future__ import annotations
@@ -266,14 +266,6 @@ def _require_tol(value, name: str = "tol", positive: bool = False) -> float:
     if not (np.isfinite(tol) and (tol > 0 if positive else tol >= 0)):
         raise ValueError(f"{name} must be {'positive' if positive else 'nonnegative'} and finite, got {value!r}")
     return tol
-
-
-def _require_labels(labels, name: str, item: str) -> tuple:
-    """``labels`` as a tuple, raising unless it holds at least one ``item`` and no label twice."""
-    labels = tuple(labels)
-    if not labels or len(set(labels)) != len(labels):
-        raise ValueError(f"{name} must hold at least one {item}, all distinct, got {labels!r}")
-    return labels
 
 
 def _require_same_dim(n: int, m: int, left: str, right: str) -> None:

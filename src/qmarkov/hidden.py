@@ -1,14 +1,15 @@
 """Finite hidden-state systems: information functions, joint observability, Bell.
 
-A Markov state is a real vector over the hidden states summing to 1, with
-components allowed to be negative.  An information function maps hidden
-states to a finite scale; it is statistically observable in a state when all
-aggregated outcome values are nonnegative.  The Bell inequality
-|E(XY) - E(YZ)| <= 1 - E(XZ) holds whenever X, Y, Z are jointly observable,
-and can fail when they are only pairwise observable.  An information function
-keeps each value's scale position, found once at construction, for every
-readout; every product expectation, Bell's three included, is one pair
-product, defined only for a jointly observable pair.
+A hidden-state space is a scale whose symbols are the states, and a Markov
+state is an outcome distribution over one: its components sum to 1 and may be
+negative.  An information function maps hidden states to a finite scale; it is
+statistically observable in a state when all aggregated outcome values are
+nonnegative.  The Bell inequality |E(XY) - E(YZ)| <= 1 - E(XZ) holds whenever
+X, Y, Z are jointly observable, and can fail when they are only pairwise
+observable.  An information function keeps each value's scale position (its
+code), found once at construction, for every readout; every product
+expectation, Bell's three included, is one pair product, defined only for a
+jointly observable pair.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Hashable, NamedTuple, Sequence
 
 import numpy as np
 
-from .hermitian import BELL_TOL, SIGN_TOL, _frozen_array, _require_labels, _require_tol, _require_unit_sum
+from .hermitian import BELL_TOL, SIGN_TOL, _require_tol, _require_unit_sum
 from .measurement import KrausMeasurement, OutcomeDistribution, Scale, _diagonal_projectors, _label_sums
 
 __all__ = [
@@ -41,17 +42,17 @@ __all__ = [
     "diagonal_povm",
 ]
 
-@dataclass(frozen=True)
-class HiddenStateSpace:
-    """Ordered finite set of distinct hidden-state labels."""
+class HiddenStateSpace(Scale):
+    """Ordered finite set of distinct hidden-state labels: a scale whose symbols are the states."""
 
-    states: tuple[Hashable, ...]
+    _nouns = ("hidden-state space", "state")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "states", _require_labels(self.states, "hidden-state space", "state"))
+    def __init__(self, states: Sequence[Hashable]) -> None:
+        super().__init__(states)
 
-    def __len__(self) -> int:
-        return len(self.states)
+    @property
+    def states(self) -> tuple[Hashable, ...]:
+        return self.symbols
 
 
 @dataclass(frozen=True)
@@ -69,31 +70,31 @@ class InformationFunction:
                 f"need one value per hidden state: {len(values)} values, "
                 f"{len(self.space)} states"
             )
-        positions = np.empty(len(values), dtype=np.intp)  # each value's scale position, in state order
+        codes = np.empty(len(values), dtype=np.intp)  # each value's scale position, in state order
         for i, v in enumerate(values):
             try:
-                positions[i] = self.scale._positions[v]
+                codes[i] = self.scale._positions[v]
             except (KeyError, TypeError):  # not in the scale, or unhashable
                 raise ValueError(f"value {v!r} is not in the scale {self.scale.symbols!r}") from None
-        positions.setflags(write=False)
+        codes.setflags(write=False)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_positions", positions)
+        object.__setattr__(self, "_codes", codes)
 
     def __call__(self, state) -> Hashable:
-        return self.values[self.space.states.index(state)]
+        return self.values[self.space.index(state)]
 
 
-@dataclass(frozen=True, eq=False)
-class MarkovState:
+class MarkovState(OutcomeDistribution):
     """Real vector over the hidden states summing to 1 (components may be negative)."""
 
-    space: HiddenStateSpace
-    values: np.ndarray
+    _noun = "Markov state components"
 
-    def __post_init__(self) -> None:
-        values = _frozen_array(self.values, "Markov state components", float, (len(self.space),))
-        _require_unit_sum(values, "Markov state components")
-        object.__setattr__(self, "values", values)
+    def __init__(self, space: HiddenStateSpace, values) -> None:
+        super().__init__(space, values)
+
+    @property
+    def space(self) -> HiddenStateSpace:
+        return self.scale
 
 
 class RawMoment(NamedTuple):
@@ -144,7 +145,7 @@ def observe_distribution(func: InformationFunction, state: MarkovState) -> Outco
     Each sum runs in state order: this is the readout of :func:`diagonal_povm`.
     """
     _require_same_space([func], state)
-    values = _label_sums(state.values, func._positions, np.zeros(len(func.scale)))
+    values = _label_sums(state.values, func._codes, np.zeros(len(func.scale)))
     return OutcomeDistribution(scale=func.scale, values=values)
 
 
@@ -308,5 +309,5 @@ def diagonal_povm(func: InformationFunction) -> KrausMeasurement:
 
     Applying it to diag(q) reproduces :func:`observe_distribution` exactly.
     """
-    projectors = _diagonal_projectors(func._positions, len(func.scale))
+    projectors = _diagonal_projectors(func._codes, len(func.scale))
     return KrausMeasurement(scale=func.scale, kraus=projectors)

@@ -491,8 +491,6 @@ def load_state_table(path) -> tuple[HiddenStateSpace, dict[str, InformationFunct
         _expect(isinstance(d["functions"], Mapping), "'functions' must map names to value lists")
         for name, values in d["functions"].items():
             values = _symbols(values, f"function {name!r}", f"values of function {name!r}")
-            _expect(len(values) == len(space), f"function {name!r} needs one value per state")
-            functions[name] = InformationFunction(
-                space=space, scale=Scale(tuple(dict.fromkeys(values))), values=values
-            )
+            with _within(f"function {name!r}"):
+                functions[name] = InformationFunction(space, Scale(tuple(dict.fromkeys(values))), values)
         return space, functions, MarkovState(space=space, values=_float_array(d["q"], "'q'"))

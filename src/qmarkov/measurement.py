@@ -24,7 +24,6 @@ from .hermitian import (
     SIGN_TOL,
     _frozen_array,
     _require_count,
-    _require_labels,
     _require_same_dim,
     _require_tol,
     _require_unit_sum,
@@ -73,11 +72,17 @@ class Scale:
     """Ordered finite set of distinct measurement outcomes."""
 
     symbols: tuple[Hashable, ...]
+    _nouns = ("scale", "symbol")  # the set and one of its labels, as the messages name them
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "symbols", _require_labels(self.symbols, "scale", "symbol"))
+        symbols = tuple(self.symbols)
         # symbol -> position, built once; index, ``in`` and every symbol lookup read it
-        object.__setattr__(self, "_positions", {s: k for k, s in enumerate(self.symbols)})
+        positions = {s: k for k, s in enumerate(symbols)}
+        if not symbols or len(positions) != len(symbols):
+            name, item = self._nouns
+            raise ValueError(f"{name} must hold at least one {item}, all distinct, got {symbols!r}")
+        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "_positions", positions)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -95,7 +100,8 @@ class Scale:
         try:
             return self._positions[symbol]
         except (KeyError, TypeError):
-            raise ValueError(f"unknown symbol {symbol!r}, scale is {self.symbols!r}") from None
+            name, item = self._nouns
+            raise ValueError(f"unknown {item} {symbol!r}, {name} is {self.symbols!r}") from None
 
 
 def iter_words(scale: Scale, length: int) -> Iterator[tuple]:
@@ -251,10 +257,11 @@ class OutcomeDistribution:
 
     scale: Scale
     values: np.ndarray
+    _noun = "outcome values"  # the values, as the messages name them
 
     def __post_init__(self) -> None:
-        values = _frozen_array(self.values, "outcome values", float, (len(self.scale),))
-        _require_unit_sum(values, "outcome values")
+        values = _frozen_array(self.values, self._noun, float, (len(self.scale),))
+        _require_unit_sum(values, self._noun)
         object.__setattr__(self, "values", values)
 
     def value(self, symbol) -> float:

@@ -137,6 +137,25 @@ class TestBell:
         assert run(["bell", "--table", str(table)]) == 2
         assert "X, Y and Z" in capsys.readouterr().err
 
+    def test_short_function_named_once(self, files, capsys):
+        table = files["tmp"] / "short.json"
+        table.write_text(
+            json.dumps(
+                {
+                    "states": ["a", "b", "c", "d"],
+                    "functions": {"X": [1, 1, -1, -1], "Y": [1, -1, 1], "Z": [1, -1, -1, 1]},
+                    "q": [0.25, 0.25, 0.25, 0.25],
+                }
+            )
+        )
+        assert run(["bell", "--table", str(table)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"qmarkov: invalid input: {table}: function 'Y': "
+            "need one value per hidden state: 3 values, 4 states\n"
+        )
+
 
 class TestFeynman:
     def test_worked_point(self, capsys):

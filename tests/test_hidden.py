@@ -9,6 +9,7 @@ from qmarkov import (
     HiddenStateSpace,
     InformationFunction,
     MarkovState,
+    OutcomeDistribution,
     Scale,
     bell_check,
     diagonal_povm,
@@ -530,3 +531,81 @@ class TestInformationFunctionCalls:
     def test_raw_moment_refuses_string_values(self):
         with pytest.raises(ValueError, match="information function must be real-valued, got value '\\+'"):
             raw_moment(X_SIGN, feynman_state(0.5, 0.5, 0.5))
+
+
+class TestStateLookup:
+    """A state is found by the one lookup rule of a scale: by hash and ``==``."""
+
+    def test_unknown_state_names_state_and_space(self):
+        ex = five_state_example()
+        message = r"unknown state 'zz', hidden-state space is \('w1', 'w2', 'w3', 'w4', 'w5'\)"
+        with pytest.raises(ValueError, match=message):
+            ex.x("zz")
+
+    def test_unhashable_state_is_unknown(self):
+        with pytest.raises(ValueError, match=r"unknown state \[1\], hidden-state space is \('w1'"):
+            five_state_example().x([1])
+
+    def test_membership_and_index(self):
+        space = five_state_example().space
+        assert "w1" in space
+        assert space.index("w3") == 2
+        assert [1] not in space
+        assert "zz" not in space
+
+
+class TestSpaceIsScale:
+    """A hidden-state space is a scale of states; a Markov state is an outcome distribution over one."""
+
+    def test_subclasses(self):
+        ex = five_state_example()
+        assert isinstance(ex.space, Scale)
+        assert isinstance(ex.state, OutcomeDistribution)
+        assert ex.state.space is ex.state.scale is ex.space
+        assert ex.space.states == ex.space.symbols == ("w1", "w2", "w3", "w4", "w5")
+
+    def test_keyword_and_positional_construction(self):
+        space = HiddenStateSpace(("a", "b"))
+        assert HiddenStateSpace(states=["a", "b"]) == space
+        state = MarkovState(space, [0.25, 0.75])
+        assert MarkovState(space=space, values=np.array([0.25, 0.75])).values.tolist() == state.values.tolist()
+        assert state.space == space
+
+    def test_equality_and_hash(self):
+        first, second = HiddenStateSpace(("a", "b")), HiddenStateSpace(("a", "b"))
+        assert first == second and hash(first) == hash(second)
+        assert first != Scale(("a", "b"))
+        assert first != HiddenStateSpace(("b", "a"))
+
+    def test_observable_split(self):
+        # the paper's classical states against its "negative probability" ones
+        ex = five_state_example()
+        assert not ex.state.is_observable()
+        assert ex.state.min_value() == pytest.approx(-1 / 3)
+        assert MarkovState(ex.space, np.full(5, 0.2)).is_observable()
+
+    def test_distribution_reads(self):
+        state = MarkovState(HiddenStateSpace(("a", "b")), [1.5, -0.5])
+        assert state.value("b") == -0.5
+        assert state.as_dict() == {"a": 1.5, "b": -0.5}
+        with pytest.raises(ValueError, match="unknown state 'c', hidden-state space is"):
+            state.value("c")
+
+    def test_reprs_name_the_fields(self):
+        space = HiddenStateSpace(("a",))
+        assert repr(space) == "HiddenStateSpace(symbols=('a',))"
+        assert repr(MarkovState(space, [1.0])).startswith("MarkovState(scale=HiddenStateSpace(symbols=('a',)), values=")
+
+    @pytest.mark.parametrize(
+        "values",
+        [[np.nan, 1.0], [0.5, 0.6], [1.0]],
+        ids=["nan", "sum", "length"],
+    )
+    def test_bad_components_named(self, values):
+        with pytest.raises(ValueError, match="Markov state components"):
+            MarkovState(HiddenStateSpace(("a", "b")), values)
+
+    @pytest.mark.parametrize("states", [(), ("a", "b", "a")], ids=["empty", "duplicate"])
+    def test_bad_space_named(self, states):
+        with pytest.raises(ValueError, match="hidden-state space must hold at least one state"):
+            HiddenStateSpace(states)
