@@ -280,14 +280,14 @@ def _window_sums(op: MarkovOperator, c0: np.ndarray) -> Iterator[tuple]:
         t *= 2
     if basis:
         yield from _eigenbasis_window_sums(*basis, partial, t)  # never exhausted
-        return
-    partial, power = read(partial), np.linalg.matrix_power(op.matrix, t)
-    while True:
-        window = power @ partial
-        yield t, partial, window
-        partial = partial + window
-        power = power @ power
-        t *= 2
+    else:
+        partial, power = read(partial), np.linalg.matrix_power(op.matrix, t)
+        while True:
+            window = power @ partial
+            yield t, partial, window
+            partial = partial + window
+            power = power @ power
+            t *= 2
 
 
 def _eigenbasis(u: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

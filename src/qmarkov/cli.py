@@ -34,7 +34,7 @@ from .walk import _node_blocks, limiting_node_distribution
 
 __all__ = ["run"]
 
-ROW_CHUNK = 4096  # rows per text chunk of a word table
+ROW_CHUNK = 1024  # rows per text chunk of a word table: its cells, floats and text stay near one word block
 
 
 def _emit(args, chunks) -> None:

@@ -416,6 +416,9 @@ def load_graph(path) -> DirectedGraph:
             d = _read_json(path, text)
             _expect("nodes" in d and "edges" in d, "graph JSON needs 'nodes' and 'edges'")
             node_count = _require_count(d["nodes"], "'nodes'", least=1)
+            limit = np.iinfo(np.intp).max // 8  # past it, numpy's own error for the node values names no field
+            _expect(node_count <= limit, f"'nodes' must be at most {limit}, got {node_count}: "
+                    "the bytes of one float64 value per node would overflow numpy's index type")
             edges = d["edges"]
             _expect(
                 isinstance(edges, list)

@@ -159,7 +159,9 @@ def _split_levels(
     return xs, ys
 
 
-def _word_blocks(xs: list[np.ndarray], ys: list[np.ndarray], t: int) -> Iterator[np.ndarray]:
+def _word_blocks(
+    xs: list[np.ndarray], ys: list[np.ndarray], t: int, out: np.ndarray | None = None
+) -> Iterator[np.ndarray]:
     """Values end^T M_w start of all words w of length t, in product order, in blocks.
 
     The word w = uv splits into a prefix u of length ceil(t/2) and a suffix
@@ -167,12 +169,24 @@ def _word_blocks(xs: list[np.ndarray], ys: list[np.ndarray], t: int) -> Iterator
     state of u and the suffix covector of v (levels from
     :func:`_split_levels`).  Each block is ``X[rows] @ Y.T`` flattened, with
     as many prefix rows as fit in about WORD_BLOCK values, so memory beyond
-    the two levels stays O(WORD_BLOCK).
+    the two levels stays O(WORD_BLOCK).  Without ``out`` each block is a
+    fresh array that the caller may keep.  With ``out``, a float buffer of
+    :func:`_block_buffer`'s size, each block is written into its start and
+    stays valid only until the next block is drawn; the caller may overwrite
+    it meanwhile.  The values are the same either way, bit for bit.
     """
     x, y = xs[(t + 1) // 2], ys[t // 2]
     rows = max(1, WORD_BLOCK // len(y))
     for i in range(0, len(x), rows):
-        yield (x[i : i + rows] @ y.T).ravel()
+        part = x[i : i + rows]
+        block = None if out is None else out[: len(part) * len(y)].reshape(len(part), len(y))
+        yield np.matmul(part, y.T, out=block).ravel()
+
+
+def _block_buffer(ys: list[np.ndarray]) -> np.ndarray:
+    """A float buffer for the largest block of ``ys``: max(1, WORD_BLOCK // len(y)) rows of len(y) values
+    hold at most max(WORD_BLOCK, len(y)), and the last level is the longest."""
+    return np.empty(max(WORD_BLOCK, len(ys[-1])))
 
 
 def _symbol_matrices(scale: Scale, mats: Sequence, kind: str, dtype) -> tuple[np.ndarray, ...]:
@@ -349,7 +363,7 @@ def word_operator(meas, word: Sequence) -> np.ndarray:
     return out
 
 
-def _word_values(meas, density: np.ndarray, t: int) -> Iterator[np.ndarray]:
+def _word_values(meas, density: np.ndarray, t: int, reuse: bool = False) -> Iterator[np.ndarray]:
     """Values tr(mu_w(Q)) for all words of length t, in product order, in blocks.
 
     Takes a Kraus or a Markov measurement, and checks the arguments and the
@@ -357,7 +371,8 @@ def _word_values(meas, density: np.ndarray, t: int) -> Iterator[np.ndarray]:
     start at the coordinates of the density and suffix covectors at the
     trace functional (the sum of the first n coordinates); the blocks come
     from :func:`_word_blocks`, so the levels built hold O(|scale|^ceil(t/2))
-    rows rather than |scale|^t.
+    rows rather than |scale|^t.  With ``reuse`` the blocks share one buffer,
+    so each is valid only until the next is drawn.
     """
     t = _require_count(t, "word length")
     density = require_markov_density(density)
@@ -367,7 +382,7 @@ def _word_values(meas, density: np.ndarray, t: int) -> Iterator[np.ndarray]:
     trace = np.zeros(meas.operators[0].shape[0])
     trace[: meas.n] = 1.0
     xs, ys = _split_levels(meas.operators, coords(density), trace, t)
-    return _word_blocks(xs, ys, t)
+    return _word_blocks(xs, ys, t, _block_buffer(ys) if reuse else None)
 
 
 def word_distribution(meas, density: np.ndarray, t: int) -> dict[tuple, float]:
@@ -379,7 +394,8 @@ def word_distribution(meas, density: np.ndarray, t: int) -> dict[tuple, float]:
 def is_t_observable(meas, density: np.ndarray, t: int, tol: float = SIGN_TOL) -> bool:
     """True when every length-t word value is >= -tol (always true at t = 0).
 
-    Stops at the first block of word values that holds one below -tol.
+    Stops at the first block of word values that holds one below -tol.  The
+    blocks share one buffer, each reduced to its minimum before the next.
     """
     tol = _require_tol(tol)
-    return all(block.min() >= -tol for block in _word_values(meas, density, t))
+    return all(block.min() >= -tol for block in _word_values(meas, density, t, reuse=True))

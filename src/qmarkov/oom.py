@@ -37,6 +37,7 @@ from .measurement import (
     MarkovMeasurement,
     OutcomeDistribution,
     Scale,
+    _block_buffer,
     _check_word_count,
     _split_levels,
     _symbol_matrices,
@@ -204,7 +205,8 @@ def validate(
     observable at that depth; the report flags them without raising.  The
     minimum is the first word, by length and then product order, that
     attains it.  Word probabilities come in blocks from prefix states times
-    suffix covectors, so memory is O(|scale|^ceil(horizon/2) * m + block).
+    suffix covectors, each written into one reused block buffer and scanned
+    before the next is drawn, so memory is O(|scale|^ceil(horizon/2) * m + block).
     """
     horizon = _require_count(horizon, "horizon")
     tol = _require_tol(tol)
@@ -216,9 +218,10 @@ def validate(
     min_word: tuple = ()
     negatives = 0
     xs, ys = _levels(model, horizon)
+    buffer = _block_buffer(ys)
     for length in range(1, horizon + 1):
         offset = 0
-        for block in _word_blocks(xs, ys, length):
+        for block in _word_blocks(xs, ys, length, buffer):
             negatives += int(np.count_nonzero(block < -tol))
             idx = int(np.argmin(block))
             if block[idx] < min_p:
@@ -370,9 +373,14 @@ def entropy_rate(
     Requires all word probabilities down to -tol (an observable process);
     values in [-tol, 0] are clipped to 0 and 0 log 0 counts as 0.  A level
     with a value below -tol raises once the whole level is scanned.  The
-    prefix and suffix levels are built once for all t, and each length's
-    probabilities come in blocks of prefix states times suffix covectors, so
-    memory is O(|scale|^ceil(t_max/2) * m + block).
+    prefix and suffix levels are built once for all t.  Each length's
+    probabilities come in blocks of prefix states times suffix covectors,
+    written into one reused block buffer and reduced before the next block
+    is drawn, with one reused bool and one float scratch buffer: a block
+    holding a value that is not positive has its positive values compressed
+    into the float buffer first, so log2 never sees 0.  (p * log2 p).sum()
+    runs over the same contiguous values as with fresh arrays, so the rows
+    are the same bit for bit, and memory is O(|scale|^ceil(t_max/2) * m + block).
     """
     t_max = _require_count(t_max, "t_max", least=1)
     tol = _require_tol(tol)
@@ -380,13 +388,20 @@ def entropy_rate(
     rows: list[tuple[int, float, float]] = []
     h_prev = 0.0
     xs, ys = _levels(model, t_max)
+    buffer = _block_buffer(ys)
+    positive, scratch = np.empty(len(buffer), dtype=bool), np.empty(len(buffer))
     for t in range(1, t_max + 1):
         # -0.0 + x == x for every x, so a one-block level keeps the sign of a zero sum
         low, total = np.inf, -0.0
-        for block in _word_blocks(xs, ys, t):
-            low = min(low, float(block.min()))
-            p = block[block > 0.0]
-            total += float((p * np.log2(p)).sum())
+        for block in _word_blocks(xs, ys, t, buffer):
+            least = float(block.min())
+            low = min(low, least)
+            p, logs = block, scratch[: len(block)]
+            if not least > 0.0:  # keep the positive values (NaN is not one); log2 p goes into the block's room
+                mask = np.greater(block, 0.0, out=positive[: len(block)])
+                p = np.compress(mask, block, out=scratch[: np.count_nonzero(mask)])
+                logs = block[: len(p)]
+            total += float(np.multiply(p, np.log2(p, out=logs), out=logs).sum())
         if low < -tol:
             raise ValueError(
                 f"negative word probability {low!r} at length {t}; entropy undefined"

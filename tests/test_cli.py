@@ -925,6 +925,15 @@ class TestCliContract:
         assert run([*argv, "--limiting"]) == 2
         assert "qmarkov: input too large: Python int too large" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", [["--steps", "1"], ["--limiting"]])
+    def test_node_count_past_node_values_names_the_field(self, files, capsys, mode):
+        # 2**62 float64 node values take more bytes than numpy's index type counts
+        huge = files["tmp"] / "huge_graph.json"
+        huge.write_text(json.dumps({"nodes": 2**62, "edges": [[0, 1], [1, 2], [2, 0]]}))
+        argv = ["walk", "--graph", str(huge), "--operator", str(files["shift"]), "--density", str(files["edge0"])]
+        assert run([*argv, *mode]) == 2
+        assert capsys.readouterr().err.startswith(f"qmarkov: invalid input: {huge}: 'nodes' must be at most ")
+
     def test_count_field_past_index_type_names_the_file(self, files, capsys):
         big = files["tmp"] / "bign.json"
         big.write_text(json.dumps({"n": 2**63, "basis": qio.BASIS_TAG, "matrix": [[1.0]]}))
@@ -1319,6 +1328,30 @@ class TestStreamedOutput:
         peak()  # imports and first-call caches
         assert peak() < bound
         assert out.read_text().count("\n") > 3**10
+
+    def test_measure_chunk_memory_within_one_word_block(self, tmp_path):
+        # beyond the 3^9 values, a CSV run holds one chunk of rows: its cells,
+        # floats and text take under 256 bytes a row (about 182 measured), and
+        # a chunk of ROW_CHUNK rows stays within one word block
+        rng = np.random.default_rng(117)
+        meas, rho, out = tmp_path / "meas.json", tmp_path / "rho.json", tmp_path / "out.csv"
+        kraus = dict(zip("abc", map(qio.matrix_to_dict, random_kraus_family(rng, 2, 3))))
+        meas.write_text(json.dumps({"n": 2, "scale": list("abc"), "kraus": kraus}))
+        qio.save_matrix(rho, random_quantum_density(2, rng), kind="density")
+        argv = ["measure", "--measurement", str(meas), "--density", str(rho), "--steps", "9", "--format", "csv"]
+
+        def peak():
+            gc.collect(1)
+            tracemalloc.start()
+            try:
+                assert run([*argv, "--output", str(out)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak()  # imports and first-call caches
+        assert peak() - 8 * 3**9 < 256 * cli.ROW_CHUNK <= 8 * qmeasurement.WORD_BLOCK
+        assert out.read_text().count("\n") == 3**9 + 1
 
     @pytest.mark.parametrize(
         "case", ["chain-evolve", "walk", "measure", "chain-evolve-negative-steps", "walk-huge-graph-csv"]

@@ -308,6 +308,22 @@ class TestCountFieldOverflow:
         assert str(info.value) == f"Python int too large for numpy's index type: {field!r} = {BIG} (in {path})"
 
 
+class TestGraphNodeLimit:
+    LIMIT = np.iinfo(np.intp).max // 8  # the most float64 node values whose bytes numpy can count
+
+    @pytest.mark.parametrize("nodes", [LIMIT + 1, 2**62, np.iinfo(np.intp).max])
+    def test_count_past_node_values_names_the_field(self, tmp_path, nodes):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"nodes": nodes, "edges": [[0, 1]]}))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: 'nodes' must be at most {self.LIMIT}, got {nodes}")):
+            qio.load_graph(path)
+
+    def test_count_at_limit_loads(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"nodes": self.LIMIT, "edges": [[0, 1]]}))
+        assert qio.load_graph(path).node_count == self.LIMIT
+
+
 class TestOomRoundTrip:
     def test_round_trip(self, tmp_path):
         model = ObservableOperatorModel(

@@ -25,7 +25,8 @@ from qmarkov import (
 )
 from qmarkov import measurement as qmeasurement
 from qmarkov.io import load_oom, save_oom
-from qmarkov.measurement import _word_blocks, iter_words
+from qmarkov.hermitian import PROBABILITY_FLOOR, SIGN_TOL
+from qmarkov.measurement import _block_buffer, _word_blocks, _word_values, iter_words
 from qmarkov.oom import _levels, validate
 
 
@@ -224,6 +225,104 @@ class TestWordBlocks:
                 # values within rounding of -tol may fall on either side
                 sure, near = np.count_nonzero(p < -tol - 1e-12), np.count_nonzero(abs(p + tol) <= 1e-12)
                 assert sure <= report.negative_words <= sure + near
+
+
+def _entropy_fresh(model, t_max):
+    """entropy_rate's rows by a loop over fresh blocks, each reduced with fresh arrays."""
+    xs, ys = _levels(model, t_max)
+    rows, h_prev = [], 0.0
+    for t in range(1, t_max + 1):
+        total = -0.0
+        for block in _word_blocks(xs, ys, t):
+            p = block[block > 0.0]
+            total += float((p * np.log2(p)).sum())
+        rows.append((t, -total / t, -total - h_prev))
+        h_prev = -total
+    return rows
+
+
+def _validate_fresh(model, horizon, tol):
+    """validate's (min_probability, min_word, negative_words) by a loop over fresh blocks."""
+    xs, ys = _levels(model, horizon)
+    min_p, min_word, negatives = 1.0, (), 0
+    for length in range(1, horizon + 1):
+        values = np.concatenate(list(_word_blocks(xs, ys, length)))
+        negatives += int(np.count_nonzero(values < -tol))
+        i = int(np.argmin(values))
+        if values[i] < min_p:
+            min_p, min_word = float(values[i]), list(iter_words(model.scale, length))[i]
+    return min_p, min_word, negatives
+
+
+def _zero_word_hmm() -> ObservableOperatorModel:
+    """A 3-state HMM whose state j emits symbol j: every word that needs a zero transition has p = 0."""
+    transition = np.array([[0.0, 0.5, 0.3], [0.6, 0.0, 0.7], [0.4, 0.5, 0.0]])
+    emissions = dict(zip("abc", np.eye(3)))
+    return hmm_to_oom(transition, emissions, np.array([0.5, 0.5, 0.0]))
+
+
+def _scan_models():
+    """Seeded HMM OOMs, the zero-word HMM and two models with negative words."""
+    hmms = [hmm_to_oom(*random_hmm(np.random.default_rng([200, k]), 3, tuple("abc"[:k]))) for k in (1, 2, 3)]
+    return [*hmms, _zero_word_hmm(), probability_clock(0.4), random_oom(np.random.default_rng(201), 3, ("a", "b"))]
+
+
+class TestBlockBuffer:
+    # one buffer holds max(WORD_BLOCK, len(y)) values: at a block of 1 or 7
+    # values the longest suffix levels hold more than WORD_BLOCK rows
+    @pytest.mark.parametrize("block", [1, 7, None])
+    def test_buffered_blocks_equal_fresh_ones(self, monkeypatch, block):
+        if block:
+            monkeypatch.setattr(qmeasurement, "WORD_BLOCK", block)
+        for model in _scan_models():
+            xs, ys = _levels(model, 7)
+            buffer = _block_buffer(ys)
+            assert len(buffer) == max(qmeasurement.WORD_BLOCK, len(ys[-1]))
+            for t in range(8):
+                fresh = list(_word_blocks(xs, ys, t))
+                for want, got in zip(fresh, _word_blocks(xs, ys, t, buffer), strict=True):
+                    assert np.shares_memory(got, buffer)
+                    assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 7, None])
+    def test_entropy_rows_bit_identical(self, monkeypatch, block):
+        if block:
+            monkeypatch.setattr(qmeasurement, "WORD_BLOCK", block)
+        for model in _scan_models()[:4]:
+            assert entropy_rate(model, 7) == _entropy_fresh(model, 7)
+
+    def test_zero_words_take_the_compress_branch(self, monkeypatch):
+        # with blocks of 7 values some blocks are all positive and some hold zeros
+        monkeypatch.setattr(qmeasurement, "WORD_BLOCK", 7)
+        model = _zero_word_hmm()
+        values = np.concatenate(list(_word_blocks(*_levels(model, 6), 6)))
+        assert np.count_nonzero(values == 0.0) and np.count_nonzero(values > 0.0)
+        with np.errstate(all="raise"):  # log2(0) would raise here
+            rows = entropy_rate(model, 6)
+        assert rows == _entropy_fresh(model, 6)
+        assert all(np.isfinite(v) for row in rows for v in row)
+
+    @pytest.mark.parametrize("block", [1, 7, None])
+    def test_validate_reports_bit_identical(self, monkeypatch, block):
+        if block:
+            monkeypatch.setattr(qmeasurement, "WORD_BLOCK", block)
+        for model in _scan_models():
+            for tol in (PROBABILITY_FLOOR, 0.01):
+                report = validate(model, 6, tol=tol)
+                assert (report.min_probability, report.min_word, report.negative_words) == _validate_fresh(model, 6, tol)
+
+    @pytest.mark.parametrize("block", [1, 7, None])
+    def test_is_t_observable_matches_fresh_blocks(self, monkeypatch, block):
+        if block:
+            monkeypatch.setattr(qmeasurement, "WORD_BLOCK", block)
+        answers = set()
+        for model in _scan_models():
+            meas, density = to_markov_measurement(model), np.diag(model.pi).astype(complex)
+            for t in range(7):
+                fresh = all(b.min() >= -SIGN_TOL for b in _word_values(meas, density, t))
+                assert is_t_observable(meas, density, t) == fresh
+                answers.add(fresh)
+        assert answers == {True, False}
 
 
 class TestConditional:
@@ -608,6 +707,20 @@ class TestEntropyRate:
             tracemalloc.stop()
         assert len(rows) == 12
         assert peak < 8 * 2**20
+
+    def test_memory_three_word_blocks_beyond_levels(self):
+        # the block, its float scratch and its bool scratch are reused for
+        # every block; fresh temporaries per block peaked at about five blocks
+        rng = np.random.default_rng(101)
+        model = hmm_to_oom(*random_hmm(rng, 8, ("a", "b", "c")))
+        levels = sum(level.nbytes for level in itertools.chain(*_levels(model, 12)))
+        tracemalloc.start()
+        try:
+            entropy_rate(model, 12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * qmeasurement.WORD_BLOCK + levels
 
 
 class TestEnumerationCap:
