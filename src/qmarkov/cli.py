@@ -279,12 +279,6 @@ def _cmd_oom_entropy(args) -> None:
         _emit(args, _csv("t,entropy_per_symbol,entropy_increment", [lines]))
 
 
-def _add_output_options(p, formats=("csv", "json")) -> None:
-    if formats:
-        p.add_argument("--format", choices=formats, default="csv", help="output format")
-    p.add_argument("--output", help="output path (default: standard output)")
-
-
 class _Parser(argparse.ArgumentParser):
     """An argparse parser (and subparser class) reading -7.9e-05, -1e5, -inf and -nan as numbers, like -0.5."""
 
@@ -294,89 +288,74 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser; every ``type=int`` option is a count, which :func:`run` checks."""
+    """The command-line parser; every ``type=int`` option is a count, which :func:`run` checks.
+
+    An option that several commands share is declared once, in a parent parser; argparse lists it first.
+    """
     parser = _Parser(
         prog="qmarkov",
         description="Markov-density toolkit: measurements, chains, walks, Bell tables, OOMs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    output, formatted, chain_files, oom = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    output.add_argument("--output", help="output path (default: standard output)")
+    formatted.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
+    chain_files.add_argument("--operator", required=True, help="operator or Kraus JSON file")
+    chain_files.add_argument("--density", required=True, help="start density JSON file")
+    oom.add_argument("--oom", required=True, help="OOM JSON file")
 
-    p = sub.add_parser("measure", help="outcome/word distribution of a measurement")
+    def command(name, func, help, *parents):
+        p = sub.add_parser(name, help=help, parents=[*parents, output])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("measure", _cmd_measure, "outcome/word distribution of a measurement", formatted)
     p.add_argument("--measurement", required=True, help="measurement JSON file")
     p.add_argument("--density", required=True, help="density JSON file")
     p.add_argument("--steps", type=int, default=1, help="word length (default 1)")
     p.add_argument("--tol", type=float, default=SIGN_TOL, help="observability tolerance")
-    _add_output_options(p)
-    p.set_defaults(func=_cmd_measure)
 
-    p = sub.add_parser("chain-evolve", help="iterate a Markov chain, emitting coordinates")
-    p.add_argument("--operator", required=True, help="operator or Kraus JSON file")
-    p.add_argument("--density", required=True, help="start density JSON file")
+    p = command("chain-evolve", _cmd_chain_evolve, "iterate a Markov chain, emitting coordinates",
+                chain_files, formatted)
     p.add_argument("--steps", type=int, required=True, help="number of steps")
-    _add_output_options(p)
-    p.set_defaults(func=_cmd_chain_evolve)
 
-    p = sub.add_parser("chain-cesaro", help="Cesaro average of a Markov chain")
-    p.add_argument("--operator", required=True, help="operator or Kraus JSON file")
-    p.add_argument("--density", required=True, help="start density JSON file")
+    p = command("chain-cesaro", _cmd_chain_cesaro, "Cesaro average of a Markov chain", chain_files)
     p.add_argument("--tol", type=float, default=CESARO_TOL, help="stationarity residual target")
     p.add_argument("--max-doublings", type=int, default=CESARO_MAX_DOUBLINGS, help="horizon doublings to try")
-    _add_output_options(p, formats=())
-    p.set_defaults(func=_cmd_chain_cesaro)
 
-    p = sub.add_parser("walk", help="quantum walk on a directed graph")
+    p = command("walk", _cmd_walk, "quantum walk on a directed graph", chain_files, formatted)
     p.add_argument("--graph", required=True, help="graph file ('u v' lines or JSON)")
-    p.add_argument("--operator", required=True, help="operator or Kraus JSON file")
-    p.add_argument("--density", required=True, help="start density JSON file")
     p.add_argument("--steps", type=int, default=0, help="number of steps")
     p.add_argument("--limiting", action="store_true", help="emit the limiting node distribution")
     p.add_argument("--tol", type=float, default=CESARO_TOL, help="Cesaro residual target (with --limiting)")
-    _add_output_options(p)
-    p.set_defaults(func=_cmd_walk)
 
-    p = sub.add_parser("bell", help="Bell inequality check on a hidden-state table")
+    p = command("bell", _cmd_bell, "Bell inequality check on a hidden-state table")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--builtin", choices=["five-state"], help="named built-in instance")
     group.add_argument("--table", help="table JSON file with functions X, Y, Z")
     p.add_argument("--tol", type=float, default=BELL_TOL, help="inequality slack")
-    _add_output_options(p, formats=())
-    p.set_defaults(func=_cmd_bell)
 
-    p = sub.add_parser("feynman", help="two-spin average table as a Markov state")
+    p = command("feynman", _cmd_feynman, "two-spin average table as a Markov state")
     p.add_argument("--sx", type=float, required=True)
     p.add_argument("--sy", type=float, required=True)
     p.add_argument("--sz", type=float, required=True)
-    _add_output_options(p, formats=())
-    p.set_defaults(func=_cmd_feynman)
 
-    p = sub.add_parser("oom-prob", help="word probabilities of an OOM")
-    p.add_argument("--oom", required=True, help="OOM JSON file")
+    p = command("oom-prob", _cmd_oom_prob, "word probabilities of an OOM", oom, formatted)
     p.add_argument(
         "--word",
         action="append",
         required=True,
         help="word (single-character symbols concatenated, or comma-separated); repeatable",
     )
-    _add_output_options(p)
-    p.set_defaults(func=_cmd_oom_prob)
 
-    p = sub.add_parser("oom-rank", help="numerical rank of the truncated prediction matrix")
-    p.add_argument("--oom", required=True, help="OOM JSON file")
+    p = command("oom-rank", _cmd_oom_rank, "numerical rank of the truncated prediction matrix", oom)
     p.add_argument("--max-length", type=int, required=True, help="word length bound")
     p.add_argument("--tol", type=float, default=RANK_TOL, help="relative singular value cutoff")
-    _add_output_options(p, formats=())
-    p.set_defaults(func=_cmd_oom_rank)
 
-    p = sub.add_parser("oom-lift", help="hidden-state lift of an OOM")
-    p.add_argument("--oom", required=True, help="OOM JSON file")
-    _add_output_options(p, formats=())
-    p.set_defaults(func=_cmd_oom_lift)
+    command("oom-lift", _cmd_oom_lift, "hidden-state lift of an OOM", oom)
 
-    p = sub.add_parser("oom-entropy", help="block entropies of an OOM process")
-    p.add_argument("--oom", required=True, help="OOM JSON file")
+    p = command("oom-entropy", _cmd_oom_entropy, "block entropies of an OOM process", oom, formatted)
     p.add_argument("--t-max", type=int, required=True, help="largest word length")
-    _add_output_options(p)
-    p.set_defaults(func=_cmd_oom_entropy)
 
     return parser
 

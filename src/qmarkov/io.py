@@ -27,7 +27,7 @@ from .measurement import KrausMeasurement, MarkovMeasurement, Scale
 from .oom import HiddenStateLift, ObservableOperatorModel
 from .hidden import HiddenStateSpace, InformationFunction, MarkovState
 from .operators import MarkovOperator, from_kraus
-from .walk import DirectedGraph
+from .walk import DirectedGraph, _MAX_NODE_VALUES
 
 __all__ = [
     "BASIS_TAG",
@@ -416,7 +416,7 @@ def load_graph(path) -> DirectedGraph:
             d = _read_json(path, text)
             _expect("nodes" in d and "edges" in d, "graph JSON needs 'nodes' and 'edges'")
             node_count = _require_count(d["nodes"], "'nodes'", least=1)
-            limit = np.iinfo(np.intp).max // 8  # past it, numpy's own error for the node values names no field
+            limit = _MAX_NODE_VALUES  # a walk would refuse more, naming no file
             _expect(node_count <= limit, f"'nodes' must be at most {limit}, got {node_count}: "
                     "the bytes of one float64 value per node would overflow numpy's index type")
             edges = d["edges"]

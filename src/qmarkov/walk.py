@@ -28,6 +28,8 @@ __all__ = [
     "shift_unitary",
 ]
 
+_MAX_NODE_VALUES = np.iinfo(np.intp).max // 8  # float64 values past it have more bytes than numpy's index type counts
+
 
 @dataclass(frozen=True)
 class DirectedGraph:
@@ -104,11 +106,19 @@ def _path(graph: DirectedGraph, operator: MarkovOperator, start: np.ndarray, ste
     return _path_blocks(operator, coords(chain.start), steps)
 
 
+def _node_values(graph: DirectedGraph, rows: int) -> np.ndarray:
+    """A zero (rows, nodes) float64 array of node values, refused when numpy's index type cannot count its bytes."""
+    if rows * graph.node_count > _MAX_NODE_VALUES:
+        raise ValueError(f"node values of {rows} x {graph.node_count} (rows x nodes) exceed {_MAX_NODE_VALUES}, "
+                         "the most float64 values whose bytes numpy's index type counts")
+    return np.zeros((rows, graph.node_count))
+
+
 def _node_blocks(graph: DirectedGraph, operator: MarkovOperator, start: np.ndarray, steps: int):
     """Node values for t = 0..steps as (rows, nodes) arrays, one per block of :func:`_path`."""
     # the first n coordinates of a Hermitian matrix are its diagonal entries
     blocks, sources = _path(graph, operator, start, steps), _endpoints(graph)[0]
-    return (_label_sums(block, sources, np.zeros((len(block), graph.node_count))) for block in blocks)
+    return (_label_sums(block, sources, _node_values(graph, len(block))) for block in blocks)
 
 
 def walk(
@@ -125,7 +135,7 @@ def walk(
     kernel behind :func:`~qmarkov.chain.evolve` and are never held whole.
     """
     blocks, sources = _path(graph, operator, start, steps), _endpoints(graph)[0]
-    probabilities = np.zeros((_require_count(steps, "steps") + 1, graph.node_count))
+    probabilities = _node_values(graph, _require_count(steps, "steps") + 1)
     t = 0
     for block in blocks:
         _label_sums(block, sources, probabilities[t : t + len(block)])
@@ -142,8 +152,9 @@ def limiting_node_distribution(
 ) -> np.ndarray:
     """Long-run average node distribution tr(X_v times Cesaro average), read like one row of :func:`walk`."""
     _require_same_dim(operator.n, graph.edge_count, "operator", "graph edges")
+    (row,) = _node_values(graph, 1)  # sized before the average is computed
     result = cesaro_average(MarkovChain(operator=operator, start=start), tol=tol, max_doublings=max_doublings)
-    return _label_sums(np.diagonal(result.average).real, _endpoints(graph)[0], np.zeros(graph.node_count))
+    return _label_sums(np.diagonal(result.average).real, _endpoints(graph)[0], row)
 
 
 def shift_unitary(graph: DirectedGraph) -> np.ndarray:

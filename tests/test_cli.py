@@ -40,7 +40,7 @@ from qmarkov import cli
 from qmarkov import measurement as qmeasurement
 from qmarkov import operators as qoperators
 from qmarkov.chain import _path_blocks
-from qmarkov.hermitian import coords
+from qmarkov.hermitian import BELL_TOL, CESARO_MAX_DOUBLINGS, CESARO_TOL, RANK_TOL, SIGN_TOL, coords
 from qmarkov.cli import run
 
 
@@ -1525,3 +1525,124 @@ class TestKrausTrajectories:
         assert kraus_header == dense_header
         assert kraus.shape == dense.shape
         np.testing.assert_allclose(kraus, dense, rtol=0, atol=1e-12)
+
+
+_STORE = "_StoreAction"
+_HELP = (("-h", "--help"), "help", None, argparse.SUPPRESS, None, False, "_HelpAction", "show this help message and exit")
+_OUTPUT = (("--output",), "output", None, None, None, False, _STORE, "output path (default: standard output)")
+_FORMAT = (("--format",), "format", None, "csv", ("csv", "json"), False, _STORE, "output format")
+_OPERATOR = (("--operator",), "operator", None, None, None, True, _STORE, "operator or Kraus JSON file")
+_START = (("--density",), "density", None, None, None, True, _STORE, "start density JSON file")
+_OOM = (("--oom",), "oom", None, None, None, True, _STORE, "OOM JSON file")
+
+
+class TestOptionContract:
+    """Every subcommand's options: (flags, dest, type, default, choices, required, action class, help), in any order."""
+
+    COMMANDS = {
+        "measure": ("outcome/word distribution of a measurement", [
+            (("--measurement",), "measurement", None, None, None, True, _STORE, "measurement JSON file"),
+            (("--density",), "density", None, None, None, True, _STORE, "density JSON file"),
+            (("--steps",), "steps", int, 1, None, False, _STORE, "word length (default 1)"),
+            (("--tol",), "tol", float, SIGN_TOL, None, False, _STORE, "observability tolerance"),
+            _FORMAT,
+        ]),
+        "chain-evolve": ("iterate a Markov chain, emitting coordinates", [
+            _OPERATOR,
+            _START,
+            (("--steps",), "steps", int, None, None, True, _STORE, "number of steps"),
+            _FORMAT,
+        ]),
+        "chain-cesaro": ("Cesaro average of a Markov chain", [
+            _OPERATOR,
+            _START,
+            (("--tol",), "tol", float, CESARO_TOL, None, False, _STORE, "stationarity residual target"),
+            (("--max-doublings",), "max_doublings", int, CESARO_MAX_DOUBLINGS, None, False, _STORE,
+             "horizon doublings to try"),
+        ]),
+        "walk": ("quantum walk on a directed graph", [
+            (("--graph",), "graph", None, None, None, True, _STORE, "graph file ('u v' lines or JSON)"),
+            _OPERATOR,
+            _START,
+            (("--steps",), "steps", int, 0, None, False, _STORE, "number of steps"),
+            (("--limiting",), "limiting", None, False, None, False, "_StoreTrueAction",
+             "emit the limiting node distribution"),
+            (("--tol",), "tol", float, CESARO_TOL, None, False, _STORE, "Cesaro residual target (with --limiting)"),
+            _FORMAT,
+        ]),
+        "bell": ("Bell inequality check on a hidden-state table", [
+            (("--builtin",), "builtin", None, None, ("five-state",), False, _STORE, "named built-in instance"),
+            (("--table",), "table", None, None, None, False, _STORE, "table JSON file with functions X, Y, Z"),
+            (("--tol",), "tol", float, BELL_TOL, None, False, _STORE, "inequality slack"),
+        ]),
+        "feynman": ("two-spin average table as a Markov state", [
+            ((flag,), flag[2:], float, None, None, True, _STORE, None) for flag in ("--sx", "--sy", "--sz")
+        ]),
+        "oom-prob": ("word probabilities of an OOM", [
+            _OOM,
+            (("--word",), "word", None, None, None, True, "_AppendAction",
+             "word (single-character symbols concatenated, or comma-separated); repeatable"),
+            _FORMAT,
+        ]),
+        "oom-rank": ("numerical rank of the truncated prediction matrix", [
+            _OOM,
+            (("--max-length",), "max_length", int, None, None, True, _STORE, "word length bound"),
+            (("--tol",), "tol", float, RANK_TOL, None, False, _STORE, "relative singular value cutoff"),
+        ]),
+        "oom-lift": ("hidden-state lift of an OOM", [_OOM]),
+        "oom-entropy": ("block entropies of an OOM process", [
+            _OOM,
+            (("--t-max",), "t_max", int, None, None, True, _STORE, "largest word length"),
+            _FORMAT,
+        ]),
+    }
+
+    @staticmethod
+    def _row(action) -> tuple:
+        choices = None if action.choices is None else tuple(action.choices)
+        return (tuple(action.option_strings), action.dest, action.type, action.default, choices, action.required,
+                type(action).__name__, action.help)
+
+    def test_commands_and_their_help(self):
+        parser = cli.build_parser()
+        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        helps = {choice.dest: choice.help for choice in action._choices_actions}
+        assert helps == {name: help_text for name, (help_text, _) in self.COMMANDS.items()}
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_option_table(self, command):
+        sub = _subparsers()[command]
+        expected = [_HELP, _OUTPUT, *self.COMMANDS[command][1]]
+        assert sorted(map(self._row, sub._actions), key=repr) == sorted(expected, key=repr)
+        groups = [(group.required, [a.dest for a in group._group_actions]) for group in sub._mutually_exclusive_groups]
+        assert groups == ([(True, ["builtin", "table"])] if command == "bell" else [])
+        assert sub._defaults == {"func": getattr(cli, "_cmd_" + command.replace("-", "_"))}
+
+
+class TestWalkNodeValueLimit:
+    """A graph whose node values numpy's index type cannot count exits 2 naming the node count."""
+
+    CASES = [
+        ("json", np.iinfo(np.intp).max // 8, ["--steps", "1"]),  # the most nodes io.load_graph accepts
+        ("json", 10**17, ["--steps", "40"]),
+        ("lines", 2**62 + 1, ["--limiting"]),
+        ("lines", 2**62 + 1, ["--steps", "1"]),
+    ]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("kind, nodes, mode", CASES)
+    def test_exit_two_naming_the_node_count(self, files, capsys, kind, nodes, mode, fmt):
+        graph = files["tmp"] / f"huge_graph.{'json' if kind == 'json' else 'txt'}"
+        if kind == "json":
+            graph.write_text(json.dumps({"nodes": nodes, "edges": [[0, 1], [1, 2], [2, 0]]}))
+        else:
+            graph.write_text(f"0 1\n1 {nodes - 1}\n{nodes - 1} 0\n")
+        out_path = files["tmp"] / "walk_out.txt"
+        argv = ["walk", "--graph", str(graph), "--operator", str(files["shift"]), "--density", str(files["edge0"])]
+        assert run([*argv, *mode, "--format", fmt, "--output", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("qmarkov: invalid input: node values of ")
+        assert f" x {nodes} (rows x nodes)" in captured.err
+        assert "array is too big" not in captured.err
+        assert not out_path.exists()

@@ -308,3 +308,35 @@ class TestKrausWalk:
         assert "matrix" not in op.__dict__
         dense = MarkovOperator(n=12, matrix=op.matrix)
         np.testing.assert_allclose(walk(self.CYCLES, dense, start, steps).node_probabilities, rotated, atol=1e-12)
+
+
+class TestNodeValueLimit:
+    """Node values whose float64 bytes numpy's index type cannot count are refused by one message."""
+
+    LIMIT = np.iinfo(np.intp).max // 8
+    SHIFT = from_unitary(shift_unitary(THREE_CYCLE))
+    START = pure_state(np.eye(3)[0])
+
+    @staticmethod
+    def _graph(nodes):
+        return DirectedGraph(node_count=nodes, edges=((0, 1), (1, nodes - 1), (nodes - 1, 0)))
+
+    @staticmethod
+    def _message(rows, nodes):
+        return re.escape(f"node values of {rows} x {nodes} (rows x nodes) exceed {np.iinfo(np.intp).max // 8}, ")
+
+    @pytest.mark.parametrize("nodes, steps", [(LIMIT, 1), (10**17, 40), (2**62 + 1, 1), (np.iinfo(np.intp).max, 0)])
+    def test_walk_names_rows_and_node_count(self, nodes, steps):
+        with pytest.raises(ValueError, match=self._message(steps + 1, nodes)):
+            walk(self._graph(nodes), self.SHIFT, self.START, steps)
+
+    @pytest.mark.parametrize("nodes", [LIMIT + 1, 2**62 + 1, np.iinfo(np.intp).max])
+    def test_limiting_refuses_before_the_average(self, nodes, monkeypatch):
+        monkeypatch.setattr(sys.modules["qmarkov.walk"], "cesaro_average", lambda *a, **k: pytest.fail("averaged"))
+        with pytest.raises(ValueError, match=self._message(1, nodes)):
+            limiting_node_distribution(self._graph(nodes), self.SHIFT, self.START)
+
+    def test_at_the_limit_numpy_refuses_the_allocation(self):
+        # LIMIT values pass the check; their 2^63 - 8 bytes cannot be allocated
+        with pytest.raises(MemoryError, match="Unable to allocate"):
+            limiting_node_distribution(self._graph(self.LIMIT), self.SHIFT, self.START)
