@@ -2,10 +2,10 @@
 
 Loads models from files, runs the analysis pipelines and emits CSV or JSON.
 Exit codes: 0 success, 2 validation failure (malformed input, violated
-invariant, a size too large for memory or numpy's index type), 3 analysis
-failure (e.g. a Cesaro residual that cannot be reached).  Output is
-deterministic for identical inputs; CSV floats carry 17 significant digits
-so values round trip losslessly.
+invariant, a size too large for memory or numpy's index type) or an output
+closed by its reader, 3 analysis failure (e.g. a Cesaro residual that
+cannot be reached).  Output is deterministic for identical inputs; CSV
+floats carry 17 significant digits so values round trip losslessly.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import os
 import re
 import sys
 from contextlib import nullcontext
@@ -366,6 +367,17 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _discard_stdout() -> None:
+    """Point stdout at the null device if its pipe is closed, so that the flush at exit, which
+    would fail again on the bytes still buffered, prints no second error."""
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+
+
 def run(argv=None) -> int:
     """Parse arguments and run one command, returning the exit code; count options are checked first."""
     args = _parser().parse_args(argv)
@@ -374,6 +386,11 @@ def run(argv=None) -> int:
             if type(value) is int:  # the count options; a flag is a bool
                 _require_count(value, dest)
         args.func(args)
+        sys.stdout.flush()  # output that fits stdout's buffer meets a closed pipe here, not at exit
+    except BrokenPipeError:  # an OSError, but the output's reader is gone, not the input bad
+        print("qmarkov: output closed", file=sys.stderr)
+        _discard_stdout()
+        return 2
     except ConvergenceError as exc:
         print(f"qmarkov: analysis failed: {exc}", file=sys.stderr)
         return 3

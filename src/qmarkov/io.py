@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import reprlib
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -76,6 +77,58 @@ def _read_json(path, text: str | None = None) -> Any:
         return json.loads(Path(path).read_text() if text is None else text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"malformed JSON ({exc})") from None
+
+
+_MATRIX_VALUE = re.compile(rb'"matrix"[ \t\n\r]*:[ \t\n\r]*\[')
+_JSON_SPACE = re.compile(rb"[ \t\n\r]*")
+_PLACEHOLDER = b"31415926535897932384626433832795"  # an integer that stands in for the matrix
+_ROW_DTYPES = (np.dtype(np.int64), np.dtype(np.float64))
+
+
+def _with_matrix_rows(path) -> dict | None:
+    """The JSON object of an operator file, its top-level "matrix" decoded one row at a time from the
+    file's bytes; None unless that array is, bit for bit, what ``np.asarray`` of the parsed value is.
+
+    The whole text and a Python float per entry are then never alive
+    together, and the bytes go before the rows are stacked: loading needs
+    about the file's size plus the matrix.  The rest of the text, the matrix
+    replaced by an integer it does not hold, must parse to an object whose
+    "matrix" is that integer, so the rows were the top-level value; a row
+    of numbers holds no quote, so the rest holds every "matrix" key, and
+    there must be one.  ASCII text reads alike in any locale, and a row that
+    numpy reads as neither int64 nor float64 could change the whole array's
+    type; all else, malformed text included, is left to :func:`_read_json`.
+    """
+    data = Path(path).read_bytes()
+    head = _MATRIX_VALUE.match(data, max(data.find(b'"matrix"'), 0))
+    if head is None:
+        return None
+    value, head = head.end() - 1, None  # the matrix's "["; a match keeps the bytes alive
+    rows, pos = [], value
+    while data[pos:pos + 1] == (b"," if rows else b"["):
+        start = _JSON_SPACE.match(data, pos + 1).end()
+        end = data.find(b"]", start) + 1
+        try:  # a slice cut at its first "]" parses only as a flat array
+            rows.append(np.asarray(json.loads(data[start:end].decode("ascii"))))
+        except (ValueError, RecursionError):
+            return None
+        if rows[-1].dtype not in _ROW_DTYPES:
+            return None
+        pos = _JSON_SPACE.match(data, end).end()
+    if data[pos:pos + 1] != b"]" or len({row.size for row in rows}) != 1:
+        return None
+    rest = data[:value] + _PLACEHOLDER + data[pos + 1:]
+    del data
+    try:
+        d = json.loads(rest.decode("ascii"))
+    except (ValueError, RecursionError):
+        return None
+    if rest.count(b'"matrix"') != 1 or rest.count(_PLACEHOLDER) != 1 or type(d) is not dict:
+        return None
+    if type(d.get("matrix")) is not int or d["matrix"] != int(_PLACEHOLDER):
+        return None
+    d["matrix"] = np.stack(rows)
+    return d
 
 
 def _write_json(path, payload) -> None:
@@ -331,7 +384,7 @@ def save_operator(path, op: MarkovOperator) -> None:
 
 def load_operator(path) -> MarkovOperator:
     with _within(path):
-        return operator_from_dict(_read_json(path))
+        return operator_from_dict(_with_matrix_rows(path) or _read_json(path))
 
 
 def _kraus_matrices(d: Mapping, labelled) -> list[np.ndarray]:
@@ -380,7 +433,7 @@ def _by_symbol(d: Mapping, field: str, scale: Scale, what: str):
 def load_channel(path) -> MarkovOperator:
     """Load a Markov operator from either an operator file or a Kraus file."""
     with _within(path):
-        d = _read_json(path)
+        d = _with_matrix_rows(path) or _read_json(path)
         if isinstance(d, Mapping) and "kraus" in d:
             return from_kraus(_kraus_list(d))
         return operator_from_dict(d)

@@ -162,7 +162,11 @@ def kraus_superop(family) -> np.ndarray:
     upper entries, whose real and imaginary parts times sqrt(2) are the
     rest.  :func:`_basis_images` combines each block's columns into the
     images of the canonical basis elements.  No temporary is larger than
-    the result.
+    the result, but while the upper block is combined the result, that
+    block's vec-basis rows and images (each about the result's size) and
+    their upper and lower halves (half each) are alive at once.  The peak
+    is four times the result: 32 MiB for the 8 MiB result at n = 32 and
+    162 MiB for 40.5 MiB at n = 48, under tracemalloc.
     """
     mats = _kraus_stack(family)
     n = mats.shape[-1]

@@ -1646,3 +1646,36 @@ class TestWalkNodeValueLimit:
         assert f" x {nodes} (rows x nodes)" in captured.err
         assert "array is too big" not in captured.err
         assert not out_path.exists()
+
+
+class TestClosedPipe:
+    """A reader that closes stdout early ends the run with exit 2 and one line, ``qmarkov: output closed``."""
+
+    @staticmethod
+    def _command(*args):
+        src = str(Path(qmarkov.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONUNBUFFERED", None)  # stdout keeps a buffer, as it does by default
+        return [sys.executable, "-W", "error", "-m", "qmarkov.cli", *args], env
+
+    def test_reader_gone_after_one_line(self, files):
+        # 2**16 rows, far more than a pipe holds, so the writer is still writing when the reader goes
+        argv, env = self._command("measure", "--measurement", str(files["zmeas"]), "--density",
+                                  str(files["density"]), "--steps", "16")
+        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"word,probability\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        assert (code, err) == (2, b"qmarkov: output closed\n")
+
+    def test_reader_gone_before_a_short_output(self):
+        # the whole output fits stdout's buffer, so the pipe shows closed only when it is flushed
+        read, write = os.pipe()
+        os.close(read)
+        argv, env = self._command("bell", "--builtin", "five-state")
+        try:
+            done = subprocess.run(argv, env=env, stdout=write, stderr=subprocess.PIPE, timeout=120)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (2, b"qmarkov: output closed\n")

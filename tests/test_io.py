@@ -1,8 +1,11 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_hermitian, random_kraus_family
 from qmarkov import (
@@ -500,3 +503,185 @@ def test_empty_symbol_text_not_loaded(tmp_path, load, payload):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=re.escape(f"{path}: scale symbol '' has an empty text")):
         load(path)
+
+
+def _whole_text_load(path, channel: bool):
+    """``load_channel`` (or ``load_operator``) as it reads the file whole: one text, one ``json.loads``."""
+    with qio._within(path):
+        d = qio._read_json(path)
+        if channel and isinstance(d, dict) and "kraus" in d:
+            return from_kraus(qio._kraus_list(d))
+        return qio.operator_from_dict(d)
+
+
+def _outcome(load, *args):
+    """What ``load(*args)`` returns, or the exception it raises."""
+    try:
+        return load(*args)
+    except Exception as exc:  # every error type and message is compared
+        return exc
+
+
+def _assert_same(got, want):
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert isinstance(got, MarkovOperator) and got.n == want.n
+        assert got.matrix.dtype == want.matrix.dtype and got.matrix.shape == want.matrix.shape
+        np.testing.assert_array_equal(got.matrix.view(np.int64), want.matrix.view(np.int64))
+
+
+def _channel_rows(seed: int, n: int) -> list:
+    rng = np.random.default_rng(seed)
+    return from_kraus(random_kraus_family(rng, n, 1 + seed % 3)).matrix.tolist()
+
+
+INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+NUMBERS = st.floats() | INT64 | st.integers(min_value=-(2**70), max_value=2**70)
+ITEMS = NUMBERS | st.booleans() | st.none() | st.text(max_size=2) | st.lists(st.floats(), max_size=2)
+MATRICES = st.one_of(
+    st.builds(_channel_rows, st.integers(0, 2**16), st.integers(1, 3)),  # valid operators
+    st.integers(1, 4).flatmap(lambda c: st.lists(st.lists(NUMBERS, min_size=c, max_size=c), min_size=1, max_size=4)),
+    st.lists(st.lists(NUMBERS, min_size=1, max_size=3), min_size=2, max_size=3),  # ragged rows
+    st.lists(st.lists(ITEMS, max_size=3), max_size=3),  # empty and nested rows, non-numbers
+    ITEMS | st.dictionaries(st.text(max_size=2), ITEMS, max_size=2),
+)
+EXTRAS = st.dictionaries(
+    st.sampled_from(["note", "kraus", "extra"]),
+    st.one_of(
+        st.just("\u00e9"),  # a non-ASCII text
+        st.just(int(qio._PLACEHOLDER)),  # the decoder's own stand-in
+        st.just({"matrix": [[1.0]]}),  # a nested matrix key
+        st.just([qio.matrix_to_dict(np.eye(1))]),  # a Kraus list
+        ITEMS,
+    ),
+    max_size=2,
+)
+SPACE = st.text(alphabet=" \t\n\r", max_size=3)
+LAYOUTS = st.one_of(
+    st.just({"separators": (",", ":")}),  # compact
+    st.just({}),  # json.dumps's default
+    st.just({"indent": 2}),  # save_operator's layout
+    st.builds(
+        lambda indent, a, b, c, d: {"indent": indent, "separators": (a + "," + b, c + ":" + d)},
+        SPACE, SPACE, SPACE, SPACE, SPACE,
+    ),
+)
+# text edits that take the whole-text path: a BOM, bytes that are no UTF-8, a cut text, a stray
+# byte, a repeated key (spelled plainly, or escaped before or after the real one), an array on top
+EDITS = st.one_of(
+    st.just(None),
+    st.just(("prefix", "\ufeff".encode())),
+    st.tuples(st.sampled_from(["insert", "truncate"]), st.integers(0, 10**6), st.sampled_from(list(b'\xff[],":0 \n\x00'))),
+    st.just(("after", b'{"matrix": [[0.5]], ')),
+    st.just(("after", b'{"m\\u0061trix": [[0.5]], ')),
+    st.just(("before", b', "m\\u0061trix": [[0.5]]}')),
+    st.just(("wrap", b"[")),
+)
+
+
+def _edited(data: bytes, edit) -> bytes:
+    if edit is None:
+        return data
+    if edit[0] == "prefix":
+        return edit[1] + data
+    if edit[0] == "after":
+        return data.replace(b"{", edit[1], 1)
+    if edit[0] == "before":
+        cut = data.rindex(b"}")
+        return data[:cut] + edit[1] + data[cut + 1:]
+    if edit[0] == "wrap":
+        return b"[" + data + b"]"
+    kind, at, byte = edit
+    at %= len(data) + 1
+    return data[:at] + bytes([byte]) + data[at:] if kind == "insert" else data[:at]
+
+
+class TestRowByRowDecode:
+    """A dense operator file's matrix is decoded one row at a time, to the bit of the whole-text decode."""
+
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        n=st.integers(1, 3) | INT64,
+        basis=st.sampled_from([qio.BASIS_TAG, "other", "\u00e9"]),
+        matrix=MATRICES,
+        extras=EXTRAS,
+        order=st.permutations(range(3)),
+        layout=LAYOUTS,
+        ascii_only=st.booleans(),
+        edit=EDITS,
+    )
+    def test_same_as_whole_text(self, tmp_path, n, basis, matrix, extras, order, layout, ascii_only, edit):
+        fields = [("n", n), ("basis", basis), ("matrix", matrix)]
+        payload = dict([fields[i] for i in order], **extras)
+        text = json.dumps(payload, ensure_ascii=ascii_only, **layout)
+        path = tmp_path / "op.json"
+        path.write_bytes(_edited(text.encode(), edit))
+        for channel, load in ((False, qio.load_operator), (True, qio.load_channel)):
+            _assert_same(_outcome(load, path), _outcome(_whole_text_load, path, channel))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 1, "basis": "%s", "matrix": [[1.0]x}',  # a stray byte where the matrix closes
+            '{"n": 1, "basis": "%s", "matrix": [[1.0] [1.0]]}',  # rows without a comma
+            '{"n": 1, "basis": "%s", "matrix": [[1.0],]}',
+            '{"n": 1, "basis": "%s", "matrix": [[1.0]]',
+            '{"n": 1, "basis": "%s", "matrix": [[1.0]]5}',
+            '{"n": 1, "basis": "%s", "matrix": [[1.0]]}5',
+            '{"n": 1, "basis": "%s", "matrix": [[1.0], [2.0, 3.0]]}',
+            '{"n": 1, "basis": "%s", "matrix": [[1.0], []]}',
+            '{"n": 1, "basis": "%s", "matrix": [[[1.0]]]}',
+            '{"n": 1, "basis": "%s", "matrix": [[1.0, {"a": 1}]]}',
+            '{"n": 1, "basis": "%s", "matrix": [["1.0"]]}',
+            '{"n": 1, "basis": "%s", "matrix": [["]"]]}',
+            '{"n": 1, "basis": "%s", "matrix": [[null]]}',
+            '{"n": 1, "basis": "%s", "matrix": [[true]]}',
+            '{"n": 1, "basis": "%s", "matrix": [[true, 1.0]]}',
+            '{"n": 1, "basis": "%s", "matrix": [[1]]}',
+            '{"n": 1, "basis": "%s", "matrix": [[NaN]]}',
+            '{"n": 1, "basis": "%s", "matrix": [[1_0]]}',
+            '{"n": 1, "basis": "%s", "matrix": [[9223372036854775808], [2]]}',
+            '{"n": 1, "basis": "%s", "matrix": [[1, 2], [3, 9223372036854775808]]}',
+            '{"n": 1, "basis": "%s", "matrix": [[18446744073709551616]]}',
+            '{"n": 1, "basis": "%s", "matrix": [[1.0]], "m\\u0061trix": [[0.5]]}',  # the key again, escaped
+            '{"m\\u0061trix": [[0.5]], "n": 1, "basis": "%s", "matrix": [[1.0]]}',
+            '{"a \\"matrix": [[0.5]], "n": 1, "basis": "%s", "m\\u0061trix": [[1.0]]}',
+            '{"n": 1, "basis": "%s", "nested": {"matrix": [[1.0]]}, "m\\u0061trix": 31415926535897932384626433832795}',
+            '{"n": 1, "basis": "%s", "matrix": [[1.0]], "x": "\\"matrix\\": [[2.0]]"}',
+            '[{"n": 1, "basis": "%s", "matrix": [[1.0]]}]',
+            '\ufeff{"n": 1, "basis": "%s", "matrix": [[1.0]]}',
+            '{"n": 1, "basis": "%s", "matrix": [[1.0]], "note": "\u00e9"}',
+            '{\r\n"n": 1, "basis": "%s",\r\n"matrix": [\r\n[\r\n1.0\r\n]\r\n]}',
+        ],
+    )
+    def test_edge_texts_same_as_whole_text(self, tmp_path, text):
+        path = tmp_path / "op.json"
+        path.write_bytes((text % qio.BASIS_TAG).encode())
+        for channel, load in ((False, qio.load_operator), (True, qio.load_channel)):
+            _assert_same(_outcome(load, path), _outcome(_whole_text_load, path, channel))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("layout", [{"separators": (",", ":")}, {"indent": 2}, {"indent": "\r\n\t "}])
+    def test_saved_operator_decoded_by_rows(self, tmp_path, n, layout):
+        rows = _channel_rows(n, n)
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps({"n": n, "basis": qio.BASIS_TAG, "matrix": rows}, **layout))
+        d = qio._with_matrix_rows(path)
+        assert d is not None and d["matrix"].dtype == np.float64
+        np.testing.assert_array_equal(d["matrix"].view(np.int64), np.array(rows).view(np.int64))
+
+    def test_decode_peak_below_file_plus_matrix(self, tmp_path):
+        op = from_kraus(random_kraus_family(np.random.default_rng(113), 16, 2))
+        matrix_bytes = op.matrix.nbytes
+        path = tmp_path / "op16.json"
+        qio.save_operator(path, op)
+        tracemalloc.start()
+        try:
+            loaded = qio.load_operator(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(loaded.matrix, op.matrix)
+        # the whole text plus a Python float per entry would be about 2.4 times the file
+        assert peak < path.stat().st_size + 1.25 * matrix_bytes
