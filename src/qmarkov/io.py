@@ -79,51 +79,85 @@ def _read_json(path, text: str | None = None) -> Any:
         raise ValueError(f"malformed JSON ({exc})") from None
 
 
-_MATRIX_VALUE = re.compile(rb'"matrix"[ \t\n\r]*:[ \t\n\r]*\[')
+_WINDOW = 1 << 16  # the bytes of an operator file read at a time
+_MATRIX_KEY = b'"matrix"'
 _JSON_SPACE = re.compile(rb"[ \t\n\r]*")
 _PLACEHOLDER = b"31415926535897932384626433832795"  # an integer that stands in for the matrix
 _ROW_DTYPES = (np.dtype(np.int64), np.dtype(np.float64))
 
 
-def _with_matrix_rows(path) -> dict | None:
-    """The JSON object of an operator file, its top-level "matrix" decoded one row at a time from the
-    file's bytes; None unless that array is, bit for bit, what ``np.asarray`` of the parsed value is.
+def _find(file, buf: bytearray, sub: bytes, pos: int) -> int:
+    """The index of ``sub`` in ``buf`` from ``pos``, the file's next windows appended to ``buf`` until
+    it arrives; -1 if it never does."""
+    while (at := buf.find(sub, pos)) < 0:
+        pos = max(pos, len(buf) - len(sub) + 1)  # each byte is searched once
+        if not (window := file.read(_WINDOW)):
+            return -1
+        buf += window
+    return at
 
-    The whole text and a Python float per entry are then never alive
-    together, and the bytes go before the rows are stacked: loading needs
-    about the file's size plus the matrix.  The rest of the text, the matrix
-    replaced by an integer it does not hold, must parse to an object whose
-    "matrix" is that integer, so the rows were the top-level value; a row
-    of numbers holds no quote, so the rest holds every "matrix" key, and
-    there must be one.  ASCII text reads alike in any locale, and a row that
-    numpy reads as neither int64 nor float64 could change the whole array's
-    type; all else, malformed text included, is left to :func:`_read_json`.
+
+def _space_end(file, buf: bytearray, pos: int) -> int:
+    """The end of the JSON whitespace in ``buf`` from ``pos``, the file's next windows appended to
+    ``buf`` while it reaches the end."""
+    while (pos := _JSON_SPACE.match(buf, pos).end()) == len(buf) and (window := file.read(_WINDOW)):
+        buf += window
+    return pos
+
+
+def _with_matrix_rows(path) -> dict | None:
+    """The JSON object of an operator file, its top-level "matrix" decoded one row at a time as the
+    file is read; None unless that array is, bit for bit, what ``np.asarray`` of the parsed value is.
+
+    The file is read :data:`_WINDOW` bytes at a time.  The head up to the
+    matrix's "[" is kept.  Each row is parsed once its "]" is read, and its
+    bytes are dropped, so only the unparsed start of a row is carried into
+    the next read; a row longer than the window grows the buffer until its
+    "]" arrives.  The tail after the matrix is read last.  Neither the
+    file's bytes nor its text are ever held whole: decoding peaks at the
+    rows plus their stacked copy and a window, about two matrices whatever
+    the file's layout.
+
+    The rest of the text, the matrix replaced by an integer it does not
+    hold, must parse to an object whose "matrix" is that integer, so the
+    rows were the top-level value; a row of numbers holds no quote, so the
+    rest holds every "matrix" key, and there must be one.  ASCII text reads
+    alike in any locale, and a row that numpy reads as neither int64 nor
+    float64 could change the whole array's type; all else, malformed text
+    included, is left to :func:`_read_json`.
     """
-    data = Path(path).read_bytes()
-    head = _MATRIX_VALUE.match(data, max(data.find(b'"matrix"'), 0))
-    if head is None:
-        return None
-    value, head = head.end() - 1, None  # the matrix's "["; a match keeps the bytes alive
-    rows, pos = [], value
-    while data[pos:pos + 1] == (b"," if rows else b"["):
-        start = _JSON_SPACE.match(data, pos + 1).end()
-        end = data.find(b"]", start) + 1
-        try:  # a slice cut at its first "]" parses only as a flat array
-            rows.append(np.asarray(json.loads(data[start:end].decode("ascii"))))
-        except (ValueError, RecursionError):
+    with open(path, "rb") as file:
+        buf = bytearray()
+        key = _find(file, buf, _MATRIX_KEY, 0)
+        if key < 0:
             return None
-        if rows[-1].dtype not in _ROW_DTYPES:
+        colon = _space_end(file, buf, key + len(_MATRIX_KEY))
+        if buf[colon:colon + 1] != b":":
             return None
-        pos = _JSON_SPACE.match(data, end).end()
-    if data[pos:pos + 1] != b"]" or len({row.size for row in rows}) != 1:
-        return None
-    rest = data[:value] + _PLACEHOLDER + data[pos + 1:]
-    del data
+        value = _space_end(file, buf, colon + 1)
+        if buf[value:value + 1] != b"[":
+            return None
+        head = buf[:value]
+        del buf[:value]  # buf now starts at the matrix's "["
+        rows = []
+        while buf[:1] == (b"," if rows else b"["):
+            start = _space_end(file, buf, 1)
+            end = _find(file, buf, b"]", start) + 1
+            try:  # a slice cut at its first "]" parses only as a flat array; with no "]" it is empty
+                rows.append(np.asarray(json.loads(buf[start:end].decode("ascii"))))
+            except (ValueError, RecursionError):
+                return None
+            if rows[-1].dtype not in _ROW_DTYPES:
+                return None
+            del buf[:_space_end(file, buf, end)]
+        if buf[:1] != b"]" or len({row.size for row in rows}) != 1:
+            return None
+        rest = head + _PLACEHOLDER + buf[1:] + file.read()
     try:
         d = json.loads(rest.decode("ascii"))
     except (ValueError, RecursionError):
         return None
-    if rest.count(b'"matrix"') != 1 or rest.count(_PLACEHOLDER) != 1 or type(d) is not dict:
+    if rest.count(_MATRIX_KEY) != 1 or rest.count(_PLACEHOLDER) != 1 or type(d) is not dict:
         return None
     if type(d.get("matrix")) is not int or d["matrix"] != int(_PLACEHOLDER):
         return None

@@ -267,6 +267,28 @@ class TestChainCommands:
         assert code == 3
         assert "analysis failed" in capsys.readouterr().err
 
+    def test_cesaro_peak_about_two_matrices(self, tmp_path):
+        rng = np.random.default_rng(117)
+        op = from_kraus(random_kraus_family(rng, 16, 2))
+        path, rho, out = tmp_path / "op.json", tmp_path / "rho.json", tmp_path / "out.json"
+        path.write_text(json.dumps(qio.operator_to_dict(op), separators=(",", ":")))  # the smallest layout
+        g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        qio.save_matrix(rho, g @ g.conj().T / np.trace(g @ g.conj().T).real, kind="density")
+        argv = ["chain-cesaro", "--operator", str(path), "--density", str(rho), "--output", str(out)]
+
+        def peak():
+            gc.collect(1)
+            tracemalloc.start()
+            try:
+                assert run(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak()  # imports and first-call caches
+        # the file's bytes, at 2.6 times the matrix here, would set the peak if read whole
+        assert peak() < 2.5 * op.matrix.nbytes
+
 
 class TestWalkCommand:
     def test_trace_rows_sum_to_one(self, files, capsys):

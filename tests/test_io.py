@@ -685,3 +685,76 @@ class TestRowByRowDecode:
         np.testing.assert_array_equal(loaded.matrix, op.matrix)
         # the whole text plus a Python float per entry would be about 2.4 times the file
         assert peak < path.stat().st_size + 1.25 * matrix_bytes
+
+
+def _assert_same_decode(got, want):
+    """Two results of ``_with_matrix_rows``: both None, or the same keys and values, the matrix in dtype and bits."""
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got["matrix"].dtype == want["matrix"].dtype and got["matrix"].shape == want["matrix"].shape
+        assert got["matrix"].tobytes() == want["matrix"].tobytes()
+        assert repr({**got, "matrix": None}) == repr({**want, "matrix": None})
+
+
+WINDOWS = (1, 2, 3, 7, 64)
+
+
+class TestWindowedDecode:
+    """The file is read a fixed window at a time; no window edge changes what is decoded."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        n=st.integers(1, 3) | INT64,
+        basis=st.sampled_from([qio.BASIS_TAG, "other", "\u00e9"]),
+        matrix=MATRICES,
+        extras=EXTRAS,
+        order=st.permutations(range(3)),
+        layout=LAYOUTS,
+        ascii_only=st.booleans(),
+        edit=EDITS,
+    )
+    def test_tiny_windows_same_as_whole_text(
+        self, tmp_path, monkeypatch, n, basis, matrix, extras, order, layout, ascii_only, edit
+    ):
+        # windows this small put every part of the text across an edge: the key, the colon, the
+        # space between rows, each row (longer than the window), the matrix's "]" and the tail
+        fields = [("n", n), ("basis", basis), ("matrix", matrix)]
+        payload = dict([fields[i] for i in order], **extras)
+        text = json.dumps(payload, ensure_ascii=ascii_only, **layout)
+        path = tmp_path / "op.json"
+        path.write_bytes(_edited(text.encode(), edit))
+        whole = [_outcome(_whole_text_load, path, channel) for channel in (False, True)]
+        decoded = qio._with_matrix_rows(path)  # the file fits one default window
+        for window in WINDOWS:
+            with monkeypatch.context() as patch:  # undone before the next example's default-window decode
+                patch.setattr(qio, "_WINDOW", window)
+                _assert_same_decode(qio._with_matrix_rows(path), decoded)
+                for want, load in zip(whole, (qio.load_operator, qio.load_channel)):
+                    _assert_same(_outcome(load, path), want)
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("layout", [{"separators": (",", ":")}, {"indent": 2}, {"indent": "\r\n\t "}])
+    def test_saved_operator_decoded_by_rows_at_any_window(self, tmp_path, monkeypatch, window, layout):
+        rows = _channel_rows(3, 3)
+        path = tmp_path / "op.json"
+        path.write_text(json.dumps({"n": 3, "basis": qio.BASIS_TAG, "matrix": rows, "note": "x"}, **layout))
+        monkeypatch.setattr(qio, "_WINDOW", window)
+        d = qio._with_matrix_rows(path)
+        assert d is not None and d["matrix"].dtype == np.float64 and d["note"] == "x"
+        np.testing.assert_array_equal(d["matrix"].view(np.int64), np.array(rows).view(np.int64))
+
+    def test_decode_peak_independent_of_the_file_size(self, tmp_path):
+        op = from_kraus(random_kraus_family(np.random.default_rng(119), 16, 2))
+        matrix_bytes = op.matrix.nbytes
+        path = tmp_path / "op16.json"
+        path.write_text(json.dumps(qio.operator_to_dict(op), indent=12))  # a wide layout
+        assert path.stat().st_size >= 6 * matrix_bytes
+        tracemalloc.start()
+        try:
+            loaded = qio.load_operator(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(loaded.matrix, op.matrix)
+        # the rows and their stacked matrix, then the operator's own copy; the file's bytes never
+        assert peak < 2.25 * matrix_bytes + 4 * qio._WINDOW
