@@ -21,13 +21,18 @@ residual bounds stationarity, not the distance to the limit: eigenphases
 closer than about 1/t are not yet separated at the t where it is met.
 
 Every state mu^t(P) comes from ``operators._orbit`` in the operator's own
-form, so a Kraus stack never forms its superoperator to step.  Trajectories
-come in blocks of up to PATH_BLOCK states from ``_path_blocks``.  For a
-matrix K, a path longer than both PATH_BLOCK and n^2 continues in blocks,
-each the previous block times (K^B)^T, one matrix product instead of B
-memory-bound mat-vecs; shorter paths keep stepping, because forming K^B
-costs log2(B) products of size n^2.  Both kernels differ from a plain step
-loop of K in the last digits.
+form, so a Kraus stack never forms its superoperator to step.  A dense
+operator of low Choi rank steps as a Kraus stack recovered from its matrix
+where ``operators._stepping_kraus`` finds that cheaper: a path of about 50
+steps or more at n >= 23, and the stepped Cesaro phase there (its n^2 steps
+are the count); the doubling past that phase still uses the matrix.  Such
+paths and averages differ from the matrix's in the last digits.
+Trajectories come in blocks of up to PATH_BLOCK states from
+``_path_blocks``.  Where a matrix K steps, a path longer than both
+PATH_BLOCK and n^2 continues in blocks, each the previous block times
+(K^B)^T, one matrix product instead of B memory-bound mat-vecs; shorter
+paths keep stepping, because forming K^B costs log2(B) products of size
+n^2.  Both kernels differ from a plain step loop of K in the last digits.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from .hermitian import (
     require_hermitian,
     require_markov_density,
 )
-from .operators import MarkovOperator, _image, _orbit, _powers
+from .operators import MarkovOperator, _image, _orbit, _powers, _stepping_kraus
 
 __all__ = [
     "MarkovChain",
@@ -74,6 +79,7 @@ PATH_BLOCK = 32  # rows per block of _path_blocks; the power K^B is formed by sq
 # weight c of (U - U*)/(2i) in the Hermitian matrix whose eigenbasis diagonalizes
 # a unitary U; irrational, so Re(lam) + c Im(lam) rarely collides for distinct lam
 EIGEN_MIX = 0.6180339887498949
+_VECTOR_CLEAR = np.zeros(16)  # one AVX-dispatched float64 add over it per Kraus path block; see _path_blocks
 
 
 class ConvergenceError(RuntimeError):
@@ -146,19 +152,34 @@ def _path_blocks(op: MarkovOperator, c0: np.ndarray, steps: int) -> Iterator[np.
     """Coordinates of mu^t(Q) for t = 0..steps, c0 those of Q, in blocks of at most PATH_BLOCK rows.
 
     A block is valid until the next one is drawn; row 0 is c0 itself.
-    Blocks stack and read the states of :func:`_orbit`; for a matrix K, past
-    PATH_BLOCK rows, if steps > len(c0) and steps >= PATH_BLOCK, each block
-    is the previous one times (K^B)^T.  A ``steps`` that is not a count
-    raises when the first block is drawn.
+    Blocks stack and read the states of :func:`_orbit` in the form
+    :func:`_stepping_kraus` picks for ``steps``; when that is the matrix K,
+    past PATH_BLOCK rows, if steps > len(c0) and steps >= PATH_BLOCK, each
+    block is the previous one times (K^B)^T.  A ``steps`` that is not a
+    count raises when the first block is drawn.
+
+    After each block of a Kraus stack, one float64 add over 16 values runs.
+    With OpenBLAS on a 2-core Xeon VM, SSE code that runs after a complex
+    matrix product is slow until some AVX-dispatched numpy loop runs (the
+    upper halves of the vector registers stay dirty); the consumers of a
+    block are such code.  Measured on that host (medians of 200): after a
+    complex product ``np.add.at`` on a walk block takes 284 us, and 17 us
+    once the add has run; 1500 ``%.17g`` formats take 1.27 and 0.62 ms.
+    An add over 8 values clears the state only in part (179 us).  The
+    2000-step n = 24 Kraus-file ``chain-evolve --format csv`` took 603-606
+    ms with the clear against 742-772 ms without (best of 7, in process).
     """
     steps = _require_count(steps, "steps")
     b = PATH_BLOCK
-    states, read = _orbit(op, c0)
-    stepped = b if op.kraus is None and steps > c0.size and steps >= b else steps + 1  # rows from the orbit
+    kraus = _stepping_kraus(op, steps)
+    states, read = _orbit(op, c0, kraus)
+    stepped = b if kraus is None and steps > c0.size and steps >= b else steps + 1  # rows from the orbit
     for t in range(0, stepped, b):
         block = read(np.stack(list(islice(states, min(b, stepped - t)))))
         if not t:
             block[0] = c0
+        if kraus is not None:
+            np.add(_VECTOR_CLEAR, _VECTOR_CLEAR, out=_VECTOR_CLEAR)
         yield block
     if stepped > steps:
         return
@@ -255,20 +276,21 @@ def cesaro_average(
 def _window_sums(op: MarkovOperator, c0: np.ndarray) -> Iterator[tuple]:
     """Coordinates (t, S_t P, S_2t P - S_t P) for t = 1, 2, 4, ..., where S_t P = sum_{k=1..t} mu^k(P).
 
-    While 2t <= n^2 the sums add up the states mu^k(P) of :func:`_orbit`
-    in the operator's form and read them at each check.  Past that point
-    K^t is formed once by squaring, and each later window is K^t S_t P,
-    with S_2t = S_t + K^t S_t and K^2t = (K^t)^2.  A one-element Kraus
-    stack, a unitary U, for which :func:`_eigenbasis` certifies an eigenbasis
-    steps only while t <= n and then doubles in that basis by
-    :func:`_eigenbasis_window_sums`.  Stepping a permutation is exact, and
-    t <= n still reaches the period of every permutation whose cycle
-    lengths are powers of two; each further step would cost an n x n
-    product where an eigenbasis doubling is elementwise.
+    While 2t <= n^2 the sums add up the states mu^k(P) of :func:`_orbit`,
+    in the form :func:`_stepping_kraus` picks for n^2 steps, and read them
+    at each check.  Past that point K^t is formed once by squaring, and
+    each later window is K^t S_t P, with S_2t = S_t + K^t S_t and
+    K^2t = (K^t)^2.  A one-element Kraus stack, a unitary U, for which
+    :func:`_eigenbasis` certifies an eigenbasis steps only while t <= n and
+    then doubles in that basis by :func:`_eigenbasis_window_sums`.
+    Stepping a permutation is exact, and t <= n still reaches the period
+    of every permutation whose cycle lengths are powers of two; each
+    further step would cost an n x n product where an eigenbasis doubling
+    is elementwise.
     """
     basis = _eigenbasis(op.kraus[0]) if op.kraus is not None and len(op.kraus) == 1 else None
     stepped = 2 * op.n if basis else c0.size  # rows summed by stepping
-    states, read = _orbit(op, c0)
+    states, read = _orbit(op, c0, _stepping_kraus(op, stepped))
     next(states)  # mu^0(P) = P
     partial, t = next(states), 1
     while 2 * t <= stepped:

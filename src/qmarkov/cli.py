@@ -31,7 +31,7 @@ from .oom import (
     prediction_matrix,
     word_probabilities,
 )
-from .walk import _node_blocks, limiting_node_distribution
+from .walk import _node_blocks, _NodeValueLimitError, limiting_node_distribution
 
 __all__ = ["run"]
 
@@ -200,6 +200,13 @@ def _cmd_walk(args) -> None:
     graph = qio.load_graph(args.graph)
     operator = qio.load_channel(args.operator)
     density = qio.load_density(args.density)
+    try:
+        _walk_output(args, graph, operator, density)
+    except _NodeValueLimitError as exc:  # the library cannot name the file whose node count it refuses
+        raise ValueError(f"{exc} (graph {args.graph})") from None
+
+
+def _walk_output(args, graph, operator, density) -> None:
     if args.limiting:
         dist = limiting_node_distribution(graph, operator, density, tol=args.tol)
         if args.format == "json":

@@ -29,6 +29,7 @@ __all__ = [
     "CESARO_TOL",
     "CESARO_MAX_DOUBLINGS",
     "RANK_TOL",
+    "RECOVERY_TOL",
     "SAMPLED_SIGN_TOL",
     "UNIT_TRACE_FLOOR",
     "SpectralDecomposition",
@@ -64,6 +65,9 @@ BELL_TOL = 1e-12  # slack of |E(XY) - E(YZ)| <= 1 - E(XZ)
 CESARO_TOL = 1e-8  # Cesaro stationarity residual target
 CESARO_MAX_DOUBLINGS = 40  # Cesaro horizon doublings, up to t = 2^40 steps
 RANK_TOL = 1e-8  # singular values above RANK_TOL * largest count for the rank
+# Relative slack of a Kraus stack recovered from a dense operator matrix,
+# on its check probes: ||K x - image of x|| <= RECOVERY_TOL ||K x||.
+RECOVERY_TOL = 1e-12
 SAMPLED_SIGN_TOL = 1e-9  # sign slack of images in sampled_nonnegativity
 UNIT_TRACE_FLOOR = 1e-6  # Cesaro averages with |trace| below this stay unscaled
 

@@ -106,11 +106,17 @@ def _path(graph: DirectedGraph, operator: MarkovOperator, start: np.ndarray, ste
     return _path_blocks(operator, coords(chain.start), steps)
 
 
+class _NodeValueLimitError(ValueError):
+    """The refusal of :func:`_node_values`, which the CLI completes with the graph file."""
+
+
 def _node_values(graph: DirectedGraph, rows: int) -> np.ndarray:
     """A zero (rows, nodes) float64 array of node values, refused when numpy's index type cannot count its bytes."""
     if rows * graph.node_count > _MAX_NODE_VALUES:
-        raise ValueError(f"node values of {rows} x {graph.node_count} (rows x nodes) exceed {_MAX_NODE_VALUES}, "
-                         "the most float64 values whose bytes numpy's index type counts")
+        raise _NodeValueLimitError(
+            f"node values of {rows} x {graph.node_count} (rows x nodes) exceed {_MAX_NODE_VALUES}, "
+            "the most float64 values whose bytes numpy's index type counts"
+        )
     return np.zeros((rows, graph.node_count))
 
 

@@ -33,7 +33,8 @@ from qmarkov import (
     walk,
 )
 from qmarkov import chain as qchain
-from qmarkov.operators import _image, kraus_superop
+from qmarkov import operators as qoperators
+from qmarkov.operators import _image, _recover_kraus, _stepping_kraus, diagonal_superop, kraus_superop
 
 
 def off_diagonal_amplifier(factor: float) -> MarkovOperator:
@@ -738,3 +739,151 @@ class TestPathBlocks:
         report = boundedness_probe(chain, horizon=60, bound=10.0)
         assert report.max_value == pytest.approx(values.max(), rel=1e-12)
         assert report.first_exceeded == int(np.flatnonzero(values > 10.0)[0])
+
+
+def _low_rank(n: int, rank: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The dense matrix of a seeded Kraus family of ``rank`` matrices on H_n, and a start density."""
+    rng = np.random.default_rng([140, n, rank, seed])
+    return kraus_superop(random_kraus_family(rng, n, rank)), random_quantum_density(n, rng)
+
+
+def _refused(kind: str, n: int) -> np.ndarray:
+    """A trace-preserving dense matrix that ``_recover_kraus`` must refuse."""
+    rng = np.random.default_rng([141, n])
+    if kind == "stochastic":  # Choi rank n^2
+        m = rng.random((n, n))
+        return diagonal_superop(m / m.sum(axis=0))
+    if kind == "jordan":  # a negative entry: not completely positive
+        m = np.zeros((n, n))
+        m[:2, :2] = [[2.0, 1.0], [-1.0, 0.0]]
+        rest = rng.random((n - 2, n - 2)) + 0.05
+        m[2:, 2:] = rest / rest.sum(axis=0)
+        return diagonal_superop(m)
+    if kind == "random":
+        k = 0.5 * rng.standard_normal((n * n, n * n)) / n
+        k[0] = (np.arange(n * n) < n) - k[1:n].sum(axis=0)  # the basis traces: 1 for E_jj, else 0
+        return k
+    k = kraus_superop(random_kraus_family(rng, n, 2))  # rank 2, perturbed off the trace rows
+    k[n:] += 1e-8 * rng.standard_normal((n * n - n, n * n))
+    return k
+
+
+def _path(op: MarkovOperator, c0: np.ndarray, steps: int) -> np.ndarray:
+    return np.concatenate([block.copy() for block in qchain._path_blocks(op, c0, steps)])
+
+
+class TestRecoveredKraus:
+    """A dense operator of low Choi rank steps as its recovered Kraus stack where the cost rule picks it.
+
+    The dense route is forced by a recovery that returns None.
+    """
+
+    @staticmethod
+    def _dense_route(monkeypatch, call):
+        with monkeypatch.context() as patch:
+            patch.setattr(qoperators, "_recover_kraus", lambda k, n: None)
+            return call()
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [4, 8, 20])
+    def test_recovers_the_stack(self, n, rank):
+        matrix, _ = _low_rank(n, rank)
+        stack = _recover_kraus(matrix, n)
+        assert stack.shape == (rank, n, n) and not stack.flags.writeable
+        np.testing.assert_allclose(kraus_superop(stack), matrix, rtol=0, atol=1e-13)
+
+    def test_no_gap_past_the_probes(self):
+        matrix, _ = _low_rank(20, qoperators.RECOVERY_PROBES)
+        assert _recover_kraus(matrix, 20) is None
+
+    def test_check_catches_what_the_probes_miss(self):
+        # a traceless change in a column whose pair the probes do not read leaves
+        # their core of rank 2; only the check on coordinate probes sees it
+        n = 24
+        matrix, _ = _low_rank(n, 2)
+        rng = np.random.default_rng(qoperators.RECOVERY_SEED)
+        probed = rng.choice(n, size=qoperators.RECOVERY_PROBES, replace=False)
+        j, k = np.setdiff1d(np.arange(n), probed)[:2]
+        matrix[n:, n + 2 * (j * (2 * n - j - 1) // 2 + k - j - 1)] += 1e-6
+        assert _recover_kraus(matrix, n) is None
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [20, 24, 32])
+    def test_path_agrees_with_the_dense_route(self, monkeypatch, n, rank):
+        matrix, q = _low_rank(n, rank)
+        steps = 2 * n * n + 5  # past n^2, so the dense route multiplies blocks
+        op = MarkovOperator(n=n, matrix=matrix)
+        path = _path(op, coords(q), steps)
+        if n < 24:  # the cost rule keeps it dense without trying
+            assert "_recovered_kraus" not in op.__dict__
+        else:
+            assert len(op._recovered_kraus) == rank and op.kraus is None
+        dense = self._dense_route(monkeypatch, lambda: _path(MarkovOperator(n=n, matrix=matrix), coords(q), steps))
+        np.testing.assert_allclose(path, dense, rtol=0, atol=1e-12)
+
+    def test_path_agrees_at_n48(self, monkeypatch):
+        matrix, q = _low_rank(48, 2)
+        op = MarkovOperator(n=48, matrix=matrix)
+        path = _path(op, coords(q), 100)
+        assert len(op._recovered_kraus) == 2
+        dense = self._dense_route(monkeypatch, lambda: _path(MarkovOperator(n=48, matrix=matrix), coords(q), 100))
+        np.testing.assert_allclose(path, dense, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [20, 24, 32])
+    def test_cesaro_agrees_with_the_dense_route(self, monkeypatch, n, rank):
+        matrix, q = _low_rank(n, rank)
+        op = MarkovOperator(n=n, matrix=matrix)
+        result = cesaro_average(MarkovChain(operator=op, start=q))
+        assert ("_recovered_kraus" in op.__dict__) == (n >= 24)
+        dense = self._dense_route(
+            monkeypatch, lambda: cesaro_average(MarkovChain(operator=MarkovOperator(n=n, matrix=matrix), start=q))
+        )
+        assert result.iterations == dense.iterations
+        np.testing.assert_allclose(result.average, dense.average, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["stochastic", "jordan", "random", "perturbed"])
+    def test_refused_matrix_steps_densely_bit_for_bit(self, monkeypatch, kind):
+        n = 24
+        matrix = _refused(kind, n)
+        c0 = coords(random_quantum_density(n, np.random.default_rng(142)))
+        op = MarkovOperator(n=n, matrix=matrix)
+        path = _path(op, c0, 300)
+        assert op._recovered_kraus is None
+        dense = self._dense_route(monkeypatch, lambda: _path(MarkovOperator(n=n, matrix=matrix), c0, 300))
+        np.testing.assert_array_equal(path, dense)
+
+    def test_cost_rule(self):
+        matrix, _ = _low_rank(16, 2)
+        op = MarkovOperator(n=16, matrix=matrix)
+        assert _stepping_kraus(op, 10**9) is None  # n <= 16 steps its matrix, however long the path
+        assert "_recovered_kraus" not in op.__dict__
+        matrix, _ = _low_rank(24, 2)
+        op = MarkovOperator(n=24, matrix=matrix)
+        assert _stepping_kraus(op, 40) is None and "_recovered_kraus" not in op.__dict__
+        assert _stepping_kraus(op, 24 * 24) is op._recovered_kraus is not None
+        kraus = from_kraus(random_kraus_family(np.random.default_rng(143), 3, 2))
+        assert _stepping_kraus(kraus, 0) is kraus.kraus
+
+    def test_rerouted_run_forms_no_superoperator(self, monkeypatch):
+        matrix, q = _low_rank(24, 2)
+        op = MarkovOperator(n=24, matrix=matrix)
+
+        def refuse(family):
+            raise AssertionError("a superoperator was formed")
+
+        monkeypatch.setattr(qoperators, "kraus_superop", refuse)
+        _path(op, coords(q), 300)
+        cesaro_average(MarkovChain(operator=op, start=q))
+        assert op._recovered_kraus is not None
+
+    def test_recovery_peak_below_half_the_matrix(self):
+        matrix, _ = _low_rank(24, 2)
+        tracemalloc.start()
+        try:
+            stack = _recover_kraus(matrix, 24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stack is not None
+        assert peak < matrix.nbytes / 2

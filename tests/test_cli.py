@@ -1670,6 +1670,53 @@ class TestWalkNodeValueLimit:
         assert not out_path.exists()
 
 
+class TestWalkRefusalNamesTheGraph:
+    """The walk's node-value refusal ends with the ``--graph`` file; other walk errors do not name it."""
+
+    @pytest.mark.parametrize("mode", [["--limiting"], ["--steps", "1"]])
+    def test_line_graph_with_node_id_two_to_the_62(self, files, capsys, mode):
+        graph = files["tmp"] / "huge_graph.txt"
+        graph.write_text(f"0 1\n1 {2**62}\n{2**62} 0\n")
+        argv = ["walk", "--graph", str(graph), "--operator", str(files["shift"]), "--density", str(files["edge0"])]
+        assert run([*argv, *mode]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qmarkov: invalid input: node values of ")
+        assert f" x {2**62 + 1} (rows x nodes)" in err
+        assert err.endswith(f" (graph {graph})\n")
+
+    def test_other_walk_errors_do_not_name_the_graph(self, files, capsys):
+        argv = ["walk", "--graph", str(files["graph"]), "--operator", str(files["id_op"]),
+                "--density", str(files["edge0"]), "--steps", "1"]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "dimension mismatch" in err and "(graph " not in err
+
+
+class TestRecoveredRoute:
+    """A dense n = 24 file of Choi rank 2 steps as a recovered Kraus stack, the same in every run."""
+
+    def test_two_runs_print_the_same_bytes(self, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(144)
+        matrix = qoperators.kraus_superop(random_kraus_family(rng, 24, 2))
+        op_path, rho_path = tmp_path / "op.json", tmp_path / "rho.json"
+        qio.save_operator(op_path, qoperators.MarkovOperator(n=24, matrix=matrix))
+        qio.save_matrix(rho_path, random_quantum_density(24, rng), kind="density")
+        recoveries, recover = [], qoperators._recover_kraus
+
+        def counted(k, n):
+            recoveries.append(recover(k, n))
+            return recoveries[-1]
+
+        monkeypatch.setattr(qoperators, "_recover_kraus", counted)
+        argv = ["chain-evolve", "--operator", str(op_path), "--density", str(rho_path), "--steps", "100"]
+        outs = []
+        for _ in range(2):
+            assert run(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert len(recoveries) == 2 and all(stack is not None and len(stack) == 2 for stack in recoveries)
+
+
 class TestClosedPipe:
     """A reader that closes stdout early ends the run with exit 2 and one line, ``qmarkov: output closed``."""
 
