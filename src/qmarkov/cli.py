@@ -97,7 +97,7 @@ def _concatenated(texts) -> bool:
 
 
 def _word_cells(texts: list[str]):
-    """Map from a word, as symbol texts, to its CSV cell, which :func:`_parse_word` reads back."""
+    """Map from a word, as symbol texts, to its CSV cell, which :func:`_parse_words` reads back."""
     return "".join if _concatenated(texts) else lambda word: _csv_cell(",".join(word))
 
 
@@ -122,11 +122,6 @@ def _parse_words(scale, texts) -> list[tuple]:
         return tuple(names.get(p, p) for p in parts)  # an unknown part fails in word_probabilities
 
     return list(map(parse, texts))
-
-
-def _parse_word(scale, text: str) -> tuple:
-    """One word argument parsed as :func:`_parse_words` parses a list."""
-    return _parse_words(scale, [text])[0]
 
 
 def _word_rows(fmt: str, texts: list[str], words, blocks):

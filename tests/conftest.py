@@ -2,13 +2,34 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import qmarkov
 from qmarkov import ObservableOperatorModel, Scale
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+def fresh_python(*args: str, start=subprocess.run, **kwargs):
+    """``python -W error *args`` in a fresh interpreter that imports this checkout's ``qmarkov``.
+
+    ``start`` is ``subprocess.run``, which waits at most 120 s, or
+    ``subprocess.Popen``; the keyword arguments go to it.  Stdout keeps the
+    buffer it has by default.
+    """
+    src = str(Path(qmarkov.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if start is subprocess.run:
+        kwargs.setdefault("timeout", 120)
+    return start([sys.executable, "-W", "error", *args], env=env, **kwargs)
 
 
 def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:

@@ -7,16 +7,13 @@ import itertools
 import json
 import os
 import subprocess
-import sys
 import time
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import qmarkov
-from conftest import random_hmm, random_kraus_family, random_oom
+from conftest import fresh_python, random_hmm, random_kraus_family, random_oom
 from qmarkov import (
     DirectedGraph,
     KrausMeasurement,
@@ -469,12 +466,10 @@ class TestOomCommands:
             assert capsys.readouterr().out == "word,probability\n,1\n"
 
     def test_prob_word_parts_named_by_text(self):
-        from qmarkov.cli import _parse_word
-
-        assert _parse_word(Scale((0, 1)), "0,1") == (0, 1)
-        assert _parse_word(Scale((10, 2)), "10,2") == (10, 2)
-        assert _parse_word(Scale((10, 2)), "10") == (10,)
-        assert _parse_word(Scale(("a", "bc")), "bc") == ("bc",)
+        assert cli._parse_words(Scale((0, 1)), ["0,1"])[0] == (0, 1)
+        assert cli._parse_words(Scale((10, 2)), ["10,2"])[0] == (10, 2)
+        assert cli._parse_words(Scale((10, 2)), ["10"])[0] == (10,)
+        assert cli._parse_words(Scale(("a", "bc")), ["bc"])[0] == ("bc",)
 
     def test_rank(self, files, capsys):
         assert run(["oom-rank", "--oom", str(files["oom"]), "--max-length", "3"]) == 0
@@ -499,6 +494,11 @@ class TestOomCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["states"] == [["a", 0], ["a", 1], ["b", 0], ["b", 1]]
         assert out["pi"] == [0.25, 0.25, 0.25, 0.25]
+        model = qio.load_oom(files["oom"])
+        for i, symbol in enumerate(model.scale):  # block row i of symbol i's lifted operator repeats M_i
+            selector = np.zeros((2, 2))
+            selector[i] = 1.0
+            assert out["operators"][symbol] == np.kron(selector, model.operators[i]).tolist()
 
     def test_entropy(self, files, capsys):
         assert run(["oom-entropy", "--oom", str(files["oom"]), "--t-max", "3"]) == 0
@@ -530,7 +530,7 @@ class TestWordCells:
             argv += ["--word", ",".join(word)]
         assert run(argv) == 0
         rows = self._rows(capsys.readouterr().out)
-        assert [cli._parse_word(Scale(self.SCALE), cell) for cell, _ in rows] == words
+        assert cli._parse_words(Scale(self.SCALE), [cell for cell, _ in rows]) == words
         assert len({cell for cell, _ in rows}) == len(words)
         for cell, value in rows:
             assert run(["oom-prob", "--oom", str(path), "--word", cell]) == 0
@@ -546,7 +546,7 @@ class TestWordCells:
         assert run(["measure", "--measurement", str(path), "--density", str(rho), "--steps", str(steps)]) == 0
         rows = self._rows(capsys.readouterr().out)
         words = list(itertools.product(self.SCALE, repeat=steps))
-        assert [cli._parse_word(Scale(self.SCALE), cell) for cell, _ in rows] == words
+        assert cli._parse_words(Scale(self.SCALE), [cell for cell, _ in rows]) == words
 
     def test_one_character_texts_concatenate(self):
         assert cli._word_cells(["a", "b"])(("a", "b", "b")) == "abb"
@@ -598,6 +598,7 @@ class TestRandomScaleCells:
 
     def test_cells_round_trip(self, tmp_path):
         rng = np.random.default_rng(2025)
+        _cell_round_trip(tmp_path, np.random.default_rng(2026), ['"', "\n", "a"])
         broken = []
         for _ in range(300):
             symbols = [self.POOL[i] for i in rng.choice(len(self.POOL), int(rng.integers(1, 5)), replace=False)]
@@ -613,7 +614,7 @@ class TestRandomScaleCells:
         cell = cli._word_cells([text, "a"])((text, "a"))
         assert cell == '"%s,a"' % text.replace('"', '""')
         assert list(csv.reader(io.StringIO(f"{cell},0.5\n"))) == [[f"{text},a", "0.5"]]
-        assert cli._parse_word(Scale((text, "a")), f"{text},a") == (text, "a")
+        assert cli._parse_words(Scale((text, "a")), [f"{text},a"])[0] == (text, "a")
 
     def test_empty_text_exits_two(self, tmp_path, capsys):
         oom = tmp_path / "oom.json"
@@ -754,6 +755,7 @@ class TestCliContract:
         cases = (
             ({"kraus": 5}, "'kraus' must be a non-empty list"),
             ({"n": None, "kraus": [swap]}, "'n' must be a positive integer"),
+            ({"kraus": [qio.matrix_to_dict(np.eye(k) * w) for k, w in ((2, 0.6), (3, 0.8))]}, "kraus[1] has shape (3, 3)"),
         )
         bad = files["tmp"] / "bad_kraus_list.json"
         for payload, message in cases:
@@ -1408,12 +1410,9 @@ class TestStreamedOutput:
         args = ["chain-evolve", "--operator", str(paths["op"]), "--steps", "2000", "--density"]
         assert run([*args, str(paths["rho"])]) == 0
         want = capsys.readouterr().out
-        src = str(Path(qmarkov.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        command = [sys.executable, "-m", "qmarkov.cli", *args]
 
         def real_run(density, *extra, **streams):
-            return subprocess.run([*command, str(density), *extra], env=env, timeout=120, **streams)
+            return fresh_python("-m", "qmarkov.cli", *args, str(density), *extra, **streams)
 
         redirected = paths["op"].parent / "stdout.txt"
         with open(redirected, "w") as stdout:
@@ -1475,10 +1474,7 @@ class TestParserReuse:
         assert len(built) == 1
 
     def test_not_built_at_import(self):
-        src = str(Path(qmarkov.__file__).parents[1])
-        code = "import qmarkov.cli as c; assert c._parser.cache_info().currsize == 0"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        subprocess.run([sys.executable, "-c", code], env=env, timeout=120, check=True)
+        fresh_python("-c", "import qmarkov.cli as c; assert c._parser.cache_info().currsize == 0", check=True)
 
     @pytest.mark.parametrize("order", ["forward", "reversed"])
     def test_runs_leak_no_state(self, files, capsys, monkeypatch, order):
@@ -1493,12 +1489,15 @@ class TestParserReuse:
         assert shared == fresh
         assert sorted(code for code, *_ in fresh) == [0] * 8 + [2]  # --help exits 0, the usage error 2
 
-    def test_every_help_renders(self):
+    def test_every_help_renders(self, capsys):
         parser = cli.build_parser()
         (action,) = [a for a in parser._actions if a.dest == "command"]
         assert "qmarkov" in parser.format_help()
         for name, sub in action.choices.items():
             assert sub.format_help().startswith(f"usage: qmarkov {name}")
+            with pytest.raises(SystemExit) as done:
+                run([name, "--help"])
+            assert done.value.code == 0 and capsys.readouterr().out == sub.format_help()
 
 
 def _numbers(value) -> list:
@@ -1720,18 +1719,11 @@ class TestRecoveredRoute:
 class TestClosedPipe:
     """A reader that closes stdout early ends the run with exit 2 and one line, ``qmarkov: output closed``."""
 
-    @staticmethod
-    def _command(*args):
-        src = str(Path(qmarkov.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        env.pop("PYTHONUNBUFFERED", None)  # stdout keeps a buffer, as it does by default
-        return [sys.executable, "-W", "error", "-m", "qmarkov.cli", *args], env
-
     def test_reader_gone_after_one_line(self, files):
         # 2**16 rows, far more than a pipe holds, so the writer is still writing when the reader goes
-        argv, env = self._command("measure", "--measurement", str(files["zmeas"]), "--density",
-                                  str(files["density"]), "--steps", "16")
-        with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        argv = ["-m", "qmarkov.cli", "measure", "--measurement", str(files["zmeas"]), "--density",
+                str(files["density"]), "--steps", "16"]
+        with fresh_python(*argv, start=subprocess.Popen, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
             assert proc.stdout.readline() == b"word,probability\n"
             proc.stdout.close()
             err = proc.stderr.read()
@@ -1742,9 +1734,8 @@ class TestClosedPipe:
         # the whole output fits stdout's buffer, so the pipe shows closed only when it is flushed
         read, write = os.pipe()
         os.close(read)
-        argv, env = self._command("bell", "--builtin", "five-state")
         try:
-            done = subprocess.run(argv, env=env, stdout=write, stderr=subprocess.PIPE, timeout=120)
+            done = fresh_python("-m", "qmarkov.cli", "bell", "--builtin", "five-state", stdout=write, stderr=subprocess.PIPE)
         finally:
             os.close(write)
         assert (done.returncode, done.stderr) == (2, b"qmarkov: output closed\n")

@@ -1,12 +1,10 @@
 """The package namespace: every module's ``__all__``, re-exported once."""
 
-import os
-import subprocess
 import sys
 import types
-from pathlib import Path
 
 import qmarkov
+from conftest import fresh_python
 from qmarkov import chain, hermitian, hidden, measurement, oom, operators
 
 MODULES = (hermitian, operators, measurement, chain, sys.modules["qmarkov.walk"], hidden, oom)
@@ -57,7 +55,4 @@ def test_walk_is_the_function_and_the_module_stays_in_sys_modules():
 
 
 def test_star_import_in_a_fresh_process_warns_nothing():
-    src = str(Path(qmarkov.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "from qmarkov import *; assert callable(walk) and validate and EQUALITY_TOL"
-    subprocess.run([sys.executable, "-W", "error", "-c", code], env=env, timeout=120, check=True)
+    fresh_python("-c", "from qmarkov import *; assert callable(walk) and validate and EQUALITY_TOL", check=True)
