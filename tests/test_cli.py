@@ -568,11 +568,14 @@ def _cell_round_trip(workdir, rng, symbols) -> None:
 
     ``oom-prob`` prints all of them, and ``measure --steps`` 1 and 2 those
     of one length.  Each row parses into two cells, the cells of a table
-    differ, and ``--word=CELL`` names the same word in ``oom-prob`` JSON.
+    differ, and ``--word=CELL`` names the same word in ``oom-prob`` JSON,
+    whose probability is the value of the ``oom-prob`` CSV row.
     """
     texts, k = [str(s) for s in symbols], len(symbols)
     oom, meas, rho = workdir / "oom.json", workdir / "meas.json", workdir / "rho.json"
-    oom.write_text(json.dumps({"dim": 1, "scale": symbols, "operators": {t: [[1 / k]] for t in texts}, "pi": [1.0]}))
+    # distinct weights, so the words of one length have distinct probabilities
+    weights = {t: [[2 * (i + 1) / (k * (k + 1))]] for i, t in enumerate(texts)}
+    oom.write_text(json.dumps({"dim": 1, "scale": symbols, "operators": weights, "pi": [1.0]}))
     kraus = {t: qio.matrix_to_dict(m) for t, m in zip(texts, random_kraus_family(rng, 2, k))}
     meas.write_text(json.dumps({"n": 2, "scale": symbols, "kraus": kraus}))
     qio.save_matrix(rho, np.diag([0.3, 0.7]), kind="density")
@@ -581,13 +584,15 @@ def _cell_round_trip(workdir, rng, symbols) -> None:
     for steps in (1, 2):
         argv = ["measure", "--measurement", str(meas), "--density", str(rho), "--steps", str(steps)]
         tables.append((list(itertools.product(texts, repeat=steps)), _out(argv)))
-    for expected, out in tables:
+    for i, (expected, out) in enumerate(tables):
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["word", "probability"] and all(len(row) == 2 for row in rows), rows
         cells = [cell for cell, _ in rows[1:]]
         assert len(cells) == len(set(cells)) == len(expected), cells
         back = json.loads(_out(["oom-prob", "--oom", str(oom), "--format", "json", *(f"--word={c}" for c in cells)]))
         assert [r["word"] for r in back] == [list(w) for w in expected], cells
+        if i == 0:
+            assert [r["probability"] for r in back] == [float(value) for _, value in rows[1:]], rows
 
 
 class TestRandomScaleCells:
@@ -637,7 +642,9 @@ class TestWordCapRefusal:
         path.write_text(
             json.dumps({"n": 2, "scale": list("xyz"), "kraus": {s: qio.matrix_to_dict(k) for s, k in zip("xyz", kraus)}})
         )
-        return {"meas": path, "density": files["density"], "oom": files["oom"]}
+        one = files["tmp"] / "one_symbol_oom.json"
+        one.write_text(json.dumps({"dim": 1, "scale": ["a"], "operators": {"a": [[1.0]]}, "pi": [1.0]}))
+        return {"meas": path, "density": files["density"], "oom": files["oom"], "one": one}
 
     @pytest.mark.parametrize(
         "argv",
@@ -645,8 +652,9 @@ class TestWordCapRefusal:
             ["measure", "--measurement", "{meas}", "--density", "{density}", "--steps"],
             ["oom-entropy", "--oom", "{oom}", "--t-max"],
             ["oom-rank", "--oom", "{oom}", "--max-length"],
+            ["oom-entropy", "--oom", "{one}", "--t-max"],  # one word per length: 10^9 words in all
         ],
-        ids=["measure", "oom-entropy", "oom-rank"],
+        ids=["measure", "oom-entropy", "oom-rank", "oom-entropy-one-symbol"],
     )
     def test_huge_length_exits_two_with_cap_message(self, word_files, capsys, argv):
         argv = [a.format(**word_files) for a in argv] + [str(10**9)]
