@@ -4,23 +4,21 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from conftest import SIGMA_X, random_hermitian, random_kraus_family, random_unitary
+from conftest import SIGMA_X, _doubling_oracle, _phase_unitary, _step_loop, assert_cesaro_agrees
+from conftest import random_hermitian, random_kraus_family, random_unitary
 from qmarkov import (
     ConvergenceError,
     DirectedGraph,
     MarkovChain,
     MarkovOperator,
-    apply,
     boundedness_probe,
     cesaro_average,
     coords,
     evolve,
-    from_coords,
     from_kraus,
     from_stochastic,
     from_unitary,
     functional_average,
-    hs_inner,
     identity_operator,
     is_nonnegative,
     is_stationary,
@@ -30,11 +28,10 @@ from qmarkov import (
     random_quantum_density,
     shift_unitary,
     unitary_vector_average,
-    walk,
 )
 from qmarkov import chain as qchain
 from qmarkov import operators as qoperators
-from qmarkov.operators import _image, _recover_kraus, _stepping_kraus, diagonal_superop, kraus_superop
+from qmarkov.operators import _recover_kraus, _stepping_kraus, kraus_superop
 
 
 def off_diagonal_amplifier(factor: float) -> MarkovOperator:
@@ -288,49 +285,6 @@ class TestCesaroAverage:
         assert is_nonnegative(result.average, 1e-9)
 
 
-def _doubling_oracle(chain: MarkovChain, tol: float = 1e-8, max_doublings: int = 40):
-    """Cesaro averages by superoperator doubling from t = 1, with the same checks as cesaro_average."""
-    k = chain.operator.matrix
-    n = chain.operator.n
-    c0 = coords(chain.start)
-
-    partial = k @ c0
-    residual = float(np.linalg.norm(partial - c0))
-    if residual <= tol:
-        return qchain.CesaroResult(average=np.array(chain.start), iterations=0, residual=residual)
-
-    t_mat = k.copy()
-    t = 1
-    previous_tail = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_doublings + 1):
-            avg = qchain._unit_trace(partial / t, n)
-            residual = float(np.linalg.norm(k @ avg - avg))
-            if not np.isfinite(residual):
-                raise ConvergenceError(
-                    f"averages diverged after {t} steps; the chain appears unbounded"
-                )
-            if residual <= tol:
-                return qchain.CesaroResult(average=from_coords(avg), iterations=t, residual=residual)
-            shifted = t_mat @ partial
-            tail = qchain._unit_trace(shifted / t, n)
-            tail_residual = float(np.linalg.norm(k @ tail - tail))
-            if (
-                tail_residual <= tol
-                and previous_tail is not None
-                and float(np.linalg.norm(tail - previous_tail)) <= tol
-            ):
-                return qchain.CesaroResult(average=from_coords(tail), iterations=2 * t, residual=tail_residual)
-            previous_tail = tail
-            partial += shifted
-            t_mat = t_mat @ t_mat
-            t *= 2
-    raise ConvergenceError(
-        f"stationarity residual {residual:.3e} still above {tol:.1e} after "
-        f"{max_doublings} doublings (t = {t // 2}); the chain may be unbounded"
-    )
-
-
 def _jordan_trap(seed: int, n: int = 8) -> MarkovChain:
     """A defective eigenvalue-1 block next to a mixing column-stochastic rest."""
     rng = np.random.default_rng(seed)
@@ -341,95 +295,20 @@ def _jordan_trap(seed: int, n: int = 8) -> MarkovChain:
     return MarkovChain(operator=from_stochastic(m), start=np.diag(rng.dirichlet(np.ones(n))).astype(complex))
 
 
-def _agreement_chain(seed: int) -> MarkovChain:
-    """Seeded chain of one of four kinds: Kraus form, operator matrix, stochastic or unitary."""
-    rng = np.random.default_rng(5000 + seed)
-    n = int(rng.integers(2, 21))
-    kind = seed % 4
-    if kind == 0:
-        op = from_kraus(random_kraus_family(rng, n, int(rng.integers(1, 4))))
-    elif kind == 1:
-        op = MarkovOperator(n=n, matrix=kraus_superop(random_kraus_family(rng, n, int(rng.integers(1, 4)))))
-    elif kind == 2:
-        m = rng.random((n, n)) ** 4
-        op = from_stochastic(m / m.sum(axis=0))
-    else:
-        op = from_unitary(random_unitary(rng, n))
-    return MarkovChain(operator=op, start=random_quantum_density(n, rng))
-
-
 class TestSteppedPhaseAgreement:
-    """The stepped phase and its hand-off reproduce plain doubling up to the last digits."""
+    """A drifting defective block ends the stepped phase and its hand-off as plain doubling ends, word for word.
 
-    @staticmethod
-    def _assert_agree(chain: MarkovChain, **kwargs):
-        try:
-            expected = _doubling_oracle(chain, **kwargs)
-        except ConvergenceError as exc:
-            with pytest.raises(ConvergenceError) as raised:
-                cesaro_average(chain, **kwargs)
-            assert str(raised.value) == str(exc)
-            return
-        result = cesaro_average(chain, **kwargs)
-        assert result.iterations == expected.iterations
-        assert np.abs(result.average - expected.average).max() <= 1e-12
-
-    @pytest.mark.parametrize("seed", range(60))
-    def test_matches_doubling(self, seed):
-        # every kind runs with max_doublings 12 and with values cycling through
-        # 0..12, so runs end on both sides of the hand-off at 2t > n^2
-        max_doublings = seed % 13 if (seed // 4) % 2 else 12
-        self._assert_agree(_agreement_chain(seed), tol=1e-8, max_doublings=max_doublings)
+    The agreement on bounded chains is a kernel of ``test_routes.py``.
+    """
 
     @pytest.mark.parametrize("seed", range(0, 120, 8))
     def test_jordan_trap_error_text(self, seed):
-        self._assert_agree(_jordan_trap(seed), tol=1e-8, max_doublings=40)
-
-
-def _phase_unitary(rng: np.random.Generator, n: int, kind: int):
-    """(U, V) with U = V diag(exp(i phases)) V* for seeded phases.
-
-    kind 0 draws uniform phases, kind 1 phases at least pi/n apart, kind 2
-    degenerate phases of period 2, 3 or 4.
-    """
-    v = random_unitary(rng, n)
-    if kind == 0:
-        phases = rng.uniform(0.0, 2 * np.pi, n)
-    elif kind == 1:
-        phases = 2 * np.pi * (np.arange(n) + rng.uniform(0.0, 0.5, n)) / n
-    else:
-        period = int(rng.integers(2, 5))
-        phases = 2 * np.pi * rng.integers(0, period, n) / period
-    return (v * np.exp(1j * phases)) @ v.conj().T, v
+        chain = _jordan_trap(seed)
+        assert_cesaro_agrees(chain, chain, bound=1e-12, tol=1e-8, max_doublings=40)
 
 
 class TestUnitaryEigenbasis:
     """A certified eigenbasis turns unitary Cesaro sums elementwise; the checks stay those of cesaro_average."""
-
-    @pytest.mark.parametrize("seed", range(60))
-    def test_iterations_match_doubling(self, seed):
-        rng = np.random.default_rng(9000 + seed)
-        n = int(rng.integers(2, 13))
-        u, _ = _phase_unitary(rng, n, seed % 3)
-        q = random_quantum_density(n, rng)
-        # as in TestSteppedPhaseAgreement, half the seeds cycle max_doublings
-        # through 0..12; the other half get the default horizon and converge
-        kwargs = {"tol": 1e-8, "max_doublings": seed % 13 if (seed // 4) % 2 else 40}
-        assert qchain._eigenbasis(u) is not None
-        op = from_unitary(u)
-        try:
-            expected = _doubling_oracle(MarkovChain(operator=from_unitary(u), start=q), **kwargs)
-        except ConvergenceError as exc:
-            with pytest.raises(ConvergenceError) as raised:
-                cesaro_average(MarkovChain(operator=op, start=q), **kwargs)
-            assert str(raised.value) == str(exc)
-        else:
-            result = cesaro_average(MarkovChain(operator=op, start=q), **kwargs)
-            assert result.iterations == expected.iterations
-            assert result.residual <= 1e-8
-            # both are stationary within tol; neither is closer to the limit than the spectrum allows
-            assert np.abs(result.average - expected.average).max() <= 1e-7
-        assert "matrix" not in op.__dict__
 
     @pytest.mark.parametrize("seed", range(40))
     def test_no_farther_from_the_pinching_than_doubling(self, seed):
@@ -512,58 +391,6 @@ class TestUnitaryEigenbasis:
         ((t, partial, _),) = islice(sums, 40, 41)
         assert t == 2**40
         assert abs(partial[:3].sum() / t - 1) <= 1e-14
-
-
-class TestKrausTrajectories:
-    """Trajectories of a Kraus-form operator step its stack and never form the superoperator."""
-
-    GRAPH = DirectedGraph(node_count=3, edges=((0, 1), (1, 2), (2, 0)))
-
-    @pytest.mark.parametrize("steps", [5, 9, 10, 40])  # n^2 = 9; the dense path blocks from 10 on
-    @pytest.mark.parametrize("seed", range(3))
-    def test_agrees_with_dense_operator(self, seed, steps):
-        rng = np.random.default_rng([120, seed])
-        mats = random_kraus_family(rng, 3, 2 + seed)
-        op, dense = from_kraus(mats), MarkovOperator(n=3, matrix=kraus_superop(mats))
-        q = random_quantum_density(3, rng)
-        chain, dense_chain = MarkovChain(operator=op, start=q), MarkovChain(operator=dense, start=q)
-        densities = evolve(chain, steps)
-        np.testing.assert_allclose(densities, evolve(dense_chain, steps), rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(densities[0], q)
-        purities = np.sort([np.trace(d @ d).real for d in densities])
-        gap = int(np.argmax(np.diff(purities)))
-        bound = float(purities[gap : gap + 2].mean())  # between two purities, far from both
-        report, expected = boundedness_probe(chain, steps, bound), boundedness_probe(dense_chain, steps, bound)
-        assert report.max_value == pytest.approx(expected.max_value, rel=0, abs=1e-12)
-        assert report.first_exceeded == expected.first_exceeded
-        probabilities = walk(self.GRAPH, op, q, steps).node_probabilities
-        np.testing.assert_allclose(probabilities, walk(self.GRAPH, dense, q, steps).node_probabilities, atol=1e-12)
-        assert "matrix" not in op.__dict__
-
-    @pytest.mark.parametrize("form", ["kraus", "unitary", "dense"])
-    def test_first_step_is_apply(self, form):
-        rng = np.random.default_rng(121)
-        mats = [random_unitary(rng, 4)] if form == "unitary" else random_kraus_family(rng, 4, 3)
-        op = MarkovOperator(n=4, matrix=kraus_superop(mats)) if form == "dense" else from_kraus(mats)
-        q = random_quantum_density(4, rng)
-        np.testing.assert_array_equal(evolve(MarkovChain(operator=op, start=q), 1)[1], apply(op, q))
-
-
-class TestSharedOrbit:
-    """Images, paths and Cesaro sums step through one generator, so their first steps agree to the bit."""
-
-    @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("form", ["dense", "kraus", "unitary"])
-    def test_first_step_agrees_to_the_bit(self, form, seed):
-        rng = np.random.default_rng([122, seed])
-        mats = [random_unitary(rng, 4)] if form == "unitary" else random_kraus_family(rng, 4, 2)
-        op = MarkovOperator(n=4, matrix=kraus_superop(mats)) if form == "dense" else from_kraus(mats)
-        c0 = coords(random_quantum_density(4, rng))
-        image = _image(op, c0)
-        np.testing.assert_array_equal(next(qchain._path_blocks(op, c0, 1))[1], image)
-        t, partial, _ = next(qchain._window_sums(op, c0))
-        assert t == 1
-        np.testing.assert_array_equal(partial, image)
 
 
 class TestStationarity:
@@ -684,41 +511,8 @@ class TestChainValidation:
             MarkovChain(operator=identity_operator(2), start=np.eye(2))
 
 
-def _step_loop(k: np.ndarray, c: np.ndarray, steps: int) -> np.ndarray:
-    """Coordinates of K^t c for t = 0..steps, one mat-vec per step."""
-    rows = [c]
-    for _ in range(steps):
-        c = k @ c
-        rows.append(c)
-    return np.array(rows)
-
-
 class TestPathBlocks:
     """The path kernel steps until steps > n^2 and steps >= PATH_BLOCK, then multiplies blocks."""
-
-    @pytest.mark.parametrize("block", [2, 4, 8])
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_matches_step_loop(self, monkeypatch, block, n):
-        monkeypatch.setattr(qchain, "PATH_BLOCK", block)
-        rng = np.random.default_rng([80, n, block])
-        op = MarkovOperator(n=n, matrix=kraus_superop(random_kraus_family(rng, n, 2)))
-        q = random_quantum_density(n, rng)
-        for steps in (n * n, n * n + 1, 3 * block + 5):
-            expected = _step_loop(op.matrix, coords(q), steps)
-            blocks = [b.copy() for b in qchain._path_blocks(op, coords(q), steps)]
-            assert all(1 <= len(b) <= block for b in blocks)
-            path = np.concatenate(blocks)
-            densities = evolve(MarkovChain(operator=op, start=q), steps)
-            assert path.shape == (steps + 1, n * n)
-            assert densities.shape == (steps + 1, n, n)
-            np.testing.assert_array_equal(path[:block], expected[:block])
-            if steps > n * n and steps >= block:
-                np.testing.assert_allclose(path, expected, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(densities, from_coords(expected), rtol=0, atol=1e-12)
-                np.testing.assert_array_equal(densities[1:], from_coords(path[1:]))
-            else:
-                np.testing.assert_array_equal(path, expected)
-                np.testing.assert_array_equal(densities[1:], from_coords(expected[1:]))
 
     def test_rejects_negative_steps(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -747,42 +541,8 @@ def _low_rank(n: int, rank: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]
     return kraus_superop(random_kraus_family(rng, n, rank)), random_quantum_density(n, rng)
 
 
-def _refused(kind: str, n: int) -> np.ndarray:
-    """A trace-preserving dense matrix that ``_recover_kraus`` must refuse."""
-    rng = np.random.default_rng([141, n])
-    if kind == "stochastic":  # Choi rank n^2
-        m = rng.random((n, n))
-        return diagonal_superop(m / m.sum(axis=0))
-    if kind == "jordan":  # a negative entry: not completely positive
-        m = np.zeros((n, n))
-        m[:2, :2] = [[2.0, 1.0], [-1.0, 0.0]]
-        rest = rng.random((n - 2, n - 2)) + 0.05
-        m[2:, 2:] = rest / rest.sum(axis=0)
-        return diagonal_superop(m)
-    if kind == "random":
-        k = 0.5 * rng.standard_normal((n * n, n * n)) / n
-        k[0] = (np.arange(n * n) < n) - k[1:n].sum(axis=0)  # the basis traces: 1 for E_jj, else 0
-        return k
-    k = kraus_superop(random_kraus_family(rng, n, 2))  # rank 2, perturbed off the trace rows
-    k[n:] += 1e-8 * rng.standard_normal((n * n - n, n * n))
-    return k
-
-
-def _path(op: MarkovOperator, c0: np.ndarray, steps: int) -> np.ndarray:
-    return np.concatenate([block.copy() for block in qchain._path_blocks(op, c0, steps)])
-
-
 class TestRecoveredKraus:
-    """A dense operator of low Choi rank steps as its recovered Kraus stack where the cost rule picks it.
-
-    The dense route is forced by a recovery that returns None.
-    """
-
-    @staticmethod
-    def _dense_route(monkeypatch, call):
-        with monkeypatch.context() as patch:
-            patch.setattr(qoperators, "_recover_kraus", lambda k, n: None)
-            return call()
+    """A dense operator of low Choi rank steps as its recovered Kraus stack where the cost rule picks it."""
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("n", [4, 8, 20])
@@ -807,52 +567,6 @@ class TestRecoveredKraus:
         matrix[n:, n + 2 * (j * (2 * n - j - 1) // 2 + k - j - 1)] += 1e-6
         assert _recover_kraus(matrix, n) is None
 
-    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
-    @pytest.mark.parametrize("n", [20, 24, 32])
-    def test_path_agrees_with_the_dense_route(self, monkeypatch, n, rank):
-        matrix, q = _low_rank(n, rank)
-        steps = 2 * n * n + 5  # past n^2, so the dense route multiplies blocks
-        op = MarkovOperator(n=n, matrix=matrix)
-        path = _path(op, coords(q), steps)
-        if n < 24:  # the cost rule keeps it dense without trying
-            assert "_recovered_kraus" not in op.__dict__
-        else:
-            assert len(op._recovered_kraus) == rank and op.kraus is None
-        dense = self._dense_route(monkeypatch, lambda: _path(MarkovOperator(n=n, matrix=matrix), coords(q), steps))
-        np.testing.assert_allclose(path, dense, rtol=0, atol=1e-12)
-
-    def test_path_agrees_at_n48(self, monkeypatch):
-        matrix, q = _low_rank(48, 2)
-        op = MarkovOperator(n=48, matrix=matrix)
-        path = _path(op, coords(q), 100)
-        assert len(op._recovered_kraus) == 2
-        dense = self._dense_route(monkeypatch, lambda: _path(MarkovOperator(n=48, matrix=matrix), coords(q), 100))
-        np.testing.assert_allclose(path, dense, rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
-    @pytest.mark.parametrize("n", [20, 24, 32])
-    def test_cesaro_agrees_with_the_dense_route(self, monkeypatch, n, rank):
-        matrix, q = _low_rank(n, rank)
-        op = MarkovOperator(n=n, matrix=matrix)
-        result = cesaro_average(MarkovChain(operator=op, start=q))
-        assert ("_recovered_kraus" in op.__dict__) == (n >= 24)
-        dense = self._dense_route(
-            monkeypatch, lambda: cesaro_average(MarkovChain(operator=MarkovOperator(n=n, matrix=matrix), start=q))
-        )
-        assert result.iterations == dense.iterations
-        np.testing.assert_allclose(result.average, dense.average, rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("kind", ["stochastic", "jordan", "random", "perturbed"])
-    def test_refused_matrix_steps_densely_bit_for_bit(self, monkeypatch, kind):
-        n = 24
-        matrix = _refused(kind, n)
-        c0 = coords(random_quantum_density(n, np.random.default_rng(142)))
-        op = MarkovOperator(n=n, matrix=matrix)
-        path = _path(op, c0, 300)
-        assert op._recovered_kraus is None
-        dense = self._dense_route(monkeypatch, lambda: _path(MarkovOperator(n=n, matrix=matrix), c0, 300))
-        np.testing.assert_array_equal(path, dense)
-
     def test_cost_rule(self):
         matrix, _ = _low_rank(16, 2)
         op = MarkovOperator(n=16, matrix=matrix)
@@ -864,18 +578,6 @@ class TestRecoveredKraus:
         assert _stepping_kraus(op, 24 * 24) is op._recovered_kraus is not None
         kraus = from_kraus(random_kraus_family(np.random.default_rng(143), 3, 2))
         assert _stepping_kraus(kraus, 0) is kraus.kraus
-
-    def test_rerouted_run_forms_no_superoperator(self, monkeypatch):
-        matrix, q = _low_rank(24, 2)
-        op = MarkovOperator(n=24, matrix=matrix)
-
-        def refuse(family):
-            raise AssertionError("a superoperator was formed")
-
-        monkeypatch.setattr(qoperators, "kraus_superop", refuse)
-        _path(op, coords(q), 300)
-        cesaro_average(MarkovChain(operator=op, start=q))
-        assert op._recovered_kraus is not None
 
     def test_recovery_peak_below_half_the_matrix(self):
         matrix, _ = _low_rank(24, 2)

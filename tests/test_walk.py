@@ -9,7 +9,6 @@ from conftest import random_kraus_family, random_unitary
 from qmarkov import (
     DirectedGraph,
     MarkovChain,
-    MarkovOperator,
     cesaro_average,
     evolve,
     from_kraus,
@@ -306,8 +305,6 @@ class TestKrausWalk:
         rotated = [np.roll(diag, t, axis=1).reshape(-1) for t in range(steps + 1)]
         np.testing.assert_array_equal(trace.node_probabilities, rotated)  # permuting is exact
         assert "matrix" not in op.__dict__
-        dense = MarkovOperator(n=12, matrix=op.matrix)
-        np.testing.assert_allclose(walk(self.CYCLES, dense, start, steps).node_probabilities, rotated, atol=1e-12)
 
 
 class TestNodeValueLimit:
