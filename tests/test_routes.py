@@ -127,8 +127,9 @@ ROUTES = {
         *(Cell(partial(_family, [80, n, b], n, 2), s, b) for n, b, s, blocked in _SWITCH if blocked),
         *(Cell(partial(_family, [122, seed], 4, 2), 40) for seed in range(3)),
         *(Cell(partial(_shift), s) for s in (145, 200)),
-        # K^32 at n = 24 on two full matrices (the Jordan trap's path grows to ~90, too far for 1e-12)
-        *(Cell(partial(_refused, k), 2 * 24 * 24 + 5, skip=("cesaro",)) for k in ("random", "perturbed")),
+        # K^32 at n = 24 and 32; the Jordan trap's path grows to ~90 and random K's at n = 32 to ~1, too far for 1e-12
+        *(Cell(partial(_refused, k, n), 2 * n * n + 5, skip=("cesaro",))
+          for k, n in (("random", 24), ("perturbed", 24), ("perturbed", 32))),
     ]),
     "from_kraus": Route(lambda dense, kraus: from_kraus(kraus), [
         *(Cell(partial(_family, [120, seed], 3, 2 + seed), s, skip=("cli",))  # the 116 cells run the CLI
