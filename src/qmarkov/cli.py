@@ -165,10 +165,10 @@ def _cmd_chain_evolve(args) -> None:
     density = qio.load_density(args.density)
     markov_chain = MarkovChain(operator=operator, start=density)
     if args.format == "json":
-        densities = _numbered(_density_blocks(markov_chain, args.steps))
-        items = (
-            [{"t": t, "matrix": qio.matrix_to_dict(d, kind="hermitian")} for t, d in rows] for rows in densities
-        )
+        densities = enumerate(chain.from_iterable(_density_blocks(markov_chain, args.steps)))
+        size = max(1, ROW_CHUNK // operator.n**2)  # densities of n^2 entries per chunk, which may span path blocks
+        chunks = iter(lambda: list(islice(densities, size)), [])
+        items = ([{"t": t, "matrix": qio.matrix_to_dict(d, kind="hermitian")} for t, d in rows] for rows in chunks)
         _emit(args, _json(items))
     else:
         blocks = _path_blocks(operator, coords(markov_chain.start), args.steps)

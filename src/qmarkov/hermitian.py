@@ -15,6 +15,7 @@ dimensions) and of each argument kind (counts, tolerances).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -105,9 +106,16 @@ def _as_square(q: np.ndarray, name: str, dtype=complex) -> np.ndarray:
     q = np.asarray(q, dtype=dtype)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {q.shape}")
-    if not np.all(np.isfinite(q.view(float))):
+    if not _all_finite(q):
         raise ValueError(f"{name} contains non-finite entries")
     return q
+
+
+def _all_finite(array: np.ndarray) -> bool:
+    """True when every entry of a float or complex array is finite, with no mask of its size: a NaN
+    propagates through ``min`` and ``max``, and an infinity of either sign reaches one of them."""
+    parts = (array.real, array.imag) if array.dtype.kind == "c" else (array,)
+    return all(math.isfinite(part.min(initial=0.0)) and math.isfinite(part.max(initial=0.0)) for part in parts)
 
 
 def is_hermitian(q: np.ndarray, atol: float | None = None) -> bool:
@@ -219,11 +227,16 @@ def _require_unitary(u: np.ndarray) -> np.ndarray:
 
 
 def _frozen_array(value, name: str, dtype, shape: tuple | None = None) -> np.ndarray:
-    """A read-only copy of ``value`` as ``dtype``, of ``shape`` when given, with finite entries."""
-    array = np.array(value, dtype=dtype)
+    """A read-only copy of ``value`` as ``dtype``, checked by :func:`_freeze`."""
+    return _freeze(np.array(value, dtype=dtype), name, shape)
+
+
+def _freeze(array: np.ndarray, name: str, shape: tuple | None = None) -> np.ndarray:
+    """``array`` itself, made read-only once it has ``shape`` (when given) and finite entries; an array
+    no one else holds: the copy of :func:`_frozen_array`, or one its maker hands over."""
     if shape is not None and array.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
-    if not np.all(np.isfinite(array)):
+    if not _all_finite(array):
         raise ValueError(f"{name} contains non-finite entries")
     array.setflags(write=False)
     return array
@@ -234,7 +247,7 @@ def _require_unit_sum(values: np.ndarray, name: str, note: str = "") -> float:
 
     ``note`` is appended to the error, to explain a sum other than 1.
     """
-    if not np.all(np.isfinite(values)):
+    if not _all_finite(values):
         raise ValueError(f"{name} must sum to 1, got non-finite entries")
     total = float(np.sum(values))
     if abs(total - 1.0) > EQUALITY_TOL:

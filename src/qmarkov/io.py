@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import reprlib
 from collections.abc import Iterator
@@ -110,21 +111,22 @@ def _with_matrix_rows(path) -> dict | None:
     file is read; None unless that array is, bit for bit, what ``np.asarray`` of the parsed value is.
 
     The file is read :data:`_WINDOW` bytes at a time.  The head up to the
-    matrix's "[" is kept.  Each row is parsed once its "]" is read, and its
+    matrix's "[" is kept.  Each row is parsed once its "]" is read and
+    written into one float64 (m, m) array, m the first row's width, and its
     bytes are dropped, so only the unparsed start of a row is carried into
     the next read; a row longer than the window grows the buffer until its
     "]" arrives.  The tail after the matrix is read last.  Neither the
     file's bytes nor its text are ever held whole: decoding peaks at the
-    rows plus their stacked copy and a window, about two matrices whatever
-    the file's layout.
+    matrix, which the caller owns, plus a window and a row, whatever the
+    file's layout.
 
     The rest of the text, the matrix replaced by an integer it does not
     hold, must parse to an object whose "matrix" is that integer, so the
     rows were the top-level value; a row of numbers holds no quote, so the
     rest holds every "matrix" key, and there must be one.  ASCII text reads
-    alike in any locale, and a row that numpy reads as neither int64 nor
-    float64 could change the whole array's type; all else, malformed text
-    included, is left to :func:`_read_json`.
+    alike in any locale.  Anything but m rows of m int64 or float64 numbers,
+    not all int64 (their array is int64), could give another shape or type;
+    it is left, malformed text included, to :func:`_read_json`.
     """
     with open(path, "rb") as file:
         buf = bytearray()
@@ -139,18 +141,25 @@ def _with_matrix_rows(path) -> dict | None:
             return None
         head = buf[:value]
         del buf[:value]  # buf now starts at the matrix's "["
-        rows = []
-        while buf[:1] == (b"," if rows else b"["):
+        matrix, count, floats = None, 0, False
+        while buf[:1] == (b"," if count else b"["):
             start = _space_end(file, buf, 1)
             end = _find(file, buf, b"]", start) + 1
             try:  # a slice cut at its first "]" parses only as a flat array; with no "]" it is empty
-                rows.append(np.asarray(json.loads(buf[start:end].decode("ascii"))))
+                row = np.asarray(json.loads(buf[start:end].decode("ascii")))
             except (ValueError, RecursionError):
                 return None
-            if rows[-1].dtype not in _ROW_DTYPES:
+            if row.dtype not in _ROW_DTYPES:
                 return None
+            if matrix is None and 2 * row.size**2 <= os.fstat(file.fileno()).st_size:
+                matrix = np.empty((row.size, row.size))  # m rows of m numbers take at least 2 m^2 bytes
+            if matrix is None or count == len(matrix) or row.shape != matrix.shape[1:]:
+                return None
+            matrix[count] = row
+            count += 1
+            floats = floats or row.dtype == np.float64
             del buf[:_space_end(file, buf, end)]
-        if buf[:1] != b"]" or len({row.size for row in rows}) != 1:
+        if buf[:1] != b"]" or count != len(matrix) or not floats:  # the first row made the matrix
             return None
         rest = head + _PLACEHOLDER + buf[1:] + file.read()
     try:
@@ -161,7 +170,7 @@ def _with_matrix_rows(path) -> dict | None:
         return None
     if type(d.get("matrix")) is not int or d["matrix"] != int(_PLACEHOLDER):
         return None
-    d["matrix"] = np.stack(rows)
+    d["matrix"] = matrix
     return d
 
 
@@ -407,9 +416,18 @@ def operator_to_dict(op: MarkovOperator) -> dict:
 
 
 def operator_from_dict(d: Mapping) -> MarkovOperator:
+    return MarkovOperator(*_operator_fields(d))
+
+
+def _operator_fields(d: Mapping) -> tuple[int, np.ndarray]:
+    """The checked 'n' of an operator object and its 'matrix' as a float array.
+
+    The array is new, or the float64 array of ``d`` itself: a loader's own,
+    from :func:`_with_matrix_rows`, which it hands to the operator uncopied.
+    """
     _fields(d, "n", "basis", "matrix")
     _expect(d["basis"] == BASIS_TAG, f"unsupported basis {d['basis']!r} (expected {BASIS_TAG!r})")
-    return MarkovOperator(n=_require_count(d["n"], "'n'", least=1), matrix=_float_array(d["matrix"], "'matrix'"))
+    return _require_count(d["n"], "'n'", least=1), _float_array(d["matrix"], "'matrix'")
 
 
 def save_operator(path, op: MarkovOperator) -> None:
@@ -418,7 +436,7 @@ def save_operator(path, op: MarkovOperator) -> None:
 
 def load_operator(path) -> MarkovOperator:
     with _within(path):
-        return operator_from_dict(_with_matrix_rows(path) or _read_json(path))
+        return MarkovOperator._of_own_matrix(*_operator_fields(_with_matrix_rows(path) or _read_json(path)))
 
 
 def _kraus_matrices(d: Mapping, labelled) -> list[np.ndarray]:
@@ -470,7 +488,7 @@ def load_channel(path) -> MarkovOperator:
         d = _with_matrix_rows(path) or _read_json(path)
         if isinstance(d, Mapping) and "kraus" in d:
             return from_kraus(_kraus_list(d))
-        return operator_from_dict(d)
+        return MarkovOperator._of_own_matrix(*_operator_fields(d))
 
 
 def load_measurement(path):

@@ -28,6 +28,7 @@ from .hermitian import (
     RECOVERY_TOL,
     SAMPLED_SIGN_TOL,
     _as_square,
+    _freeze,
     _frozen_array,
     _require_column_sums,
     _require_count,
@@ -119,11 +120,24 @@ class MarkovOperator:
             kraus = _frozen_array(kraus, f"Kraus matrices on H_{n}", complex, (len(kraus), n, n))
             _check_completeness(kraus)
         else:
-            m = n * n
-            matrix = _frozen_array(matrix, f"operator matrix on H_{n}", float, (m, m))
-            _require_trace_preserving(matrix, "operator is not trace preserving")
-            object.__setattr__(self, "matrix", matrix)  # fills the cached property
+            self._keep(np.array(matrix, dtype=float))  # the caller's array stays theirs
         object.__setattr__(self, "kraus", kraus)
+
+    @classmethod
+    def _of_own_matrix(cls, n: int, matrix: np.ndarray) -> MarkovOperator:
+        """The operator of a float64 ``matrix`` that its maker hands over: the constructor's checks, no copy."""
+        op = cls.__new__(cls)
+        object.__setattr__(op, "n", _require_count(n, "n", least=1))
+        op._keep(matrix)
+        object.__setattr__(op, "kraus", None)
+        return op
+
+    def _keep(self, matrix: np.ndarray) -> None:
+        """Freeze ``matrix`` itself (:func:`_freeze`), check its traces and keep it as the operator's matrix."""
+        m = self.n * self.n
+        matrix = _freeze(matrix, f"operator matrix on H_{self.n}", (m, m))
+        _require_trace_preserving(matrix, "operator is not trace preserving")
+        object.__setattr__(self, "matrix", matrix)  # fills the cached property
 
     @cached_property
     def matrix(self) -> np.ndarray:

@@ -1323,6 +1323,48 @@ class TestStreamedOutput:
         assert out.read_text().count("\n") > 10 * steps
         assert large <= 1.25 * small, (small, large)
 
+    # n^2 = 16 entries a density: 1, 5 and 64 densities a chunk; 5 cuts the 32-row path blocks, 64 holds two
+    @pytest.mark.parametrize("row_chunk, chunks", [(16, 71), (80, 15), (1024, 2)])
+    def test_evolve_json_chunks_span_path_blocks(self, chain_files, capsys, monkeypatch, row_chunk, chunks):
+        monkeypatch.setattr(cli, "ROW_CHUNK", row_chunk)
+        paths, _ = chain_files
+        steps = 70  # 71 densities in path blocks of 32, 32 and 7
+        op, rho = qio.load_channel(paths["op"]), qio.load_density(paths["rho"])
+        densities = evolve(MarkovChain(operator=op, start=rho), steps)
+        payload = [{"t": t, "matrix": qio.matrix_to_dict(d, kind="hermitian")} for t, d in enumerate(densities)]
+        written, emit = [], cli._emit
+
+        def counted(args, texts):
+            written.extend(texts)
+            emit(args, written)
+
+        monkeypatch.setattr(cli, "_emit", counted)
+        argv = ["chain-evolve", "--operator", str(paths["op"]), "--density", str(paths["rho"]), "--format", "json"]
+        assert run([*argv, "--steps", str(steps)]) == 0
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+        assert len(written) == chunks + 2  # each chunk of densities, then the list's "]" and the final newline
+
+    def test_evolve_json_peak_within_chunks_at_n16(self, tmp_path):
+        # 4 densities a chunk, 1.3 MB measured; a chunk per 32-density path block peaked at 3.9 MB
+        rng = np.random.default_rng(126)
+        op, rho, out = tmp_path / "op16.json", tmp_path / "rho16.json", tmp_path / "out.json"
+        qio.save_operator(op, from_kraus(random_kraus_family(rng, 16, 2)))
+        qio.save_matrix(rho, random_quantum_density(16, rng), kind="density")
+        argv = ["chain-evolve", "--operator", str(op), "--density", str(rho), "--format", "json"]
+
+        def peak(steps):
+            gc.collect(1)
+            tracemalloc.start()
+            try:
+                assert run([*argv, "--steps", str(steps), "--output", str(out)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # imports and first-call caches
+        assert peak(200) < 2 * 2**20
+        assert out.read_text().count('"t": ') == 201
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_walk_peak_memory_flat_in_steps(self, files, fmt):
         out = files["tmp"] / "walk.txt"

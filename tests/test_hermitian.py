@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from qmarkov import (
     require_markov_density,
     spectral_decompose,
 )
+from qmarkov.hermitian import _all_finite
 
 
 class TestAdjoint:
@@ -304,3 +307,48 @@ class TestValidation:
         require_markov_density(np.diag([1.25, -0.25]))
         with pytest.raises(ValueError, match="trace 1"):
             require_markov_density(np.diag([1.0, 1.0]))
+
+
+def _finite_check_cases():
+    """Arrays with one non-finite or extreme value at each end and in the middle, as float and complex
+    arrays and as views of them with other strides; empty and 0-d arrays."""
+    for value in (np.nan, np.inf, -np.inf, 1e308, -1e308, 0.0):
+        for at in (0, 7, 15):
+            real = np.arange(16.0).reshape(4, 4)
+            real.flat[at] = value
+            yield real
+            yield real.T
+            yield real[:, ::3]
+            for cell in (complex(value, 0.0), complex(0.0, value)):
+                cplx = np.ones((4, 4), dtype=complex)
+                cplx.flat[at] = cell
+                yield cplx
+                yield cplx.T
+                yield cplx.real
+                yield cplx.imag
+    yield from (np.zeros(0), np.zeros((0, 3), dtype=complex), np.array(np.nan), np.array(2.0 + 0j))
+
+
+class TestFiniteCheck:
+    """The one finiteness check reads min and max, with no mask of the array's size."""
+
+    def test_agrees_with_the_mask(self):
+        for array in _finite_check_cases():
+            assert _all_finite(array) == bool(np.all(np.isfinite(array))), array
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_no_mask_at_n24(self, dtype):
+        matrix = np.ones((576, 576), dtype=dtype).T  # a complex transpose cannot be viewed as floats
+        tracemalloc.start()
+        try:
+            assert _all_finite(matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**10  # a boolean mask would be 324 kB, of the float view 648 kB
+
+    def test_square_check_takes_a_complex_transpose(self):
+        q = random_hermitian(np.random.default_rng(127), 3)
+        assert is_hermitian(q.T)
+        with pytest.raises(ValueError, match="contains non-finite entries"):
+            require_hermitian(np.where(np.eye(3) > 0, np.nan, q).T)

@@ -756,5 +756,64 @@ class TestWindowedDecode:
         finally:
             tracemalloc.stop()
         np.testing.assert_array_equal(loaded.matrix, op.matrix)
-        # the rows and their stacked matrix, then the operator's own copy; the file's bytes never
-        assert peak < 2.25 * matrix_bytes + 4 * qio._WINDOW
+        # the one decoded matrix, which the operator keeps, a row and the windows; the file's bytes never
+        assert peak < 1.25 * matrix_bytes + 4 * qio._WINDOW
+
+
+class TestOneMatrixLoad:
+    """A loaded operator keeps the matrix its file decodes to, read-only: one matrix, no copy."""
+
+    def test_load_peak_within_one_matrix_at_n24(self, tmp_path):
+        op = from_kraus(random_kraus_family(np.random.default_rng(124), 24, 2))
+        path = tmp_path / "op24.json"
+        qio.save_operator(path, op)
+        tracemalloc.start()
+        try:
+            loaded = qio.load_operator(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(loaded.matrix, op.matrix)
+        # the 2.53 MiB matrix and a row block, 2.68 MiB measured; a second copy of the matrix would not fit
+        assert peak < 1.25 * op.matrix.nbytes
+
+    def test_file_too_small_for_the_first_rows_square(self, tmp_path):
+        # 1000 numbers in one 4 kB row: 1000 rows of them, 8 MB as floats, would take at least 2 MB of text
+        path = tmp_path / "op.json"
+        path.write_text('{"n": 1, "basis": "%s", "matrix": [[%s]]}' % (qio.BASIS_TAG, ",".join(["0.0"] * 1000)))
+        tracemalloc.start()
+        try:
+            assert qio._with_matrix_rows(path) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("load", [qio.load_operator, qio.load_channel])
+    def test_decoded_matrix_is_kept_read_only(self, tmp_path, monkeypatch, load):
+        path = tmp_path / "op.json"
+        qio.save_operator(path, from_kraus(random_kraus_family(np.random.default_rng(125), 3, 2)))
+        decoded = []
+        decode = qio._with_matrix_rows
+        monkeypatch.setattr(qio, "_with_matrix_rows", lambda p: decoded.append(decode(p)) or decoded[-1])
+        op = load(path)
+        assert op.matrix is decoded[0]["matrix"]
+        with pytest.raises(ValueError, match="read-only"):
+            op.matrix[0, 0] = 2.0
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 2, "basis": "%s", "matrix": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}',
+            '{"n": 1, "basis": "%s", "m\\u0061trix": [[1.0]]}',  # the key escaped, so found by the parser only
+        ],
+        ids=["integer-rows", "escaped-key"],
+    )
+    @pytest.mark.parametrize("load", [qio.load_operator, qio.load_channel])
+    def test_whole_text_matrix_is_read_only(self, tmp_path, load, text):
+        path = tmp_path / "op.json"
+        path.write_text(text % qio.BASIS_TAG)
+        assert qio._with_matrix_rows(path) is None
+        op = load(path)
+        assert op.matrix.dtype == np.float64 and not op.matrix.flags.writeable
+        np.testing.assert_array_equal(op.matrix, np.eye(op.n**2))
